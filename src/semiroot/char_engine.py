@@ -2,14 +2,17 @@
 
 Weight multiplicities come from the Freudenthal recursion, tensor products
 from the reflection-based expansion over the weights of the smaller factor.
-All arithmetic is exact; intermediate rational values are Fractions and
-every result is asserted back to an integer.
+Derived Weyl data and the memos live in the datum's shared context
+(`root_datum.weyl_context`).  All arithmetic is exact; every quotient is
+asserted back to an integer.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Iterable
 
 from . import linalg, root_datum
 from .linalg import Vec, dot, vec_add, vec_sub
@@ -17,17 +20,21 @@ from .root_datum import RootDatum
 
 Decomposition = dict[Vec, int]
 
-_dominant_mults_cache: dict[tuple, dict[Vec, int]] = {}
-_dimension_cache: dict[tuple, int] = {}
-_orbit_cache: dict[tuple, tuple[Vec, ...]] = {}
 
-
-def _orbit(d: RootDatum, x: Vec) -> tuple[Vec, ...]:
-    key = (d, x)
-    got = _orbit_cache.get(key)
+def _orbit(ctx: root_datum.WeylContext, x: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """W-orbit of x, descending, and the simple-coroot pairings of each weight."""
+    got = ctx.orbits.get(x)
     if got is None:
-        got = _orbit_cache[key] = root_datum.orbit(d, x)
+        d = ctx.datum
+        orb = root_datum.orbit(d, x)
+        got = ctx.orbits[x] = (orb, tuple(d.pairing(w) for w in orb))
     return got
+
+
+def _reflect(q: Vec, i: int, column: Vec) -> Vec:
+    """Pairings after the simple reflection s_i; column holds <coroot_j, root_i>."""
+    c = q[i]
+    return tuple(x - c * a for x, a in zip(q, column))
 
 
 def _require_dominant(d: RootDatum, x: Vec, what: str) -> Vec:
@@ -39,170 +46,153 @@ def _require_dominant(d: RootDatum, x: Vec, what: str) -> Vec:
     return x
 
 
-def _root_heights(d: RootDatum, v: Vec) -> int:
-    coeffs = linalg.solve(linalg.transpose(d.simple_roots), v) if d.simple_roots else ()
-    if coeffs is None:
-        raise ValueError(f"{v} is not in the root span")
-    total = 0
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError(f"{v} is not in the root lattice")
-        total += int(c)
-    return total
+def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
+    """All dominant weights below some dominant weight in tops, descending.
+
+    Breadth-first from tops, subtracting one positive root at a time; every
+    dominant weight under a top is reachable this way through dominant stops.
+    Pairings with the simple coroots are carried along, so the dominance test
+    is a subtraction.  The closure of a union is the union of the closures.
+    """
+    steps = [(a, d.pairing(a)) for a, _, _ in root_datum.weyl_context(d).positive_roots]
+    seen = set(tops)
+    frontier = [(v, d.pairing(v)) for v in seen]
+    while frontier:
+        nxt = []
+        for v, p in frontier:
+            for a, pa in steps:
+                q = vec_sub(p, pa)
+                if min(q) < 0:
+                    continue
+                w = vec_sub(v, a)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append((w, q))
+        frontier = nxt
+    return tuple(sorted(seen, reverse=True))
 
 
 def dominant_weights_of(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
-    """All dominant weights below lam: the dominant weights of the irreducible.
-
-    Breadth-first from lam, subtracting one positive root at a time; every
-    dominant weight under lam is reachable this way through dominant stops.
-    """
-    lam = _require_dominant(d, lam, "highest weight")
-    posroots = [a for a, _, _ in root_datum.positive_roots(d)]
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for a in posroots:
-                w = vec_sub(v, a)
-                if w not in seen and root_datum.is_dominant(d, w):
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return tuple(sorted(seen, reverse=True))
+    """All dominant weights below lam: the dominant weights of the irreducible."""
+    return dominant_closure(d, [_require_dominant(d, lam, "highest weight")])
 
 
 def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     """Multiplicity of each dominant weight of the irreducible with highest weight lam."""
     lam = _require_dominant(d, lam, "highest weight")
-    key = (d, lam)
-    cached = _dominant_mults_cache.get(key)
+    return _dominant_mults(root_datum.weyl_context(d), lam)
+
+
+def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
+    """Freudenthal's recursion, run on pairing vectors (Dynkin labels).
+
+    Weights of one irreducible differ by root lattice elements, on which the
+    pairings are injective, so a dominant weight is known by its pairings
+    and reflections to the dominant chamber never touch weight coordinates.
+    Symmetrizers are scaled to integers; the scale cancels in the quotient.
+    """
+    cached = ctx.dominant_mults.get(lam)
     if cached is not None:
         return cached
-
-    posroots = root_datum.positive_roots(d)
-    sym = root_datum.symmetrizers(d)
-    r2 = root_datum.rho2(d)
-    weights = sorted(
-        dominant_weights_of(d, lam), key=lambda w: _root_heights(d, vec_sub(lam, w))
-    )
-    rc_cols = linalg.transpose(d.simple_roots)
+    d = ctx.datum
+    columns = tuple(zip(*ctx.cartan))
+    scale = math.lcm(*(s.denominator for s in ctx.symmetrizers))
+    sym = [int(s * scale) for s in ctx.symmetrizers]
+    roots = [(d.pairing(a), cov, sym[origin]) for a, cov, origin in ctx.positive_roots]
+    coeffs_of = {w: ctx.root_coefficients(vec_sub(lam, w)) for w in dominant_closure(d, [lam])}
+    weights = sorted(coeffs_of, key=lambda w: sum(coeffs_of[w]))
+    shifted = tuple(x + 2 for x in d.pairing(lam))  # pairings of lam + 2 rho
+    found: dict[Vec, int] = {}  # pairings -> multiplicity
     mults: dict[Vec, int] = {}
     for mu in weights:
+        pmu = d.pairing(mu)
         if mu == lam:
-            mults[mu] = 1
+            found[pmu] = mults[mu] = 1
             continue
-        num = Fraction(0)
-        for a, cov, origin in posroots:
+        num = 0
+        for pa, cov, s in roots:
             k = 1
             base = dot(cov, mu)
+            q = vec_add(pmu, pa)
             while True:
-                delta = root_datum.dominant_representative(d, vec_add(mu, linalg.vec_scale(k, a)))
-                m = mults.get(delta)
+                dom = q
+                while (i := next((i for i, c in enumerate(dom) if c < 0), None)) is not None:
+                    dom = _reflect(dom, i, columns[i])
+                m = found.get(dom)
                 if m is None:
                     break  # weight strings have no gaps
-                num += m * sym[origin] * (base + 2 * k)
+                num += m * s * (base + 2 * k)
                 k += 1
-        diff = vec_sub(lam, mu)
-        coeffs = linalg.solve(rc_cols, diff)
-        assert coeffs is not None
-        x = vec_add(vec_add(lam, mu), r2)
-        denom = sum(
-            c * sym[i] * dot(d.simple_coroots[i], x) for i, c in enumerate(coeffs)
-        )
-        value = 2 * num / denom
-        assert value.denominator == 1 and value > 0, (lam, mu, value)
-        mults[mu] = int(value)
-    _dominant_mults_cache[key] = mults
+                q = vec_add(q, pa)
+        x = vec_add(shifted, pmu)
+        denom = sum(c * s * p for c, s, p in zip(coeffs_of[mu], sym, x))
+        value, rem = divmod(2 * num, denom)
+        assert rem == 0 and value > 0, (lam, mu, Fraction(2 * num, denom))
+        found[pmu] = mults[mu] = value
+    ctx.dominant_mults[lam] = mults
     return mults
 
 
 def irreducible_character(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     """Full weight multiset of the irreducible, as weight -> multiplicity."""
+    lam = _require_dominant(d, lam, "highest weight")
+    ctx = root_datum.weyl_context(d)
     out: dict[Vec, int] = {}
-    for mu, m in dominant_weight_multiplicities(d, lam).items():
-        for w in _orbit(d, mu):
+    for mu, m in _dominant_mults(ctx, lam).items():
+        for w in _orbit(ctx, mu)[0]:
             out[w] = m
     return out
 
 
 def dimension(d: RootDatum, lam: Vec) -> int:
     lam = _require_dominant(d, lam, "highest weight")
-    key = (d, lam)
-    cached = _dimension_cache.get(key)
+    return _dimension(root_datum.weyl_context(d), lam)
+
+
+def _dimension(ctx: root_datum.WeylContext, lam: Vec) -> int:
+    cached = ctx.dimensions.get(lam)
     if cached is not None:
         return cached
-    r2 = root_datum.rho2(d)
+    r2 = ctx.rho2
     num = den = 1
-    for _, cov, _ in root_datum.positive_roots(d):
+    for _, cov, _ in ctx.positive_roots:
         num *= dot(cov, vec_add(linalg.vec_scale(2, lam), r2))
         den *= dot(cov, r2)
     value = Fraction(num, den)
     assert value.denominator == 1 and value > 0
-    _dimension_cache[key] = int(value)
+    ctx.dimensions[lam] = int(value)
     return int(value)
-
-
-def _reflect_strict(d: RootDatum, t: Vec) -> tuple[Vec, int]:
-    """Reflect t to the dominant chamber; sign of the word, 0 if t hits a wall."""
-    sign = 1
-    for _ in range(10**6):
-        hit = None
-        for i, cov in enumerate(d.simple_coroots):
-            p = dot(cov, t)
-            if p == 0:
-                return t, 0
-            if p < 0:
-                hit = i
-                break
-        if hit is None:
-            return t, sign
-        t = root_datum.reflect(d, hit, t)
-        sign = -sign
-    raise RuntimeError("reflection loop did not stabilize")
 
 
 def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     """Decompose the tensor product of two irreducibles into irreducibles.
 
-    Iterates over the weights of the smaller factor, adding the doubled
-    shifted weight and reflecting to the dominant chamber with signs; terms
-    on a wall drop out.
+    Iterates over the weights w of the smaller factor and moves lam + w to
+    the dominant chamber by the rho-shifted action, with the sign of the
+    word; terms whose shift by rho lies on a wall drop out.
     """
     lam = _require_dominant(d, lam, "left weight")
     mu = _require_dominant(d, mu, "right weight")
-    if dimension(d, mu) > dimension(d, lam):
+    ctx = root_datum.weyl_context(d)
+    if _dimension(ctx, mu) > _dimension(ctx, lam):
         lam, mu = mu, lam
-    r2 = root_datum.rho2(d)
-    base = vec_add(linalg.vec_scale(2, lam), r2)
+    columns = tuple(zip(*ctx.cartan))
+    shifted = tuple(x + 1 for x in d.pairing(lam))  # pairings of lam + rho
     acc: dict[Vec, int] = {}
-    for delta, m in dominant_weight_multiplicities(d, mu).items():
-        for w in _orbit(d, delta):
-            t, sign = _reflect_strict(d, vec_add(base, linalg.vec_scale(2, w)))
-            if sign == 0:
-                continue
-            half = vec_sub(t, r2)
-            assert all(x % 2 == 0 for x in half)
-            target = tuple(x // 2 for x in half)
-            acc[target] = acc.get(target, 0) + sign * m
+    for delta, m in _dominant_mults(ctx, mu).items():
+        for w, pw in zip(*_orbit(ctx, delta)):
+            y, q, sign = vec_add(lam, w), vec_add(shifted, pw), m
+            while (i := next((i for i, c in enumerate(q) if c <= 0), None)) is not None:
+                if q[i] == 0:
+                    break  # on a wall
+                y = vec_sub(y, linalg.vec_scale(q[i], d.simple_roots[i]))
+                q = _reflect(q, i, columns[i])
+                sign = -sign
+            else:
+                acc[y] = acc.get(y, 0) + sign
     out = {k: v for k, v in acc.items() if v != 0}
     assert all(v > 0 for v in out.values()), (lam, mu, out)
     return out
-
-
-def tensor_power(d: RootDatum, lam: Vec, n: int) -> Decomposition:
-    """Decomposition of the n-th tensor power of an irreducible."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    acc: Decomposition = {(0,) * d.rank: 1}
-    for _ in range(n):
-        nxt: Decomposition = {}
-        for nu, c in acc.items():
-            for target, m in tensor_decompose(d, nu, lam).items():
-                nxt[target] = nxt.get(target, 0) + c * m
-        acc = nxt
-    return acc
 
 
 def dual_label(d: RootDatum, lam: Vec) -> Vec:
@@ -219,15 +209,10 @@ def prv_components(d: RootDatum, lam: Vec, mu: Vec) -> tuple[Vec, ...]:
     lam = _require_dominant(d, lam, "left weight")
     mu = _require_dominant(d, mu, "right weight")
     found = {
-        root_datum.dominant_representative(d, vec_add(lam, w)) for w in _orbit(d, mu)
+        root_datum.dominant_representative(d, vec_add(lam, w))
+        for w in _orbit(root_datum.weyl_context(d), mu)[0]
     }
     return tuple(sorted(found, reverse=True))
-
-
-def cartan_component(d: RootDatum, lam: Vec, mu: Vec) -> Vec:
-    return vec_add(
-        _require_dominant(d, lam, "left weight"), _require_dominant(d, mu, "right weight")
-    )
 
 
 def fundamental_monoid_generators(d: RootDatum) -> tuple[Vec, ...]:
@@ -278,9 +263,6 @@ def fundamental_monoid_generators(d: RootDatum) -> tuple[Vec, ...]:
     return tuple(w for _, w in gens)
 
 
-_expr_cache: dict[tuple, dict[tuple[int, ...], int]] = {}
-
-
 def express_in_fundamentals(
     d: RootDatum, lam: Vec
 ) -> tuple[dict[tuple[int, ...], int], tuple[Vec, ...]]:
@@ -292,18 +274,20 @@ def express_in_fundamentals(
     """
     lam = _require_dominant(d, lam, "highest weight")
     gens = fundamental_monoid_generators(d)
-    return _express(d, lam, gens), gens
+    return _express(root_datum.weyl_context(d), lam, gens), gens
 
 
-def _express(d: RootDatum, lam: Vec, gens: tuple[Vec, ...]) -> dict[tuple[int, ...], int]:
-    key = (d, lam)
-    cached = _expr_cache.get(key)
+def _express(
+    ctx: root_datum.WeylContext, lam: Vec, gens: tuple[Vec, ...]
+) -> dict[tuple[int, ...], int]:
+    cached = ctx.expressions.get(lam)
     if cached is not None:
         return cached
+    d = ctx.datum
     zero = (0,) * d.rank
     if lam == zero:
         result = {(0,) * len(gens): 1}
-        _expr_cache[key] = result
+        ctx.expressions[lam] = result
         return result
     exponents = _monoid_expression(d, lam, gens)
     assert exponents is not None, (lam, gens)
@@ -320,10 +304,10 @@ def _express(d: RootDatum, lam: Vec, gens: tuple[Vec, ...]) -> dict[tuple[int, .
     for nu, c in product.items():
         if nu == lam:
             continue
-        for mono, coeff in _express(d, nu, gens).items():
+        for mono, coeff in _express(ctx, nu, gens).items():
             poly[mono] = poly.get(mono, 0) - c * coeff
     poly = {m: c for m, c in poly.items() if c != 0}
-    _expr_cache[key] = poly
+    ctx.expressions[lam] = poly
     return poly
 
 

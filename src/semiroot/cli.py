@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -30,11 +30,10 @@ class Config:
     theta_depth: int = 2
     bound: int = 4
     point_budget: int = 200_000
-    threads: int = 1
     fixture_dir: str | None = None
 
     def check(self) -> "Config":
-        for field in ("n_max", "theta_depth", "bound", "point_budget", "threads"):
+        for field in ("n_max", "theta_depth", "bound", "point_budget"):
             if getattr(self, field) < 1:
                 raise InputError(f"config: {field} must be >= 1")
         return self
@@ -48,7 +47,6 @@ def config_from_env(environ=os.environ) -> Config:
         ("theta_depth", int),
         ("bound", int),
         ("point_budget", int),
-        ("threads", int),
         ("fixture_dir", str),
     ):
         raw = environ.get(ENV_PREFIX + field.upper())
@@ -162,12 +160,10 @@ def cmd_reconstruct(args, cfg: Config) -> int:
     theta_depth = args.theta_depth if args.theta_depth is not None else cfg.theta_depth
     if n_max < 1 or theta_depth < 1:
         raise InputError("--n-max and --theta-depth must be >= 1")
-    try:
-        oracle.validate_oracle(table)
-        rep = reconstruction.recover_datum(table, n_max=n_max, theta_depth=theta_depth)
-    except oracle.OracleError as e:
+    rep = reconstruction.recover_datum(table, n_max=n_max, theta_depth=theta_depth)
+    if rep.stage == "validate":
         rep = reconstruction.ReconstructionReport(
-            verdict="rejected", stage="validation", reason=str(e)
+            verdict="rejected", stage="validation", reason=rep.reason
         )
     blob = _report_blob(rep)
     if args.out is not None:
@@ -333,10 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-coord", type=int, default=5, help="coordinate box for pairs")
     p.add_argument("--max-n", type=int, default=4, help="largest cover power")
     p.set_defaults(func=cmd_check_props)
-
-    parser.add_argument(
-        "--threads", type=int, default=None, help="worker count; results never depend on it"
-    )
     return parser
 
 
@@ -344,12 +336,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_env()
-        if args.threads is not None:
-            if args.threads < 1:
-                raise InputError("--threads must be >= 1")
-            cfg = replace(cfg, threads=args.threads)
-        return args.func(args, cfg)
+        return args.func(args, config_from_env())
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -7,21 +7,30 @@ Matrices are lists of row lists, vectors are sequences of numbers.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Sequence
 
 Vec = tuple[int, ...]
 
 
+def _same_length(a: Sequence, b: Sequence) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} and {len(b)}")
+
+
 def dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    _same_length(a, b)
+    return sum(map(mul, a, b))
 
 
 def vec_add(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    _same_length(a, b)
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    _same_length(a, b)
+    return tuple(map(sub, a, b))
 
 
 def vec_scale(c, a: Sequence) -> tuple:

@@ -51,9 +51,13 @@ def window_weights(d: RootDatum, bound: int) -> tuple[Vec, ...]:
     torus-quotient coordinate at most `bound` in absolute value; downward
     dominance closure then adds the weights below the box.
     """
+    return char_engine.dominant_closure(d, window_box(d, bound))
+
+
+def window_box(d: RootDatum, bound: int) -> list[Vec]:
+    """The dominant weights of the window's coordinate box, before closure."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    k = d.semisimple_rank
     q = root_datum.quotient_matrix(d)
     fmat = [list(c) for c in d.simple_coroots] + [list(row) for row in q]
     finv = linalg.invert(fmat)
@@ -66,10 +70,7 @@ def window_weights(d: RootDatum, bound: int) -> tuple[Vec, ...]:
         if any(abs(t) > bound for t in linalg.mat_vec(q, x)):
             continue
         box.append(x)
-    full: set[Vec] = set()
-    for lam in box:
-        full.update(char_engine.dominant_weights_of(d, lam))
-    return tuple(sorted(full, reverse=True))
+    return box
 
 
 def _fresh_labels(count: int, rng: random.Random) -> list[str]:

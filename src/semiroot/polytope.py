@@ -8,6 +8,7 @@ through their squares so no irrational number is ever materialized.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -204,19 +205,12 @@ def tensor_radius_sq(d: RootDatum, lam: Vec) -> int:
 def certificate_support(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
     """Dominant representatives of all lattice points in the certificate ball."""
     r2 = tensor_radius_sq(d, lam)
-    r = _isqrt_floor(r2)
+    r = math.isqrt(r2)
     out: set[Vec] = set()
     for point in itertools.product(range(-r, r + 1), repeat=d.rank):
         if sum(x * x for x in point) <= r2:
             out.add(root_datum.dominant_representative(d, point))
     return tuple(sorted(out, reverse=True))
-
-
-def _isqrt_floor(n: int) -> int:
-    import math
-
-    r = math.isqrt(n)
-    return r
 
 
 def _orbit_stretch(d: RootDatum) -> int:
@@ -283,7 +277,7 @@ def _escape_witness(d: RootDatum, mu: Vec, lam: Vec, r2: int) -> int | None:
     off the margin growth, then verified exactly.
     """
     orb = root_datum.orbit(d, lam)
-    box_half = _orbit_stretch(d) * (_isqrt_floor(r2) + 1)
+    box_half = _orbit_stretch(d) * (math.isqrt(r2) + 1)
     facets = _facets_of(list(orb))
     if not facets:
         # degenerate hull: only the single-point case is refuted here

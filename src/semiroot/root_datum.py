@@ -7,9 +7,10 @@ vectors and simple coroots are coweight vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -47,9 +48,7 @@ class RootDatum:
 
 
 def cartan_matrix(d: RootDatum) -> Matrix:
-    return tuple(
-        tuple(dot(c, a) for a in d.simple_roots) for c in d.simple_coroots
-    )
+    return weyl_context(d).cartan
 
 
 def validate_root_datum(d: RootDatum) -> None:
@@ -189,37 +188,12 @@ def dominance_leq_rational(d: RootDatum, mu: Vec, lam: Vec) -> bool:
 
 def positive_roots(d: RootDatum) -> tuple[tuple[Vec, Vec, int], ...]:
     """All positive roots as (root, coroot, index of the originating simple root)."""
-    seen: dict[Vec, tuple[Vec, int]] = {}
-    frontier = [
-        (a, c, i) for i, (a, c) in enumerate(zip(d.simple_roots, d.simple_coroots))
-    ]
-    for a, c, i in frontier:
-        seen[a] = (c, i)
-    while frontier:
-        nxt = []
-        for a, c, i in frontier:
-            for j in range(d.semisimple_rank):
-                ra, rc = reflect(d, j, a), coreflect(d, j, c)
-                if ra not in seen:
-                    seen[ra] = (rc, i)
-                    nxt.append((ra, rc, i))
-        frontier = nxt
-    out = []
-    for a, (c, i) in seen.items():
-        coeffs = _root_coefficients(d, a)
-        assert coeffs is not None
-        if all(x >= 0 for x in coeffs):
-            out.append((a, c, i))
-    out.sort()
-    return tuple(out)
+    return weyl_context(d).positive_roots
 
 
 def rho2(d: RootDatum) -> Vec:
     """Sum of all positive roots (twice the Weyl vector)."""
-    total = (0,) * d.rank
-    for a, _, _ in positive_roots(d):
-        total = linalg.vec_add(total, a)
-    return total
+    return weyl_context(d).rho2
 
 
 def symmetrizers(d: RootDatum) -> tuple[Fraction, ...]:
@@ -228,31 +202,136 @@ def symmetrizers(d: RootDatum) -> tuple[Fraction, ...]:
     Determined up to scale on each Dynkin component; normalized so the
     smallest value in each component is 1.
     """
-    k = d.semisimple_rank
-    a = cartan_matrix(d)
-    vals: list[Fraction | None] = [None] * k
-    for start in range(k):
-        if vals[start] is not None:
-            continue
-        vals[start] = Fraction(1)
-        stack = [start]
-        comp = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(k):
-                if j == i or a[i][j] == 0:
-                    continue
-                implied = vals[i] * a[i][j] / a[j][i]
-                if vals[j] is None:
-                    vals[j] = implied
-                    stack.append(j)
-                    comp.append(j)
-                elif vals[j] != implied:
-                    raise RootDatumError("Cartan sign: no symmetrizer exists")
-        low = min(vals[i] for i in comp)
-        for i in comp:
-            vals[i] = vals[i] / low
-    return tuple(vals)  # type: ignore[arg-type]
+    return weyl_context(d).symmetrizers
+
+
+CONTEXT_CACHE_SIZE = 16
+
+
+@dataclass(frozen=True, eq=False)
+class WeylContext:
+    """Weyl data of one datum's coordinates, derived once and shared.
+
+    Keyed on (rank, simple roots, simple coroots), never on the name, so a
+    datum and its renamed copy share one context.  Derived data are built
+    on first use; the memo dicts belong to the char engine, keyed by weight.
+    """
+
+    datum: RootDatum
+    cartan: Matrix
+    dominant_mults: dict = field(default_factory=dict, repr=False)
+    dimensions: dict = field(default_factory=dict, repr=False)
+    orbits: dict = field(default_factory=dict, repr=False)
+    expressions: dict = field(default_factory=dict, repr=False)
+
+    @functools.cached_property
+    def positive_roots(self) -> tuple[tuple[Vec, Vec, int], ...]:
+        """Breadth-first closure of the simple roots under simple reflections.
+
+        Roots and coroots travel as integer coefficient vectors over the
+        simple roots and coroots: s_j lowers coefficient j by the pairing
+        with coroot j.  Only positive roots are followed, since a simple
+        reflection takes a negative root to a positive one only at -alpha_j.
+        """
+        d, a = self.datum, self.cartan
+        k = d.semisimple_rank
+        unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        seen: dict[Vec, tuple[Vec, int]] = {e: (e, i) for i, e in enumerate(unit)}
+        frontier = [(e, e, i) for i, e in enumerate(unit)]
+        while frontier:
+            nxt = []
+            for c, e, i in frontier:
+                for j in range(k):
+                    p = sum(a[j][m] * c[m] for m in range(k))
+                    rc = c[:j] + (c[j] - p,) + c[j + 1 :]
+                    if rc in seen or rc[j] < 0:
+                        continue
+                    q = sum(e[m] * a[m][j] for m in range(k))
+                    re = e[:j] + (e[j] - q,) + e[j + 1 :]
+                    seen[rc] = (re, i)
+                    nxt.append((rc, re, i))
+            frontier = nxt
+
+        def combine(coeffs: Vec, basis: tuple[Vec, ...]) -> Vec:
+            return tuple(
+                sum(cf * v[r] for cf, v in zip(coeffs, basis)) for r in range(d.rank)
+            )
+
+        return tuple(
+            sorted(
+                (combine(c, d.simple_roots), combine(e, d.simple_coroots), i)
+                for c, (e, i) in seen.items()
+            )
+        )
+
+    @functools.cached_property
+    def rho2(self) -> Vec:
+        total = (0,) * self.datum.rank
+        for a, _, _ in self.positive_roots:
+            total = linalg.vec_add(total, a)
+        return total
+
+    @functools.cached_property
+    def symmetrizers(self) -> tuple[Fraction, ...]:
+        k = self.datum.semisimple_rank
+        a = self.cartan
+        vals: list[Fraction | None] = [None] * k
+        for start in range(k):
+            if vals[start] is not None:
+                continue
+            vals[start] = Fraction(1)
+            stack = [start]
+            comp = [start]
+            while stack:
+                i = stack.pop()
+                for j in range(k):
+                    if j == i or a[i][j] == 0:
+                        continue
+                    implied = vals[i] * a[i][j] / a[j][i]
+                    if vals[j] is None:
+                        vals[j] = implied
+                        stack.append(j)
+                        comp.append(j)
+                    elif vals[j] != implied:
+                        raise RootDatumError("Cartan sign: no symmetrizer exists")
+            low = min(vals[i] for i in comp)
+            for i in comp:
+                vals[i] = vals[i] / low
+        return tuple(vals)  # type: ignore[arg-type]
+
+    @functools.cached_property
+    def _cartan_adjugate(self) -> tuple[Matrix, int]:
+        det = int(linalg.det(self.cartan))
+        inv = linalg.invert(self.cartan) if self.cartan else []
+        return tuple(tuple(int(x * det) for x in row) for row in inv), det
+
+    def root_coefficients(self, v: Vec) -> Vec:
+        """Integer coefficients of v over the simple roots; v must lie in the root lattice.
+
+        The pairings of v with the simple coroots are the Cartan matrix
+        applied to the coefficients, so the integer adjugate inverts them.
+        """
+        adj, det = self._cartan_adjugate
+        p = self.datum.pairing(v)
+        out = []
+        for row in adj:
+            c, r = divmod(dot(row, p), det)
+            assert r == 0, (v, "not in the root lattice")
+            out.append(c)
+        return tuple(out)
+
+
+def weyl_context(d: RootDatum) -> WeylContext:
+    """The shared context of a datum's coordinates."""
+    return _weyl_context(d.rank, d.simple_roots, d.simple_coroots)
+
+
+@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def _weyl_context(
+    rank: int, simple_roots: tuple[Vec, ...], simple_coroots: tuple[Vec, ...]
+) -> WeylContext:
+    cartan = tuple(tuple(dot(c, a) for a in simple_roots) for c in simple_coroots)
+    return WeylContext(RootDatum(rank, simple_roots, simple_coroots), cartan)
 
 
 def quotient_matrix(d: RootDatum) -> tuple[tuple[int, ...], ...]:

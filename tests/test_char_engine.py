@@ -247,3 +247,20 @@ def test_express_expands_back():
         for z, m in term.items():
             total[z] += coeff * m
     assert total == Counter({lam: 1})
+
+
+def test_no_module_level_dict_caches():
+    dicts = [
+        name
+        for name, value in vars(char_engine).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    ]
+    assert dicts == []
+
+
+def test_memos_live_in_the_shared_context():
+    sl3 = root_datum.fixture("sl3")
+    renamed = root_datum.RootDatum(sl3.rank, sl3.simple_roots, sl3.simple_coroots, "recovered")
+    mults = char_engine.dominant_weight_multiplicities(sl3, (3, 2))
+    assert char_engine.dominant_weight_multiplicities(renamed, (3, 2)) is mults
+    assert root_datum.weyl_context(renamed).dominant_mults[(3, 2)] is mults

@@ -32,6 +32,16 @@ def test_window_downward_closed(name, bound):
                 assert mu in window
 
 
+@pytest.mark.parametrize("name", root_datum.fixture_names())
+def test_window_is_union_of_box_closures(name):
+    d = root_datum.fixture(name)
+    for bound in range(1, 5):
+        union = set()
+        for lam in oracle.window_box(d, bound):
+            union.update(char_engine.dominant_weights_of(d, lam))
+        assert oracle.window_weights(d, bound) == tuple(sorted(union, reverse=True))
+
+
 def test_materialize_matches_tensor_decompose(sl3_oracle):
     d, t, prov = sl3_oracle
     inv = {v: k for k, v in prov.items()}

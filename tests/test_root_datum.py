@@ -180,3 +180,75 @@ def test_dominance_is_a_partial_order(a, b, c):
         assert a == b
     if root_datum.dominance_leq(d, a, b) and root_datum.dominance_leq(d, b, c):
         assert root_datum.dominance_leq(d, a, c)
+
+
+def _cartan_columns(rows):
+    """Simply connected datum of a Cartan matrix: coroots are the standard basis."""
+    n = len(rows)
+    roots = tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
+    coroots = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return RootDatum(n, roots, coroots)
+
+
+RANK3 = {
+    "A3": (_cartan_columns([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), 6),
+    "B3": (_cartan_columns([[2, -1, 0], [-1, 2, -1], [0, -2, 2]]), 9),
+    "C3": (_cartan_columns([[2, -1, 0], [-1, 2, -2], [0, -1, 2]]), 9),
+    "A1xT2": (RootDatum(3, ((2, 0, 0),), ((1, 0, 0),)), 1),
+}
+
+
+def _reference_positive_roots(d):
+    """Reflection closure of the simple roots, positivity by a rational solve."""
+    from semiroot import linalg
+
+    seen = {}
+    frontier = [(a, c, i) for i, (a, c) in enumerate(zip(d.simple_roots, d.simple_coroots))]
+    for a, c, i in frontier:
+        seen[a] = (c, i)
+    while frontier:
+        nxt = []
+        for a, c, i in frontier:
+            for j in range(d.semisimple_rank):
+                ra, rc = root_datum.reflect(d, j, a), root_datum.coreflect(d, j, c)
+                if ra not in seen:
+                    seen[ra] = (rc, i)
+                    nxt.append((ra, rc, i))
+        frontier = nxt
+    out = []
+    for a, (c, i) in seen.items():
+        coeffs = linalg.solve(linalg.transpose(d.simple_roots), a)
+        if all(x >= 0 for x in coeffs):
+            out.append((a, c, i))
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [root_datum.fixture(n) for n in root_datum.fixture_names()] + [d for d, _ in RANK3.values()],
+    ids=list(root_datum.fixture_names()) + list(RANK3),
+)
+def test_positive_roots_match_rational_reference(d):
+    root_datum.validate_root_datum(d)
+    assert root_datum.positive_roots(d) == _reference_positive_roots(d)
+
+
+@pytest.mark.parametrize("name", sorted(RANK3))
+def test_rank3_positive_root_counts(name):
+    d, count = RANK3[name]
+    assert len(root_datum.positive_roots(d)) == count
+
+
+def test_renamed_datum_shares_context():
+    sl3 = root_datum.fixture("sl3")
+    renamed = RootDatum(sl3.rank, sl3.simple_roots, sl3.simple_coroots, name="recovered")
+    assert root_datum.weyl_context(sl3) is root_datum.weyl_context(renamed)
+
+
+def test_context_memo_is_bounded():
+    size = root_datum.CONTEXT_CACHE_SIZE
+    assert root_datum._weyl_context.cache_info().maxsize == size
+    for n in range(size + 3):
+        d = RootDatum(n + 1, ((2,) + (0,) * n,), ((1,) + (0,) * n,))
+        assert len(root_datum.positive_roots(d)) == 1
+        assert root_datum._weyl_context.cache_info().currsize <= size
