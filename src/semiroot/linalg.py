@@ -162,44 +162,50 @@ def invert(m: Sequence[Sequence]) -> list[list[Fraction]]:
     return [row[n:] for row in red]
 
 
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj, det) of a nonsingular integer matrix: adj @ m = det * identity."""
+    det_m = int(det(m))
+    return [[int(x * det_m) for x in row] for row in invert(m)], det_m
+
+
 def smith_normal_form(
     mat: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (d, u, v) with u @ mat @ v = d, u and v unimodular, d diagonal.
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (d, u) with u unimodular, d diagonal and u @ mat @ v = d.
 
-    Diagonal entries are nonnegative and each divides the next.
+    The unimodular v exists but is not formed: no caller needs it, and for a
+    relation matrix it is the large side.  Diagonal entries are nonnegative
+    and each divides the next.  The pivot is the first nonzero entry of the
+    remaining block in row-major order.
     """
-    a = [list(row) for row in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    # stored by columns, a[j][i] is entry (i, j): column operations, the
+    # frequent ones on wide matrices, then touch one short list
+    a = [list(col) for col in zip(*mat)]
     u = identity(nrows)
-    v = identity(ncols)
 
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
+        for col in a:
+            col[i], col[j] = col[j], col[i]
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        a[i], a[j] = a[j], a[i]
 
     def add_row(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        for col in a:
+            col[dst] += c * col[src]
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
 
     t = 0
     while t < min(nrows, ncols):
         # locate a nonzero pivot in the remaining block
         pos = next(
-            ((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j] != 0),
+            ((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[j][i] != 0),
             None,
         )
         if pos is None:
@@ -209,36 +215,39 @@ def smith_normal_form(
         while True:
             reduced = False
             for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
+                if a[t][i] != 0:
+                    q = a[t][i] // a[t][t]
                     add_row(t, i, -q)
-                    if a[i][t] != 0:
+                    if a[t][i] != 0:
                         swap_rows(t, i)
                     reduced = True
             for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
+                if a[j][t] != 0:
+                    q = a[j][t] // a[t][t]
                     add_col(t, j, -q)
-                    if a[t][j] != 0:
+                    if a[j][t] != 0:
                         swap_cols(t, j)
                     reduced = True
             if not reduced:
                 break
-        # make the pivot divide every remaining entry
-        fixup = next(
-            (
-                (i, j)
-                for i in range(t + 1, nrows)
-                for j in range(t + 1, ncols)
-                if a[i][j] % a[t][t] != 0
-            ),
-            None,
-        )
-        if fixup is not None:
-            add_row(fixup[0], t, 1)
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+        pivot = a[t][t]
+        # make the pivot divide every remaining entry; a unit divides all
+        if abs(pivot) != 1:
+            fixup = next(
+                (
+                    (i, j)
+                    for i in range(t + 1, nrows)
+                    for j in range(t + 1, ncols)
+                    if a[j][i] % pivot != 0
+                ),
+                None,
+            )
+            if fixup is not None:
+                add_row(fixup[0], t, 1)
+                continue
+        if pivot < 0:
+            # the pivot is alone in its row now
+            a[t][t] = -pivot
             u[t] = [-x for x in u[t]]
         t += 1
-    return a, u, v
+    return [[a[j][i] for j in range(ncols)] for i in range(nrows)], u

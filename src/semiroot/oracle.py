@@ -55,22 +55,25 @@ def window_weights(d: RootDatum, bound: int) -> tuple[Vec, ...]:
 
 
 def window_box(d: RootDatum, bound: int) -> list[Vec]:
-    """The dominant weights of the window's coordinate box, before closure."""
+    """The dominant weights of the window's coordinate box, before closure, sorted.
+
+    With F the simple coroots stacked over the torus-quotient matrix, the box
+    is every integral x with F x in [0, bound]^k x [-bound, bound]^(rank-k).
+    It is enumerated in those coordinates, keeping y when adj(F) y is
+    divisible by det(F), so its cost does not grow with how skewed the basis
+    of the character lattice is.
+    """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     q = root_datum.quotient_matrix(d)
-    fmat = [list(c) for c in d.simple_coroots] + [list(row) for row in q]
-    finv = linalg.invert(fmat)
-    coord_bound = [int(bound * sum(abs(x) for x in row)) for row in finv]
+    adj, det = linalg.adjugate([list(c) for c in d.simple_coroots] + [list(row) for row in q])
+    ranges = [range(bound + 1)] * d.semisimple_rank + [range(-bound, bound + 1)] * len(q)
     box: list[Vec] = []
-    for x in itertools.product(*(range(-c, c + 1) for c in coord_bound)):
-        pairs = d.pairing(x)
-        if any(p < 0 or p > bound for p in pairs):
-            continue
-        if any(abs(t) > bound for t in linalg.mat_vec(q, x)):
-            continue
-        box.append(x)
-    return box
+    for y in itertools.product(*ranges):
+        x = linalg.mat_vec(adj, y)
+        if all(c % det == 0 for c in x):
+            box.append(tuple(c // det for c in x))
+    return sorted(box)
 
 
 def _fresh_labels(count: int, rng: random.Random) -> list[str]:

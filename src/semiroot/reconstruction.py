@@ -131,6 +131,7 @@ class _PowerCache:
         self.t = t
         self.n_max = n_max
         self._cache: dict[str, list[tuple[Sem, bool]]] = {}
+        self._depth: dict[str, int] = {}
 
     def powers(self, x: str) -> list[tuple[Sem, bool]]:
         got = self._cache.get(x)
@@ -141,6 +142,15 @@ class _PowerCache:
                 nxt, unk2 = _expand_known(self.t, sem, x)
                 out.append((nxt, unk or unk2))
             got = self._cache[x] = out
+        return got
+
+    def known_depth(self, x: str) -> int:
+        """The largest n such that x^1 .. x^n are all fully known."""
+        got = self._depth.get(x)
+        if got is None:
+            pows = self.powers(x)
+            got = next((n for n in range(self.n_max) if pows[n][1]), self.n_max)
+            self._depth[x] = got
         return got
 
 
@@ -168,20 +178,12 @@ def check_certificate(
     strict: list[int] = []
     lenient: list[int] = []
 
-    def known_depth(pows: list[tuple[Sem, bool]]) -> int:
-        h = 0
-        for n in range(1, n_max + 1):
-            if pows[n - 1][1]:
-                break
-            h = n
-        return h
-
-    horizon = known_depth(mu_pows)
+    horizon = powers.known_depth(mu)
     if horizon < min(2, n_max):
         return None  # too little of mu's powers visible to commit
     # when mu <= lam holds, saturation keeps mu's powers computable at least
     # as deep as lam's, so a shallower mu is disqualified outright
-    if horizon < known_depth(lam_pows):
+    if horizon < powers.known_depth(lam):
         return None
     for n in range(1, horizon + 1):
         oblig = mu_pows[n - 1][0]
@@ -438,7 +440,7 @@ def recover_lattice(
     for j, rel in enumerate(relations):
         for lbl, c in rel.items():
             mat[col[lbl]][j] = c
-    d, u, _ = linalg.smith_normal_form(mat)
+    d, u = linalg.smith_normal_form(mat)
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     r = sum(1 for x in diag if x != 0)
     if any(x > 1 for x in diag[:r]):

@@ -301,9 +301,8 @@ class WeylContext:
 
     @functools.cached_property
     def _cartan_adjugate(self) -> tuple[Matrix, int]:
-        det = int(linalg.det(self.cartan))
-        inv = linalg.invert(self.cartan) if self.cartan else []
-        return tuple(tuple(int(x * det) for x in row) for row in inv), det
+        adj, det = linalg.adjugate(self.cartan)
+        return tuple(map(tuple, adj)), det
 
     def root_coefficients(self, v: Vec) -> Vec:
         """Integer coefficients of v over the simple roots; v must lie in the root lattice.
@@ -343,7 +342,7 @@ def quotient_matrix(d: RootDatum) -> tuple[tuple[int, ...], ...]:
     if k == 0:
         return tuple(tuple(row) for row in linalg.identity(d.rank))
     cols = [list(col) for col in zip(*d.simple_roots)]
-    _, u, _ = linalg.smith_normal_form(cols)
+    _, u = linalg.smith_normal_form(cols)
     return tuple(tuple(row) for row in u[k:])
 
 

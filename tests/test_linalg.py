@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semiroot import linalg
+from semiroot import linalg, oracle, reconstruction, root_datum
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -50,20 +51,103 @@ def test_det_and_invert():
     assert linalg.det(m) == 1
     inv = linalg.invert(m)
     assert linalg.mat_mul(m, inv) == [[1, 0], [0, 1]]
+    assert linalg.adjugate([[2, 1], [1, 3]]) == ([[3, -1], [-1, 2]], 5)
+
+
+def reference_smith_normal_form(mat):
+    """The three-matrix Smith normal form the library used to compute: row
+    storage, the right transform v formed, the fixup scan after every pivot."""
+    a = [list(row) for row in mat]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    u = linalg.identity(nrows)
+    v = linalg.identity(ncols)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    t = 0
+    while t < min(nrows, ncols):
+        pos = next(
+            ((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j] != 0),
+            None,
+        )
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        while True:
+            reduced = False
+            for i in range(t + 1, nrows):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                    reduced = True
+            for j in range(t + 1, ncols):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                    reduced = True
+            if not reduced:
+                break
+        fixup = next(
+            (
+                (i, j)
+                for i in range(t + 1, nrows)
+                for j in range(t + 1, ncols)
+                if a[i][j] % a[t][t] != 0
+            ),
+            None,
+        )
+        if fixup is not None:
+            add_row(fixup[0], t, 1)
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return a, u, v
+
+
+def assert_matches_reference(rows):
+    d, u = linalg.smith_normal_form(rows)
+    ref_d, ref_u, ref_v = reference_smith_normal_form(rows)
+    assert (d, u) == (ref_d, ref_u)
+    assert linalg.mat_mul(linalg.mat_mul(u, rows), ref_v) == d
+    return d, u
 
 
 def test_snf_known():
-    d, u, v = linalg.smith_normal_form([[2, 4], [6, 8]])
+    # pivot 2 is not a unit, so the divisibility fixup runs
+    d, u = assert_matches_reference([[2, 4], [6, 8]])
     assert [d[0][0], d[1][1]] == [2, 4]
-    assert linalg.mat_mul(linalg.mat_mul(u, [[2, 4], [6, 8]]), v) == d
 
 
 @given(small_matrix)
 def test_snf_decomposition(rows):
-    d, u, v = linalg.smith_normal_form(rows)
-    assert linalg.mat_mul(linalg.mat_mul(u, rows), v) == d
+    d, u = assert_matches_reference(rows)
     assert abs(linalg.det(u)) == 1
-    assert abs(linalg.det(v)) == 1
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     for a, b in zip(diag, diag[1:]):
         if b != 0:
@@ -74,6 +158,23 @@ def test_snf_decomposition(rows):
                 assert x == 0
 
 
+@pytest.mark.parametrize("name,bound", [("gl2", 4), ("torus2", 3)])
+def test_snf_relation_matrix_matches_reference(name, bound, monkeypatch):
+    """The lattice stage's own input: the relation matrix of a round trip."""
+    table, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=7)
+    order = reconstruction.recover_order(table)
+    monoid = reconstruction.recover_addition(table, order)
+    seen = []
+    original = linalg.smith_normal_form
+    monkeypatch.setattr(
+        linalg, "smith_normal_form", lambda mat: seen.append(mat) or original(mat)
+    )
+    reconstruction.recover_lattice(monoid)
+    (mat,) = seen
+    assert len(mat) < len(mat[0])  # labels by relations: the wide shape
+    assert_matches_reference(mat)
+
+
 @given(small_matrix)
 def test_rank_matches_rref(rows):
     m, pivots = linalg.rref(rows)
@@ -81,5 +182,4 @@ def test_rank_matches_rref(rows):
 
 
 def test_snf_empty():
-    d, u, v = linalg.smith_normal_form([])
-    assert d == []
+    assert linalg.smith_normal_form([]) == ([], [])

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from semiroot import char_engine, oracle, root_datum
+from semiroot import char_engine, linalg, oracle, root_datum
 from semiroot.oracle import OracleError, OracleFormatError, OracleTable
 
 
@@ -40,6 +42,38 @@ def test_window_is_union_of_box_closures(name):
         for lam in oracle.window_box(d, bound):
             union.update(char_engine.dominant_weights_of(d, lam))
         assert oracle.window_weights(d, bound) == tuple(sorted(union, reverse=True))
+
+
+def reference_window_box(d, bound):
+    """The coordinate-box definition: every x with |x_i| <= bound * sum |F^-1 row i|,
+    filtered by its pairings and torus-quotient coordinates."""
+    q = root_datum.quotient_matrix(d)
+    finv = linalg.invert([list(c) for c in d.simple_coroots] + [list(row) for row in q])
+    coord_bound = [int(bound * sum(abs(x) for x in row)) for row in finv]
+    box = []
+    for x in itertools.product(*(range(-c, c + 1) for c in coord_bound)):
+        if any(p < 0 or p > bound for p in d.pairing(x)):
+            continue
+        if any(abs(t) > bound for t in linalg.mat_vec(q, x)):
+            continue
+        box.append(x)
+    return box
+
+
+# sl2 x T^2 (roots (2,0,0), coroots (1,0,0)) after the unimodular base change
+# [[1,0,2],[0,1,0],[2,0,5]]: roots m @ a, coroots m^-T @ c
+SL2XT2_SKEWED = root_datum.RootDatum(3, ((2, 0, 4),), ((5, 0, -2),))
+
+
+@pytest.mark.parametrize(
+    "d,bounds",
+    [(root_datum.fixture(n), range(1, 5)) for n in root_datum.fixture_names()]
+    + [(SL2XT2_SKEWED, range(1, 3))],
+    ids=list(root_datum.fixture_names()) + ["sl2xT2-skewed"],
+)
+def test_window_box_matches_coordinate_box(d, bounds):
+    for bound in bounds:
+        assert oracle.window_box(d, bound) == reference_window_box(d, bound)
 
 
 def test_materialize_matches_tensor_decompose(sl3_oracle):

@@ -247,6 +247,19 @@ def test_round_trip_torus_basis_freedom():
     assert root_datum.root_data_isomorphic(report.datum, d) is not None
 
 
+def test_round_trip_skewed_basis_certifies():
+    # this relabeling of A3 completes to a basis with coordinates of over 50 bits;
+    # certification's window box must not grow with them
+    a3 = root_datum.RootDatum(
+        3, ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    )
+    t, _ = oracle.materialize_oracle(a3, 2, seed=285521)
+    report = reconstruction.recover_datum(t)
+    assert report.certified
+    assert max(abs(x) for a in report.datum.simple_roots for x in a).bit_length() > 50
+    assert root_datum.root_data_isomorphic(report.datum, a3) is not None
+
+
 def test_recover_datum_deterministic(sl3_oracle):
     _, t, _ = sl3_oracle
     a = reconstruction.recover_datum(t)
