@@ -100,6 +100,7 @@ def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
     sym = [int(s * scale) for s in ctx.symmetrizers]
     roots = [(d.pairing(a), cov, sym[origin]) for a, cov, origin in ctx.positive_roots]
     coeffs_of = {w: ctx.root_coefficients(vec_sub(lam, w)) for w in dominant_closure(d, [lam])}
+    assert None not in coeffs_of.values(), (lam, "closure left the root lattice")
     weights = sorted(coeffs_of, key=lambda w: sum(coeffs_of[w]))
     shifted = tuple(x + 2 for x in d.pairing(lam))  # pairings of lam + 2 rho
     found: dict[Vec, int] = {}  # pairings -> multiplicity

@@ -230,14 +230,6 @@ def cmd_tensor(args, cfg: Config) -> int:
     return 0
 
 
-def _same_root_coset(d: RootDatum, mu, lam) -> bool:
-    diff = linalg.vec_sub(lam, mu)
-    if not d.simple_roots:
-        return all(c == 0 for c in diff)
-    sol = linalg.solve(linalg.transpose(d.simple_roots), diff)
-    return sol is not None and all(c.denominator == 1 for c in sol)
-
-
 def cmd_check_props(args, cfg: Config) -> int:
     d = _load_datum(args.datum, cfg)
     if args.max_coord < 1 or args.max_n < 1:
@@ -248,10 +240,11 @@ def cmd_check_props(args, cfg: Config) -> int:
     dominant = sorted(
         v for v in iter_product(box, repeat=d.rank) if root_datum.is_dominant(d, v)
     )
+    ctx = root_datum.weyl_context(d)
     pairs = agree_ab = agree_ac = undecided = 0
     for mu in dominant:
         for lam in dominant:
-            if not _same_root_coset(d, mu, lam):
+            if ctx.root_coefficients(linalg.vec_sub(lam, mu)) is None:
                 continue
             pairs += 1
             try:

@@ -65,9 +65,9 @@ def window_box(d: RootDatum, bound: int) -> list[Vec]:
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    q = root_datum.quotient_matrix(d)
-    adj, det = linalg.adjugate([list(c) for c in d.simple_coroots] + [list(row) for row in q])
-    ranges = [range(bound + 1)] * d.semisimple_rank + [range(-bound, bound + 1)] * len(q)
+    _, adj, det = root_datum.weyl_context(d).coordinates
+    k = d.semisimple_rank
+    ranges = [range(bound + 1)] * k + [range(-bound, bound + 1)] * (d.rank - k)
     box: list[Vec] = []
     for y in itertools.product(*ranges):
         x = linalg.mat_vec(adj, y)

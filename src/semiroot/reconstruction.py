@@ -468,9 +468,7 @@ def recover_lattice(
     return rank, embedding, tuple(generators)
 
 
-def recover_simple_roots(
-    t: OracleTable, order: RecoveredOrder, embedding: dict[str, Vec]
-) -> tuple[Vec, ...]:
+def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec, ...]:
     """Step 4: minimal nonzero differences 2*lam - kappa over squares.
 
     Candidates come from every embedded square cell; a candidate is dropped
@@ -601,7 +599,7 @@ def recover_datum(
         report.monoid = monoid
         rank, embedding, gens = recover_lattice(monoid)
         report.lattice_rank, report.embedding, report.generators = rank, embedding, gens
-        roots = recover_simple_roots(t, order, embedding)
+        roots = recover_simple_roots(t, embedding)
         report.simple_roots = roots
         coroots = recover_simple_coroots(t, embedding, roots)
         report.simple_coroots = coroots

@@ -166,24 +166,16 @@ def dominant_representative(d: RootDatum, x: Vec) -> Vec:
     raise RootDatumError("dominant representative did not stabilize")
 
 
-def _root_coefficients(d: RootDatum, v: Vec) -> tuple[Fraction, ...] | None:
-    """Coefficients expressing v over the simple roots, or None if outside the span."""
-    if d.semisimple_rank == 0:
-        return () if all(x == 0 for x in v) else None
-    cols = linalg.transpose(d.simple_roots)
-    return linalg.solve(cols, v)
-
-
 def dominance_leq(d: RootDatum, mu: Vec, lam: Vec) -> bool:
     """Whether lam - mu is a nonnegative integer combination of simple roots."""
-    coeffs = _root_coefficients(d, vec_sub(lam, mu))
-    return coeffs is not None and all(c.denominator == 1 and c >= 0 for c in coeffs)
+    coeffs = weyl_context(d).root_coefficients(vec_sub(lam, mu))
+    return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
 def dominance_leq_rational(d: RootDatum, mu: Vec, lam: Vec) -> bool:
     """Rational relaxation of dominance_leq: nonnegative rational combination."""
-    coeffs = _root_coefficients(d, vec_sub(lam, mu))
-    return coeffs is not None and all(c >= 0 for c in coeffs)
+    scaled = weyl_context(d).root_numerators(vec_sub(lam, mu))
+    return scaled is not None and all(c >= 0 for c in scaled)
 
 
 def positive_roots(d: RootDatum) -> tuple[tuple[Vec, Vec, int], ...]:
@@ -304,20 +296,37 @@ class WeylContext:
         adj, det = linalg.adjugate(self.cartan)
         return tuple(map(tuple, adj)), det
 
-    def root_coefficients(self, v: Vec) -> Vec:
-        """Integer coefficients of v over the simple roots; v must lie in the root lattice.
+    @functools.cached_property
+    def coordinates(self) -> tuple[Matrix, Matrix, int]:
+        """(F, adj F, det F), F the simple coroots stacked over the torus-quotient matrix.
 
-        The pairings of v with the simple coroots are the Cartan matrix
-        applied to the coefficients, so the integer adjugate inverts them.
+        F x lists the pairings of x with the simple coroots, then its
+        torus-quotient coordinates.
         """
-        adj, det = self._cartan_adjugate
+        f = self.datum.simple_coroots + quotient_matrix(self.datum)
+        adj, det = linalg.adjugate(f)
+        return f, tuple(map(tuple, adj)), det
+
+    def root_numerators(self, v: Vec) -> Vec | None:
+        """det(Cartan) times v's coefficients over the simple roots, or None off their span.
+
+        v lies in the span when the torus rows of the coordinate matrix vanish
+        on it; its pairings are then the Cartan matrix applied to the
+        coefficients, so the integer adjugate inverts them.  det(Cartan) is
+        positive for a datum of finite type.
+        """
+        if any(dot(row, v) for row in self.coordinates[0][self.datum.semisimple_rank :]):
+            return None
         p = self.datum.pairing(v)
-        out = []
-        for row in adj:
-            c, r = divmod(dot(row, p), det)
-            assert r == 0, (v, "not in the root lattice")
-            out.append(c)
-        return tuple(out)
+        return tuple(dot(row, p) for row in self._cartan_adjugate[0])
+
+    def root_coefficients(self, v: Vec) -> Vec | None:
+        """Integer coefficients of v over the simple roots, or None off the root lattice."""
+        scaled = self.root_numerators(v)
+        det = self._cartan_adjugate[1]
+        if scaled is None or any(c % det for c in scaled):
+            return None
+        return tuple(c // det for c in scaled)
 
 
 def weyl_context(d: RootDatum) -> WeylContext:
@@ -338,75 +347,72 @@ def quotient_matrix(d: RootDatum) -> tuple[tuple[int, ...], ...]:
 
     Coordinates of the torus quotient X* / sat(span of roots).
     """
-    k = d.semisimple_rank
-    if k == 0:
-        return tuple(tuple(row) for row in linalg.identity(d.rank))
-    cols = [list(col) for col in zip(*d.simple_roots)]
+    cols = [[a[r] for a in d.simple_roots] for r in range(d.rank)]
     _, u = linalg.smith_normal_form(cols)
-    return tuple(tuple(row) for row in u[k:])
+    return tuple(tuple(row) for row in u[d.semisimple_rank :])
 
 
 def root_data_isomorphic(d1: RootDatum, d2: RootDatum) -> Matrix | None:
-    """A unimodular lattice map carrying d1 to d2, or None.
+    """A unimodular lattice map carrying d1 to d2, or None; the answer is exact.
 
     The map M satisfies M @ root1_i = root2_sigma(i) and pulls coroots back
-    correspondingly, for some permutation sigma of the simple roots.  When the
-    linear conditions leave free directions (torus factors) a bounded integer
-    search over the solution space looks for a determinant +-1 point.
+    correspondingly, for some permutation sigma of the simple roots.  In the
+    data's coordinate matrices these maps are exactly the integral
+    M = F2^-1 diag(P_sigma, h) F1, sigma matching the Cartan matrices and h in
+    GL_(rank-k)(Z) acting on the torus quotient.  Integral M needs
+    |det F1| = |det F2| = N, is then unimodular, and depends on h mod N only.
+    Both data must be valid: dependent simple roots make F singular.
     """
     if d1.rank != d2.rank or d1.semisimple_rank != d2.semisimple_rank:
         return None
     n, k = d1.rank, d1.semisimple_rank
-    if n == 0:
-        return ()
-    if k == 0:
-        return linalg.identity(n)
+    f1, _, det1 = weyl_context(d1).coordinates
+    f2, adj2, det2 = weyl_context(d2).coordinates
+    if abs(det1) != abs(det2):
+        return None
     a1, a2 = cartan_matrix(d1), cartan_matrix(d2)
+    lifts = _unimodular_lifts(n - k, abs(det2))
     for sigma in itertools.permutations(range(k)):
         if any(a1[i][j] != a2[sigma[i]][sigma[j]] for i in range(k) for j in range(k)):
             continue
-        # unknowns: entries of M, row-major
-        rows: list[list[int]] = []
-        rhs: list[int] = []
-        for i in range(k):
-            for r in range(n):  # M @ root1_i = root2_sigma(i), row r
-                coeff = [0] * (n * n)
-                for c in range(n):
-                    coeff[r * n + c] = d1.simple_roots[i][c]
-                rows.append(coeff)
-                rhs.append(d2.simple_roots[sigma[i]][r])
-            for c in range(n):  # coroot2_sigma(i)^T @ M = coroot1_i^T, column c
-                coeff = [0] * (n * n)
-                for r in range(n):
-                    coeff[r * n + c] = d2.simple_coroots[sigma[i]][r]
-                rows.append(coeff)
-                rhs.append(d1.simple_coroots[i][c])
-        part = linalg.solve(rows, rhs)
-        if part is None:
-            continue
-        basis = linalg.nullspace(rows, n * n)
-        candidates: list[tuple[Fraction, ...]]
-        if not basis:
-            candidates = [part]
-        else:
-            if len(basis) > 6:
-                basis = basis[:6]  # fixtures never need more free directions
-            span = []
-            for coeffs in itertools.product(range(-4, 5), repeat=len(basis)):
-                vec = list(part)
-                for cf, b in zip(coeffs, basis):
-                    vec = [x + cf * y for x, y in zip(vec, b)]
-                span.append(tuple(vec))
-            candidates = span
-        for flat in candidates:
-            if any(x.denominator != 1 for x in flat):
-                continue
-            m = tuple(
-                tuple(int(flat[r * n + c]) for c in range(n)) for r in range(n)
-            )
-            if abs(linalg.det(m)) == 1:
-                return m
+        top = [f1[sigma.index(j)] for j in range(k)]
+        for h in lifts:
+            scaled = linalg.mat_mul(adj2, top + linalg.mat_mul(h, f1[k:]))
+            if all(x % det2 == 0 for row in scaled for x in row):
+                return tuple(tuple(x // det2 for x in row) for row in scaled)
     return None
+
+
+def _unimodular_lifts(r: int, modulus: int) -> list[Matrix]:
+    """One matrix of GL_r(Z) over each residue class of that group mod `modulus`.
+
+    The elementary matrices and diag(-1, 1, ...) generate the group's image
+    mod N, so a breadth-first closure under their row operations, keyed by
+    the product mod N, reaches every class; each class keeps the first
+    integer product that reached it.
+    """
+
+    def residue(m: Matrix) -> Matrix:
+        return tuple(tuple(x % modulus for x in row) for row in m)
+
+    ident = tuple(tuple(int(a == b) for b in range(r)) for a in range(r))
+    lifts = {residue(ident): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            flip = tuple(tuple(-x for x in row) if i == 0 else row for i, row in enumerate(m))
+            adds = (
+                m[:i] + (linalg.vec_add(m[i], m[j]),) + m[i + 1 :]
+                for i, j in itertools.permutations(range(r), 2)
+            )
+            for gm in (flip, *adds):
+                key = residue(gm)
+                if key not in lifts:
+                    lifts[key] = gm
+                    nxt.append(gm)
+        frontier = nxt
+    return list(lifts.values())
 
 
 def load_datum(path: str | Path) -> RootDatum:

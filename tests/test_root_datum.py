@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semiroot import root_datum
+from semiroot import linalg, oracle, reconstruction, root_datum
 from semiroot.root_datum import RootDatum, RootDatumError
 
 WEYL_ORDERS = {
@@ -93,8 +95,6 @@ def test_weyl_elements_permute_roots(name):
 
 def test_generators_are_involutions():
     d = root_datum.fixture("g2")
-    from semiroot import linalg
-
     for i in range(len(d.simple_roots)):
         m = root_datum.reflection_matrix(d, i)
         assert linalg.mat_mul(m, m) == linalg.identity(d.rank)
@@ -200,8 +200,6 @@ RANK3 = {
 
 def _reference_positive_roots(d):
     """Reflection closure of the simple roots, positivity by a rational solve."""
-    from semiroot import linalg
-
     seen = {}
     frontier = [(a, c, i) for i, (a, c) in enumerate(zip(d.simple_roots, d.simple_coroots))]
     for a, c, i in frontier:
@@ -252,3 +250,120 @@ def test_context_memo_is_bounded():
         d = RootDatum(n + 1, ((2,) + (0,) * n,), ((1,) + (0,) * n,))
         assert len(root_datum.positive_roots(d)) == 1
         assert root_datum._weyl_context.cache_info().currsize <= size
+
+
+def _reference_root_coefficients(d, v):
+    """Coefficients of v over the simple roots by a rational solve, or None off their span."""
+    if not d.simple_roots:
+        return () if not any(v) else None
+    return linalg.solve(linalg.transpose(d.simple_roots), v)
+
+
+SL2xT2 = RootDatum(3, ((2, 0, 0),), ((1, 0, 0),), name="sl2xT2")
+GL2xT1 = RootDatum(3, ((1, -1, 0),), ((1, -1, 0),), name="gl2xT1")
+SL4 = RANK3["A3"][0]
+TORUS3 = RootDatum(3, (), (), name="torus3")
+ALL_DATA = [root_datum.fixture(n) for n in root_datum.fixture_names()] + [SL4, SL2xT2, TORUS3]
+
+
+@pytest.mark.parametrize("d", ALL_DATA + [GL2xT1], ids=lambda d: d.name or "A3")
+def test_root_coefficients_match_rational_solve(d):
+    ctx = root_datum.weyl_context(d)
+    box = range(-3, 4) if d.rank < 3 else range(-2, 3)
+    for v in itertools.product(box, repeat=d.rank):
+        ref = _reference_root_coefficients(d, v)
+        if ref is None:
+            assert ctx.root_numerators(v) is None and ctx.root_coefficients(v) is None
+            continue
+        det = ctx._cartan_adjugate[1]
+        assert ctx.root_numerators(v) == tuple(c * det for c in ref)
+        integral = all(c.denominator == 1 for c in ref)
+        assert ctx.root_coefficients(v) == (tuple(map(int, ref)) if integral else None)
+
+
+def _base_change(d, u):
+    """The datum d in the basis u: roots map by u, coroots by u^-T."""
+    inv = linalg.invert(u)
+    assert all(x.denominator == 1 for row in inv for x in row)
+    inv_t = [[int(x) for x in col] for col in zip(*inv)]
+    return RootDatum(
+        d.rank,
+        tuple(linalg.mat_vec(u, a) for a in d.simple_roots),
+        tuple(linalg.mat_vec(inv_t, c) for c in d.simple_coroots),
+        name=d.name,
+    )
+
+
+def _assert_isomorphism(m, d1, d2):
+    """m is unimodular, maps the simple roots of d1 onto those of d2 and pulls coroots back."""
+    assert m is not None
+    assert abs(linalg.det(m)) == 1
+    images = [tuple(linalg.mat_vec(m, a)) for a in d1.simple_roots]
+    assert sorted(images) == sorted(d2.simple_roots)
+    for a, c in zip(images, d1.simple_coroots):
+        c2 = d2.simple_coroots[d2.simple_roots.index(a)]
+        assert tuple(linalg.dot(c2, col) for col in zip(*m)) == c
+
+
+def test_isomorphic_torus_base_changes():
+    # both were missed by the bounded grid search the exact test replaced
+    changed = _base_change(SL2xT2, [[1, 0, 2], [0, 1, 0], [2, 0, 5]])
+    _assert_isomorphism(root_datum.root_data_isomorphic(SL2xT2, changed), SL2xT2, changed)
+    changed = _base_change(GL2xT1, [[-3, 15, 10], [0, 2, 1], [-2, 9, 6]])
+    _assert_isomorphism(root_datum.root_data_isomorphic(changed, GL2xT1), changed, GL2xT1)
+
+
+@pytest.mark.parametrize(
+    "name,bound,seed", [("sl2xT2", 2, 888598), ("sl2xT2", 2, 127605), ("gl2", 4, 230629)]
+)
+def test_recovered_torus_data_isomorphic(name, bound, seed):
+    # relabelings whose certified recoveries the bounded grid search missed
+    d = SL2xT2 if name == "sl2xT2" else root_datum.fixture(name)
+    t, _ = oracle.materialize_oracle(d, bound, seed=seed)
+    report = reconstruction.recover_datum(t)
+    assert report.certified, (report.stage, report.reason)
+    m = root_datum.root_data_isomorphic(report.datum, d)
+    _assert_isomorphism(m, report.datum, d)
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of elementary row operations and sign flips."""
+    u = linalg.identity(n)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+@given(st.data())
+def test_random_base_change_is_isomorphic(data):
+    d = data.draw(st.sampled_from(ALL_DATA))
+    changed = _base_change(d, data.draw(unimodular(d.rank)))
+    _assert_isomorphism(root_datum.root_data_isomorphic(d, changed), d, changed)
+    _assert_isomorphism(root_datum.root_data_isomorphic(changed, d), changed, d)
+
+
+@given(st.data())
+def test_isogeny_partners_stay_apart_under_base_change(data):
+    a, b = data.draw(st.sampled_from([("sl2", "pgl2"), ("sl3", "pgl3"), ("sp4", "so5")]))
+    da, db = root_datum.fixture(a), root_datum.fixture(b)
+    changed = _base_change(da, data.draw(unimodular(da.rank)))
+    assert root_datum.root_data_isomorphic(changed, db) is None
+    assert root_datum.root_data_isomorphic(db, changed) is None
+
+
+@pytest.mark.parametrize(
+    "r,modulus,count",
+    [(0, 5, 1), (1, 1, 1), (1, 2, 1), (1, 3, 2), (2, 1, 1), (2, 2, 6), (2, 3, 48), (3, 1, 1)],
+)
+def test_unimodular_lifts_one_per_class(r, modulus, count):
+    lifts = root_datum._unimodular_lifts(r, modulus)
+    assert len(lifts) == count
+    assert all(abs(linalg.det(h)) == 1 for h in lifts)
+    residues = {tuple(tuple(x % modulus for x in row) for row in h) for h in lifts}
+    assert len(residues) == count
