@@ -267,9 +267,8 @@ def cmd_check_props(args, cfg: Config) -> int:
         generators = ()
         print("cover: skipped (datum has central directions)")
     for gen in generators:
-        orb = root_datum.orbit(d, gen)
         for n in range(1, args.max_n + 1):
-            rep = polytope.quantized_cover_check(orb, n, point_budget=cfg.point_budget)
+            rep = polytope.quantized_cover_check(d, gen, n, point_budget=cfg.point_budget)
             cover_failed += rep.verdict == "failed"
             print(
                 f"cover gen={_fmt_weight(gen)} n={n} verdict={rep.verdict} "

@@ -149,8 +149,12 @@ def parse_oracle(text: str) -> OracleTable:
         if not line:
             continue
         if line.startswith("labels:"):
+            if labels is not None:
+                raise OracleFormatError(f"line {lineno}: second labels: line")
             labels = tuple(line[len("labels:") :].split())
         elif line.startswith("unit:"):
+            if unit is not None:
+                raise OracleFormatError(f"line {lineno}: second unit: line")
             parts = line[len("unit:") :].split()
             if len(parts) != 1:
                 raise OracleFormatError(f"line {lineno}: unit wants one label")
@@ -159,6 +163,9 @@ def parse_oracle(text: str) -> OracleTable:
             parts = line[len("dual:") :].split()
             if len(parts) != 2:
                 raise OracleFormatError(f"line {lineno}: dual wants two labels")
+            twice = [x for x in parts if x in dual]
+            if twice:
+                raise OracleFormatError(f"line {lineno}: dual of {twice[0]} given twice")
             dual[parts[0]] = parts[1]
             dual[parts[1]] = parts[0]
         elif line.startswith("prod "):
@@ -170,6 +177,8 @@ def parse_oracle(text: str) -> OracleTable:
             if len(parts) != 3:
                 raise OracleFormatError(f"line {lineno}: prod wants two labels")
             key = OracleTable.pair_key(parts[1], parts[2])
+            if key in products:
+                raise OracleFormatError(f"line {lineno}: product {' '.join(key)} given twice")
             body = body.strip()
             if body == "?":
                 products[key] = None
@@ -196,12 +205,15 @@ def parse_oracle(text: str) -> OracleTable:
     return OracleTable(labels=labels, unit=unit, dual=dual, products=products)
 
 
-def validate_oracle(t: OracleTable, assoc_budget: int = 5000) -> None:
+ASSOC_BUDGET = 5000
+
+
+def validate_oracle(t: OracleTable) -> None:
     """Check table well-formedness and the semiring axioms on the window.
 
     Raises OracleError naming the first failed axiom.  Associativity is
-    checked on triples whose expansions stay fully in window, up to the
-    budget, in deterministic order.
+    checked on triples whose expansions stay fully in window, up to
+    ASSOC_BUDGET of them, in deterministic order.
     """
     lset = set(t.labels)
     if len(t.labels) != len(lset) or not t.labels:
@@ -252,7 +264,7 @@ def validate_oracle(t: OracleTable, assoc_budget: int = 5000) -> None:
 
     checked = 0
     for x, y, z in itertools.combinations_with_replacement(t.labels, 3):
-        if checked >= assoc_budget:
+        if checked >= ASSOC_BUDGET:
             break
         xy = t.product(x, y)
         yz = t.product(y, z)

@@ -1,8 +1,9 @@
 """Exact convex geometry for Weyl orbits.
 
-All computations are over the rationals: feasibility by Fourier-Motzkin
-elimination, hulls by vertex/facet enumeration at small rank, norms compared
-through their squares so no irrational number is ever materialized.
+All computations are exact: feasibility by Fourier-Motzkin elimination over
+the rationals, Weyl orbit hulls by integer inequalities read off the datum,
+norms compared through their squares so no irrational number is ever
+materialized.
 """
 
 from __future__ import annotations
@@ -99,86 +100,68 @@ def norm_sq(v) -> Fraction:
     return sum((Fraction(x) * x for x in v), Fraction(0))
 
 
+# an orbit-polytope inequality (a, b) means a . x <= b, all integers
+Inequality = tuple[Vec, int]
+
+
 @dataclass(frozen=True)
 class OrbitHull:
     vertices: tuple[Vec, ...]
-    facets: tuple[Constraint, ...]
+    inequalities: tuple[Inequality, ...]
 
     def contains(self, point) -> bool:
-        if not self.facets:
-            return tuple(point) in self.vertices
-        return all(dot_f(a, point) <= b for a, b in self.facets)
-
-
-def convex_hull_2d(points: list[Vec]) -> list[Vec]:
-    """Counterclockwise hull of 2-d integer points (monotone chain)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[Vec] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vec] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _facets_of(points: list[Vec]) -> tuple[Constraint, ...]:
-    """Facet inequalities for full-dimensional hulls of rank <= 2 point sets.
-
-    Degenerate hulls (a point, or a segment inside a larger space) get no
-    facet list; membership falls back to vertex identity in OrbitHull.
-    """
-    if not points:
-        return ()
-    n = len(points[0])
-    if n == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        if lo == hi:
-            return ()
-        return (
-            ((Fraction(1),), Fraction(hi)),
-            ((Fraction(-1),), Fraction(-lo)),
-        )
-    if n == 2:
-        hull = convex_hull_2d(points)
-        if len(hull) <= 2:
-            return ()
-        out: list[Constraint] = []
-        for p, q in zip(hull, hull[1:] + hull[:1]):
-            # outward normal for ccw edge p -> q
-            a = (Fraction(q[1] - p[1]), Fraction(p[0] - q[0]))
-            out.append((a, dot_f(a, p)))
-        return tuple(out)
-    return ()
+        return all(dot(a, point) <= b for a, b in self.inequalities)
 
 
 def orbit_hull(d: RootDatum, lam: Vec) -> OrbitHull:
-    verts = root_datum.orbit(d, lam)
-    return OrbitHull(vertices=verts, facets=_facets_of(list(verts)))
+    """Conv(W.lam) as its vertices and a list of integer inequalities.
+
+    Each torus-quotient row q of the datum's coordinate matrix vanishes on
+    the roots, so q.x = q.lam holds on the hull; it enters as two
+    inequalities.  With A the Cartan matrix, Y_i = sum_j adj(A)_ij coroot_j
+    is det(A) times the i-th fundamental coweight, and every image w Y_i
+    under the coweight action of W gives w Y_i . x <= Y_i . lam for lam
+    dominant.  A point x meets all of them exactly when lam - dom(x) lies in
+    the rational root span with nonnegative coefficients, which by Kostant's
+    convexity theorem is membership in the hull.
+    """
+    lam = root_datum.dominant_representative(d, lam)
+    ctx = root_datum.weyl_context(d)
+    ineqs: list[Inequality] = []
+    for q in ctx.coordinates[0][d.semisimple_rank :]:
+        ineqs += [(q, dot(q, lam)), (tuple(-c for c in q), -dot(q, lam))]
+    for row in ctx.cartan_adjugate[0]:
+        y = tuple(
+            sum(c * cv[r] for c, cv in zip(row, d.simple_coroots)) for r in range(d.rank)
+        )
+        ineqs += [(wy, dot(y, lam)) for wy in _coweight_orbit(d, y)]
+    return OrbitHull(vertices=root_datum.orbit(d, lam), inequalities=tuple(ineqs))
+
+
+def _coweight_orbit(d: RootDatum, y: Vec) -> list[Vec]:
+    """W-orbit of a coweight under the simple coreflections, sorted."""
+    seen = {y}
+    frontier = [y]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(d.semisimple_rank):
+                r = root_datum.coreflect(d, i, v)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return sorted(seen)
 
 
 def hull_contains_orbit(d: RootDatum, mu: Vec, lam: Vec) -> bool:
     """Whether the hull of the orbit of mu sits inside the hull for lam.
 
-    Each orbit point must be reachable from lam by subtracting nonnegative
-    rational multiples of the simple roots; that single reduction also pins
-    the non-semisimple directions, since the roots span nothing there.
+    By Kostant's convexity theorem this holds exactly when the dominant
+    representative of mu is below that of lam in rational dominance.
     """
-    lam = root_datum.dominant_representative(d, lam)
-    return all(
-        root_datum.dominance_leq_rational(d, v, lam) for v in root_datum.orbit(d, mu)
-    )
+    dom = root_datum.dominant_representative
+    return root_datum.dominance_leq_rational(d, dom(d, mu), dom(d, lam))
 
 
 @dataclass(frozen=True)
@@ -269,68 +252,23 @@ def order_criteria_agree(
 
 
 def _escape_witness(d: RootDatum, mu: Vec, lam: Vec, r2: int) -> int | None:
-    """A power n at which n*mu leaves n*Conv(orbit lam) + certificate box.
+    """The least power n read off a hull inequality at which n*mu escapes.
 
-    Every weight of the n-th tensor power against the ball certificate stays
-    inside that Minkowski sum, so escaping it refutes containment for good.
-    Separation is found on a facet of the orbit hull and the witness is read
-    off the margin growth, then verified exactly.
+    Every weight of the n-th tensor power against the ball certificate lies
+    in n*Conv(orbit lam) + B, B the box of half-width h = box_half around
+    the origin, so a weight outside that Minkowski sum refutes containment
+    for good.  Take an inequality a.x <= b of the hull that mu breaks by the
+    margin m = a.mu - b > 0.  The sum lies inside a.x <= n*b + h*sum|a|,
+    while a.(n*mu) = n*b + n*m, so n*mu is outside it once
+    n = h*sum|a| // m + 1.
     """
-    orb = root_datum.orbit(d, lam)
     box_half = _orbit_stretch(d) * (math.isqrt(r2) + 1)
-    facets = _facets_of(list(orb))
-    if not facets:
-        # degenerate hull: only the single-point case is refuted here
-        if tuple(mu) in orb or len(set(orb)) > 1:
-            return None
-        v = orb[0]
-        for i in range(d.rank):
-            if mu[i] != v[i]:
-                n = box_half // abs(mu[i] - v[i]) + 1
-                if _outside_minkowski(orb, box_half, mu, n):
-                    return n
-        return None
-    for a, b in facets:
-        margin = dot_f(a, mu) - b
-        if margin > 0:
-            width = sum(abs(x) for x in a) * box_half
-            n = int(width / margin) + 1
-            if _outside_minkowski(orb, box_half, mu, n):
-                return n
-    return None
-
-
-def _outside_minkowski(orb, box_half: int, mu, n: int) -> bool:
-    rank = len(mu)
-    corners = list(itertools.product((-box_half, box_half), repeat=rank))
-    points = [
-        tuple(n * v[i] + c[i] for i in range(rank)) for v in orb for c in corners
+    powers = [
+        box_half * sum(abs(x) for x in a) // margin + 1
+        for a, b in orbit_hull(d, lam).inequalities
+        if (margin := dot(a, mu) - b) > 0
     ]
-    target = linalg.vec_scale(n, mu)
-    if rank == 1:
-        return not (min(p[0] for p in points) <= target[0] <= max(p[0] for p in points))
-    if rank == 2:
-        facets = _facets_of(points)
-        if facets:
-            return any(dot_f(a, target) > b for a, b in facets)
-    hull = OrbitHull(vertices=tuple(points), facets=_facets_of(points))
-    if hull.facets:
-        return not hull.contains(target)
-    return not _in_hull_caratheodory(target, points)
-
-
-def _in_hull_caratheodory(point, vertices) -> bool:
-    """Exact convex-hull membership via small affinely independent subsets."""
-    rank = len(point)
-    verts = sorted(set(map(tuple, vertices)))
-    for size in range(1, rank + 2):
-        for subset in itertools.combinations(verts, size):
-            rows = [[v[i] for v in subset] for i in range(rank)]
-            rows.append([1] * size)
-            sol = linalg.solve(rows, list(point) + [1])
-            if sol is not None and all(c >= 0 for c in sol):
-                return True
-    return False
+    return min(powers, default=None)
 
 
 @dataclass(frozen=True)
@@ -346,47 +284,38 @@ class CoverReport:
 
 
 def quantized_cover_check(
-    X, n: int, point_budget: int = 200_000
+    d: RootDatum, lam: Vec, n: int, point_budget: int = 200_000
 ) -> CoverReport:
-    """Every lattice point of n*Conv(X) must be an n-fold sum of X up to radius R.
+    """Every lattice point of n*Conv(W.lam) must be near an n-fold sum of orbit points.
 
-    R = 2 |X| max|x| compared through squares.  Lattice points are enumerated
-    over the bounding box of the dilated hull; each needs some n-fold sum of X
-    within squared distance R^2.  A box larger than the point budget yields a
-    skipped verdict rather than a failure.
+    Near means within radius R = 2 |orbit| max|x|, compared through
+    squares.  Lattice points are enumerated over the bounding box of the
+    dilated orbit and kept when they meet the hull inequalities a.z <= n*b.
+    A box larger than the point budget yields a skipped verdict rather than
+    a failure.
     """
-    pts = sorted(set(map(tuple, X)))
-    if not pts:
-        raise ValueError("empty point set")
-    rank = len(pts[0])
+    hull = orbit_hull(d, lam)
+    pts = hull.vertices
     m = len(pts)
     top = max(sum(x * x for x in v) for v in pts)
     r2 = 4 * m * m * top
     scaled = [linalg.vec_scale(n, v) for v in pts]
-    los = [min(v[i] for v in scaled) for i in range(rank)]
-    his = [max(v[i] for v in scaled) for i in range(rank)]
+    los = [min(v[i] for v in scaled) for i in range(d.rank)]
+    his = [max(v[i] for v in scaled) for i in range(d.rank)]
     count = 1
     for lo, hi in zip(los, his):
         count *= hi - lo + 1
     if count > point_budget:
         return CoverReport(verdict="skipped", radius_sq=r2, points_checked=0)
 
-    sums: set[Vec] = {(0,) * rank}
+    sums: set[Vec] = {(0,) * d.rank}
     for _ in range(n):
         sums = {vec_add(s, v) for s in sums for v in pts}
-    facets = _facets_of(scaled)
-    degenerate = not facets and len(set(scaled)) > 1
 
     checked = 0
     failures: list[Vec] = []
     for z in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        if facets:
-            if any(dot_f(a, z) > b for a, b in facets):
-                continue
-        elif degenerate:
-            if not _in_hull_caratheodory(z, scaled):
-                continue
-        elif z != scaled[0]:
+        if any(dot(a, z) > n * b for a, b in hull.inequalities):
             continue
         checked += 1
         if not any(norm_sq(vec_sub(z, s)) <= r2 for s in sums):

@@ -77,7 +77,6 @@ class ReconstructionReport:
     monoid: RecoveredMonoid | None = None
     lattice_rank: int | None = None
     embedding: dict[str, Vec] | None = None
-    generators: tuple[str, ...] = ()
     simple_roots: tuple[Vec, ...] = ()
     simple_coroots: tuple[Vec, ...] = ()
     weyl_order: int | None = None
@@ -415,14 +414,12 @@ def recover_addition(t: OracleTable, order: RecoveredOrder) -> RecoveredMonoid:
     )
 
 
-def recover_lattice(
-    m: RecoveredMonoid,
-) -> tuple[int, dict[str, Vec], tuple[str, ...]]:
+def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
     """Step 3: group completion of the partial monoid via Smith normal form.
 
     Labels appearing in some addition identity are embedded into the free
     quotient; torsion in the completion means the table was inconsistent.
-    Returns (rank, embedding, a generating subset of labels).
+    Returns (rank, embedding).
     """
     relations: list[dict[str, int]] = []
     for (x, y), z in sorted(m.add.items()):
@@ -456,16 +453,7 @@ def recover_lattice(
         if x in embedding and y in embedding and z in embedding:
             if vec_add(embedding[x], embedding[y]) != embedding[z]:
                 raise StageFailure("lattice", f"completion broke identity {x}+{y}={z}")
-    generators: list[str] = []
-    rows: list[Vec] = []
-    for lbl in constrained:
-        v = embedding[lbl]
-        if linalg.rank(rows + [v]) > len(rows):
-            generators.append(lbl)
-            rows.append(v)
-        if len(generators) == rank:
-            break
-    return rank, embedding, tuple(generators)
+    return rank, embedding
 
 
 def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec, ...]:
@@ -597,8 +585,8 @@ def recover_datum(
         report.order = order
         monoid = recover_addition(t, order)
         report.monoid = monoid
-        rank, embedding, gens = recover_lattice(monoid)
-        report.lattice_rank, report.embedding, report.generators = rank, embedding, gens
+        rank, embedding = recover_lattice(monoid)
+        report.lattice_rank, report.embedding = rank, embedding
         roots = recover_simple_roots(t, embedding)
         report.simple_roots = roots
         coroots = recover_simple_coroots(t, embedding, roots)

@@ -107,7 +107,10 @@ def reflection_matrix(d: RootDatum, i: int) -> Matrix:
     )
 
 
-def weyl_group(d: RootDatum, limit: int = 10**6) -> tuple[Matrix, ...]:
+WEYL_GROUP_LIMIT = 10**6
+
+
+def weyl_group(d: RootDatum) -> tuple[Matrix, ...]:
     """All Weyl group elements as matrices acting on weight coordinates."""
     gens = [reflection_matrix(d, i) for i in range(d.semisimple_rank)]
     ident = tuple(tuple(row) for row in linalg.identity(d.rank))
@@ -121,7 +124,7 @@ def weyl_group(d: RootDatum, limit: int = 10**6) -> tuple[Matrix, ...]:
                 if wg not in seen:
                     seen.add(wg)
                     nxt.append(wg)
-                    if len(seen) > limit:
+                    if len(seen) > WEYL_GROUP_LIMIT:
                         raise RootDatumError("Weyl closure exceeded the element limit")
         frontier = nxt
     return tuple(sorted(seen))
@@ -292,7 +295,7 @@ class WeylContext:
         return tuple(vals)  # type: ignore[arg-type]
 
     @functools.cached_property
-    def _cartan_adjugate(self) -> tuple[Matrix, int]:
+    def cartan_adjugate(self) -> tuple[Matrix, int]:
         adj, det = linalg.adjugate(self.cartan)
         return tuple(map(tuple, adj)), det
 
@@ -318,12 +321,12 @@ class WeylContext:
         if any(dot(row, v) for row in self.coordinates[0][self.datum.semisimple_rank :]):
             return None
         p = self.datum.pairing(v)
-        return tuple(dot(row, p) for row in self._cartan_adjugate[0])
+        return tuple(dot(row, p) for row in self.cartan_adjugate[0])
 
     def root_coefficients(self, v: Vec) -> Vec | None:
         """Integer coefficients of v over the simple roots, or None off the root lattice."""
         scaled = self.root_numerators(v)
-        det = self._cartan_adjugate[1]
+        det = self.cartan_adjugate[1]
         if scaled is None or any(c % det for c in scaled):
             return None
         return tuple(c // det for c in scaled)

@@ -104,9 +104,8 @@ def test_criterion_5_quantized_covering():
     for name in ["sl2", "pgl2", "sl3", "pgl3", "sp4", "so5", "g2"]:
         d = root_datum.fixture(name)
         for gen in char_engine.fundamental_monoid_generators(d):
-            orbit = root_datum.orbit(d, gen)
             for n in range(1, 7):
-                rep = polytope.quantized_cover_check(orbit, n, point_budget=500_000)
+                rep = polytope.quantized_cover_check(d, gen, n, point_budget=500_000)
                 if rep.verdict != "ok":
                     bad.append(f"{name} {gen} n={n}: {rep.verdict}")
     _verdict(5, "quantized covering", not bad, "; ".join(bad[:5]))

@@ -106,6 +106,16 @@ def test_check_props_passes(capsys):
     assert "disagree=0" in out
 
 
+@pytest.mark.parametrize("name", ["gl2", "sl2xpgl2"])
+def test_check_props_passes_off_full_rank(capsys, name):
+    # gl2's orbit hulls are segments in the plane; sl2xpgl2's are rectangles
+    code, out, _ = run(capsys, "check-props", "--datum", name, "--max-coord", "3",
+                       "--max-n", "2")
+    assert code == 0
+    assert "undecided=0 disagree=0" in out
+    assert "result: PASS" in out
+
+
 def test_check_props_skips_cover_for_torus(capsys):
     code, out, _ = run(capsys, "check-props", "--datum", "torus1", "--max-coord", "2",
                        "--max-n", "1")

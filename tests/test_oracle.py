@@ -133,6 +133,11 @@ def test_parse_rejects_garbage():
         oracle.parse_oracle("labels: a b\nunit: a\nprod a b : b*0\n")
     with pytest.raises(OracleFormatError):
         oracle.parse_oracle("labels: a b\nprod a b : ?\n")
+    good = "labels: a b\nunit: a\ndual: a a\ndual: b b\nprod a b : b*1\n"
+    oracle.parse_oracle(good)
+    for extra in ("prod a b : ?", "prod b a : b*1", "unit: b", "labels: a b", "dual: b b"):
+        with pytest.raises(OracleFormatError, match="line 6"):
+            oracle.parse_oracle(good + extra + "\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
@@ -6,6 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiroot import polytope, root_datum
+from semiroot.linalg import dot
+from semiroot.root_datum import RootDatum
+
+SL4 = RootDatum(
+    3, ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), name="sl4"
+)
+GL2xT1 = RootDatum(3, ((1, -1, 0),), ((1, -1, 0),), name="gl2xT1")
+HULL_DATA = [root_datum.fixture(n) for n in root_datum.fixture_names()] + [SL4, GL2xT1]
+
+
+def _datum(name):
+    return SL4 if name == "sl4" else root_datum.fixture(name)
 
 
 def test_fm_feasible_box():
@@ -39,12 +50,6 @@ def test_positive_functional_fails_on_opposites():
     assert polytope.positive_functional([(0, 0)]) is None
 
 
-def test_convex_hull_square():
-    pts = [(x, y) for x in range(3) for y in range(3)]
-    hull = polytope.convex_hull_2d(pts)
-    assert set(hull) == {(0, 0), (2, 0), (2, 2), (0, 2)}
-
-
 def test_hull_contains_orbit_sl2():
     sl2 = root_datum.fixture("sl2")
     assert polytope.hull_contains_orbit(sl2, (1,), (3,))
@@ -65,6 +70,25 @@ def test_orbit_hull_membership():
         assert hull.contains(v)
     assert hull.contains((0, 0))
     assert not hull.contains((3, 0))
+
+
+def test_orbit_hull_sl4_adjoint_contains_origin():
+    assert polytope.orbit_hull(SL4, (1, 0, 1)).contains((0, 0, 0))
+
+
+@pytest.mark.parametrize("d", HULL_DATA, ids=lambda d: d.name)
+@given(lam=st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_orbit_hull_inequalities_are_kostant(d, lam):
+    lam = root_datum.dominant_representative(d, tuple(lam[: d.rank]))
+    hull = polytope.orbit_hull(d, lam)
+    for a, b in hull.inequalities:
+        assert all(dot(a, v) <= b for v in hull.vertices)
+        assert any(dot(a, v) == b for v in hull.vertices)
+    box = range(-2, 3) if d.rank < 3 else range(-1, 2)
+    for z in iter_product(box, repeat=d.rank):
+        dom = root_datum.dominant_representative(d, z)
+        assert hull.contains(z) == root_datum.dominance_leq_rational(d, dom, lam)
 
 
 def test_criteria_true_pair():
@@ -122,9 +146,13 @@ def same_root_coset(d, mu, lam):
     return sol is not None and all(c.denominator == 1 for c in sol)
 
 
-@pytest.mark.parametrize("name,coord_max", [("sl2", 4), ("sl3", 2), ("sp4", 2)])
+@pytest.mark.parametrize(
+    "name,coord_max",
+    [("sl2", 4), ("sl3", 2), ("sp4", 2), ("gl2", 2), ("sl2xpgl2", 2), ("torus2", 1),
+     ("sl4", 1)],
+)
 def test_criteria_match_dominance(name, coord_max):
-    d = root_datum.fixture(name)
+    d = _datum(name)
     box = range(-coord_max, coord_max + 1)
     dominant = [
         v for v in iter_product(box, repeat=d.rank) if root_datum.is_dominant(d, v)
@@ -141,52 +169,36 @@ def test_criteria_match_dominance(name, coord_max):
 
 
 def test_cover_interval():
-    rep = polytope.quantized_cover_check([(-1,), (1,)], 5)
+    rep = polytope.quantized_cover_check(root_datum.fixture("sl2"), (1,), 5)
     assert rep.ok
     assert rep.radius_sq == 16
     assert rep.points_checked == 11
 
 
 def test_cover_singleton():
-    rep = polytope.quantized_cover_check([(0, 0)], 4)
+    rep = polytope.quantized_cover_check(root_datum.fixture("torus2"), (0, 0), 4)
     assert rep.ok
     assert rep.radius_sq == 0
 
 
 def test_cover_sl3_adjoint_orbit():
     sl3 = root_datum.fixture("sl3")
-    rep = polytope.quantized_cover_check(root_datum.orbit(sl3, (1, 1)), 3)
+    rep = polytope.quantized_cover_check(sl3, (1, 1), 3)
     assert rep.ok
     assert rep.points_checked == 91
 
 
+@pytest.mark.parametrize(
+    "gen,counts", [((1, 0, 0), (5, 15)), ((0, 1, 0), (7, 33)), ((0, 0, 1), (5, 15))]
+)
+def test_cover_sl4_fundamental_orbits(gen, counts):
+    reps = [polytope.quantized_cover_check(SL4, gen, n) for n in (1, 2)]
+    assert all(rep.ok for rep in reps)
+    assert tuple(rep.points_checked for rep in reps) == counts
+
+
 def test_cover_budget_skip():
     sl3 = root_datum.fixture("sl3")
-    rep = polytope.quantized_cover_check(
-        root_datum.orbit(sl3, (1, 1)), 3, point_budget=10
-    )
+    rep = polytope.quantized_cover_check(sl3, (1, 1), 3, point_budget=10)
     assert rep.verdict == "skipped"
     assert not rep.ok
-
-
-points2 = st.lists(
-    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=7
-)
-
-
-@given(points2)
-@settings(max_examples=40)
-def test_hull_facets_contain_generating_points(pts):
-    facets = polytope._facets_of(pts)
-    for a, b in facets:
-        for p in pts:
-            assert polytope.dot_f(a, p) <= b
-
-
-@given(points2, st.integers(0, 3), st.integers(0, 3))
-@settings(max_examples=40)
-def test_hull_contains_convex_combination(pts, i, j):
-    p = pts[i % len(pts)]
-    q = pts[j % len(pts)]
-    mid = (Fraction(p[0] + q[0], 2), Fraction(p[1] + q[1], 2))
-    assert polytope._in_hull_caratheodory(mid, pts)

@@ -275,7 +275,7 @@ def test_root_coefficients_match_rational_solve(d):
         if ref is None:
             assert ctx.root_numerators(v) is None and ctx.root_coefficients(v) is None
             continue
-        det = ctx._cartan_adjugate[1]
+        det = ctx.cartan_adjugate[1]
         assert ctx.root_numerators(v) == tuple(c * det for c in ref)
         integral = all(c.denominator == 1 for c in ref)
         assert ctx.root_coefficients(v) == (tuple(map(int, ref)) if integral else None)
