@@ -21,16 +21,6 @@ from .root_datum import RootDatum
 Decomposition = dict[Vec, int]
 
 
-def _orbit(ctx: root_datum.WeylContext, x: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """W-orbit of x, descending, and the simple-coroot pairings of each weight."""
-    got = ctx.orbits.get(x)
-    if got is None:
-        d = ctx.datum
-        orb = root_datum.orbit(d, x)
-        got = ctx.orbits[x] = (orb, tuple(d.pairing(w) for w in orb))
-    return got
-
-
 def _reflect(q: Vec, i: int, column: Vec) -> Vec:
     """Pairings after the simple reflection s_i; column holds <coroot_j, root_i>."""
     c = q[i]
@@ -140,7 +130,7 @@ def irreducible_character(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     ctx = root_datum.weyl_context(d)
     out: dict[Vec, int] = {}
     for mu, m in _dominant_mults(ctx, lam).items():
-        for w in _orbit(ctx, mu)[0]:
+        for w in ctx.orbit(mu)[0]:
             out[w] = m
     return out
 
@@ -181,7 +171,7 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     shifted = tuple(x + 1 for x in d.pairing(lam))  # pairings of lam + rho
     acc: dict[Vec, int] = {}
     for delta, m in _dominant_mults(ctx, mu).items():
-        for w, pw in zip(*_orbit(ctx, delta)):
+        for w, pw in zip(*ctx.orbit(delta)):
             y, q, sign = vec_add(lam, w), vec_add(shifted, pw), m
             while (i := next((i for i, c in enumerate(q) if c <= 0), None)) is not None:
                 if q[i] == 0:
@@ -211,7 +201,7 @@ def prv_components(d: RootDatum, lam: Vec, mu: Vec) -> tuple[Vec, ...]:
     mu = _require_dominant(d, mu, "right weight")
     found = {
         root_datum.dominant_representative(d, vec_add(lam, w))
-        for w in _orbit(root_datum.weyl_context(d), mu)[0]
+        for w in root_datum.weyl_context(d).orbit(mu)[0]
     }
     return tuple(sorted(found, reverse=True))
 
@@ -225,30 +215,16 @@ def fundamental_monoid_generators(d: RootDatum) -> tuple[Vec, ...]:
     """
     if d.semisimple_rank != d.rank:
         raise ValueError("dominant monoid is finitely generated only for semisimple data")
-    n = d.rank
-    covs = [list(c) for c in d.simple_coroots]
-    # minimal positive multiple of each pairing axis realized by a lattice weight
-    axis_mult = []
-    for i in range(n):
-        m = 1
-        while True:
-            sol = linalg.solve(covs, [m if j == i else 0 for j in range(n)])
-            assert sol is not None
-            if all(s.denominator == 1 for s in sol):
-                axis_mult.append(m)
-                break
-            m += 1
-            if m > 10**4:
-                raise RuntimeError("axis search runaway")
-    # every minimal monoid element fits under the axis box
+    # a pairing vector p is a weight exactly when adj(F) p is divisible by det F
+    _, adj, det = root_datum.weyl_context(d).coordinates
+    # least positive multiple of each pairing axis that is a weight; every
+    # minimal monoid element fits under the box they span
+    axis_mult = [abs(det) // math.gcd(det, *col) for col in zip(*adj)]
     members: list[tuple[Vec, Vec]] = []  # (pairing vector, weight)
     for p in itertools.product(*(range(0, m + 1) for m in axis_mult)):
-        if all(x == 0 for x in p):
-            continue
-        sol = linalg.solve(covs, p)
-        assert sol is not None
-        if all(s.denominator == 1 for s in sol):
-            members.append((p, tuple(int(s) for s in sol)))
+        x = linalg.mat_vec(adj, p)
+        if any(p) and all(c % det == 0 for c in x):
+            members.append((p, tuple(c // det for c in x)))
     pset = {p for p, _ in members}
     gens = [
         (p, w)

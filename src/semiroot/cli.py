@@ -27,13 +27,11 @@ class InputError(Exception):
 @dataclass(frozen=True)
 class Config:
     n_max: int = 3
-    theta_depth: int = 2
     bound: int = 4
-    point_budget: int = 200_000
     fixture_dir: str | None = None
 
     def check(self) -> "Config":
-        for field in ("n_max", "theta_depth", "bound", "point_budget"):
+        for field in ("n_max", "bound"):
             if getattr(self, field) < 1:
                 raise InputError(f"config: {field} must be >= 1")
         return self
@@ -44,9 +42,7 @@ def config_from_env(environ=os.environ) -> Config:
     values = {}
     for field, caster in (
         ("n_max", int),
-        ("theta_depth", int),
         ("bound", int),
-        ("point_budget", int),
         ("fixture_dir", str),
     ):
         raw = environ.get(ENV_PREFIX + field.upper())
@@ -157,10 +153,9 @@ def cmd_reconstruct(args, cfg: Config) -> int:
     except oracle.OracleFormatError as e:
         raise InputError(f"{args.oracle}: {e}") from None
     n_max = args.n_max if args.n_max is not None else cfg.n_max
-    theta_depth = args.theta_depth if args.theta_depth is not None else cfg.theta_depth
-    if n_max < 1 or theta_depth < 1:
-        raise InputError("--n-max and --theta-depth must be >= 1")
-    rep = reconstruction.recover_datum(table, n_max=n_max, theta_depth=theta_depth)
+    if n_max < 1:
+        raise InputError("--n-max must be >= 1")
+    rep = reconstruction.recover_datum(table, n_max=n_max)
     if rep.stage == "validate":
         rep = reconstruction.ReconstructionReport(
             verdict="rejected", stage="validation", reason=rep.reason
@@ -268,7 +263,7 @@ def cmd_check_props(args, cfg: Config) -> int:
         print("cover: skipped (datum has central directions)")
     for gen in generators:
         for n in range(1, args.max_n + 1):
-            rep = polytope.quantized_cover_check(d, gen, n, point_budget=cfg.point_budget)
+            rep = polytope.quantized_cover_check(d, gen, n)
             cover_failed += rep.verdict == "failed"
             print(
                 f"cover gen={_fmt_weight(gen)} n={n} verdict={rep.verdict} "
@@ -301,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="recover a root datum from a table")
     p.add_argument("--oracle", required=True, help="oracle table file")
     p.add_argument("--n-max", type=int, default=None, help="power horizon (default 3)")
-    p.add_argument("--theta-depth", type=int, default=None, help="certificate size (default 2)")
     p.add_argument("--out", default=None, help="write report JSON here")
     p.set_defaults(func=cmd_reconstruct)
 

@@ -220,6 +220,9 @@ def validate_oracle(t: OracleTable) -> None:
         raise OracleError("labels: empty or duplicated")
     if t.unit not in lset:
         raise OracleError("unit: not a label")
+    for x in t.dual:
+        if x not in lset:
+            raise OracleError(f"duality: unknown label {x}")
     for x in t.labels:
         y = t.dual.get(x)
         if y is None or y not in lset:
@@ -233,6 +236,9 @@ def validate_oracle(t: OracleTable) -> None:
             if x <= y and (x, y) not in t.products:
                 raise OracleError(f"closure: missing product {x} {y}")
     for key, val in t.products.items():
+        for x in key:
+            if x not in lset:
+                raise OracleError(f"closure: unknown label {x} in {key}")
         if val is None:
             continue
         for z, m in val.items():

@@ -123,35 +123,17 @@ def orbit_hull(d: RootDatum, lam: Vec) -> OrbitHull:
     under the coweight action of W gives w Y_i . x <= Y_i . lam for lam
     dominant.  A point x meets all of them exactly when lam - dom(x) lies in
     the rational root span with nonnegative coefficients, which by Kostant's
-    convexity theorem is membership in the hull.
+    convexity theorem is membership in the hull.  The normals are the
+    context's `hull_normals`, so only their right-hand sides depend on lam.
     """
     lam = root_datum.dominant_representative(d, lam)
     ctx = root_datum.weyl_context(d)
     ineqs: list[Inequality] = []
     for q in ctx.coordinates[0][d.semisimple_rank :]:
         ineqs += [(q, dot(q, lam)), (tuple(-c for c in q), -dot(q, lam))]
-    for row in ctx.cartan_adjugate[0]:
-        y = tuple(
-            sum(c * cv[r] for c, cv in zip(row, d.simple_coroots)) for r in range(d.rank)
-        )
-        ineqs += [(wy, dot(y, lam)) for wy in _coweight_orbit(d, y)]
-    return OrbitHull(vertices=root_datum.orbit(d, lam), inequalities=tuple(ineqs))
-
-
-def _coweight_orbit(d: RootDatum, y: Vec) -> list[Vec]:
-    """W-orbit of a coweight under the simple coreflections, sorted."""
-    seen = {y}
-    frontier = [y]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(d.semisimple_rank):
-                r = root_datum.coreflect(d, i, v)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return sorted(seen)
+    for y, images in ctx.hull_normals:
+        ineqs += [(wy, dot(y, lam)) for wy in images]
+    return OrbitHull(vertices=ctx.orbit(lam)[0], inequalities=tuple(ineqs))
 
 
 def hull_contains_orbit(d: RootDatum, mu: Vec, lam: Vec) -> bool:
@@ -179,7 +161,7 @@ class CriteriaTriple:
 
 def tensor_radius_sq(d: RootDatum, lam: Vec) -> int:
     """Squared radius of the certificate ball: (2m max|x|)^2 over the orbit."""
-    orb = root_datum.orbit(d, lam)
+    orb = root_datum.weyl_context(d).orbit(tuple(lam))[0]
     m = len(orb)
     top = max(sum(x * x for x in v) for v in orb)
     return 4 * m * m * top
@@ -194,15 +176,6 @@ def certificate_support(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
         if sum(x * x for x in point) <= r2:
             out.add(root_datum.dominant_representative(d, point))
     return tuple(sorted(out, reverse=True))
-
-
-def _orbit_stretch(d: RootDatum) -> int:
-    """Max row sum of |entries| over Weyl group matrices (infinity operator norm)."""
-    best = 1
-    for w in root_datum.weyl_group(d):
-        for row in w:
-            best = max(best, sum(abs(x) for x in row))
-    return best
 
 
 def order_criteria_agree(
@@ -225,14 +198,14 @@ def order_criteria_agree(
     a_dom = root_datum.dominance_leq(d, mu, lam)
     b_hull = hull_contains_orbit(d, mu, lam)
     r2 = tensor_radius_sq(d, lam)
-    orb = root_datum.orbit(d, lam)
+    hull = orbit_hull(d, lam)
 
-    witness = _escape_witness(d, mu, lam, r2)
+    witness = _escape_witness(d, mu, hull, r2)
     if witness is not None:
         return CriteriaTriple(a_dom, b_hull, False, witness, r2, ())
 
     decomps: list[tuple[Vec, ...]] = []
-    greedy = sorted(orb, key=lambda v: -dot(v, mu))
+    greedy = sorted(hull.vertices, key=lambda v: -dot(v, mu))
     for n in range(1, n_max + 1):
         target = linalg.vec_scale(n, mu)
         found = None
@@ -251,7 +224,7 @@ def order_criteria_agree(
     return CriteriaTriple(a_dom, b_hull, True, None, r2, tuple(decomps))
 
 
-def _escape_witness(d: RootDatum, mu: Vec, lam: Vec, r2: int) -> int | None:
+def _escape_witness(d: RootDatum, mu: Vec, hull: OrbitHull, r2: int) -> int | None:
     """The least power n read off a hull inequality at which n*mu escapes.
 
     Every weight of the n-th tensor power against the ball certificate lies
@@ -262,10 +235,10 @@ def _escape_witness(d: RootDatum, mu: Vec, lam: Vec, r2: int) -> int | None:
     while a.(n*mu) = n*b + n*m, so n*mu is outside it once
     n = h*sum|a| // m + 1.
     """
-    box_half = _orbit_stretch(d) * (math.isqrt(r2) + 1)
+    box_half = root_datum.weyl_context(d).stretch * (math.isqrt(r2) + 1)
     powers = [
         box_half * sum(abs(x) for x in a) // margin + 1
-        for a, b in orbit_hull(d, lam).inequalities
+        for a, b in hull.inequalities
         if (margin := dot(a, mu) - b) > 0
     ]
     return min(powers, default=None)
@@ -296,9 +269,7 @@ def quantized_cover_check(
     """
     hull = orbit_hull(d, lam)
     pts = hull.vertices
-    m = len(pts)
-    top = max(sum(x * x for x in v) for v in pts)
-    r2 = 4 * m * m * top
+    r2 = tensor_radius_sq(d, lam)
     scaled = [linalg.vec_scale(n, v) for v in pts]
     los = [min(v[i] for v in scaled) for i in range(d.rank)]
     his = [max(v[i] for v in scaled) for i in range(d.rank)]

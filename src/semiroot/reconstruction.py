@@ -223,7 +223,7 @@ def _co_occurrence_classes(t: OracleTable) -> dict[str, int]:
 
 
 def recover_order(
-    t: OracleTable, n_max: int = 3, theta_depth: int = 2, validated: bool = False
+    t: OracleTable, n_max: int = 3, validated: bool = False
 ) -> RecoveredOrder:
     """Step 1: bounded certificate search for the dominance order on labels.
 
@@ -231,7 +231,8 @@ def recover_order(
     only from the congruence classes (labels never mixing in any product
     cannot be comparable).  Everything else stays unknown.  Accepted pairs are
     pruned for antisymmetry and cycles before the transitive closure is built,
-    so the result is always a partial order.
+    so the result is always a partial order.  The candidate certificates theta
+    are single labels, pairs of labels and the table's product expansions.
     """
     if not validated:
         oracle.validate_oracle(t)
@@ -240,15 +241,14 @@ def recover_order(
     labels = t.labels
 
     expansions: list[Sem] = []
-    if theta_depth >= 2:
-        seen_exp: set[tuple] = set()
-        for key in sorted(t.products):
-            val = t.products[key]
-            if val and len(val) > 1:
-                sig = tuple(sorted(val.items()))
-                if sig not in seen_exp:
-                    seen_exp.add(sig)
-                    expansions.append(val)
+    seen_exp: set[tuple] = set()
+    for key in sorted(t.products):
+        val = t.products[key]
+        if val and len(val) > 1:
+            sig = tuple(sorted(val.items()))
+            if sig not in seen_exp:
+                seen_exp.add(sig)
+                expansions.append(val)
 
     decided: dict[tuple[str, str], OrderCertificate] = {}
     for mu in labels:
@@ -266,13 +266,12 @@ def recover_order(
                 elif mu in cell:
                     hits.add(x)
             candidates: list[Sem] = [{x: 1} for x in sorted(hits | open_edge)]
-            if theta_depth >= 2:
-                for x, y in itertools.combinations_with_replacement(sorted(labels), 2):
-                    if x in hits or y in hits or x in open_edge or y in open_edge:
-                        candidates.append({x: 1, y: 1} if x != y else {x: 2})
-                for val in expansions:
-                    if any(z in hits or z in open_edge for z in val):
-                        candidates.append(val)
+            for x, y in itertools.combinations_with_replacement(sorted(labels), 2):
+                if x in hits or y in hits or x in open_edge or y in open_edge:
+                    candidates.append({x: 1, y: 1} if x != y else {x: 2})
+            for val in expansions:
+                if any(z in hits or z in open_edge for z in val):
+                    candidates.append(val)
             for theta in candidates:
                 cert = check_certificate(t, mu, lam, theta, n_max, powers)
                 if cert is not None:
@@ -570,9 +569,7 @@ def recover_simple_coroots(
     return tuple(out)
 
 
-def recover_datum(
-    t: OracleTable, n_max: int = 3, theta_depth: int = 2
-) -> ReconstructionReport:
+def recover_datum(t: OracleTable, n_max: int = 3) -> ReconstructionReport:
     """Run the full pipeline and certify by reproducing the table exactly."""
     report = ReconstructionReport(verdict="failed")
     try:
@@ -581,7 +578,7 @@ def recover_datum(
         report.stage, report.reason = "validate", str(e)
         return report
     try:
-        order = recover_order(t, n_max=n_max, theta_depth=theta_depth, validated=True)
+        order = recover_order(t, n_max=n_max, validated=True)
         report.order = order
         monoid = recover_addition(t, order)
         report.monoid = monoid

@@ -1,4 +1,4 @@
-"""Root data on a free character lattice, with Weyl group machinery.
+"""Root data on a free character lattice, with Weyl orbit machinery.
 
 A datum is stored in coordinates: the character lattice is Z^rank with the
 standard dot pairing against the cocharacter lattice, simple roots are weight
@@ -94,48 +94,16 @@ def reflect(d: RootDatum, i: int, x: Vec) -> Vec:
     return tuple(xa - c * aa for xa, aa in zip(x, d.simple_roots[i]))
 
 
-def coreflect(d: RootDatum, i: int, y: Vec) -> Vec:
-    c = dot(y, d.simple_roots[i])
-    return tuple(ya - c * ca for ya, ca in zip(y, d.simple_coroots[i]))
-
-
-def reflection_matrix(d: RootDatum, i: int) -> Matrix:
-    alpha, cov = d.simple_roots[i], d.simple_coroots[i]
-    return tuple(
-        tuple((1 if a == b else 0) - alpha[a] * cov[b] for b in range(d.rank))
-        for a in range(d.rank)
-    )
-
-
-WEYL_GROUP_LIMIT = 10**6
-
-
-def weyl_group(d: RootDatum) -> tuple[Matrix, ...]:
-    """All Weyl group elements as matrices acting on weight coordinates."""
-    gens = [reflection_matrix(d, i) for i in range(d.semisimple_rank)]
-    ident = tuple(tuple(row) for row in linalg.identity(d.rank))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = tuple(tuple(map(int, row)) for row in linalg.mat_mul(g, w))
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-                    if len(seen) > WEYL_GROUP_LIMIT:
-                        raise RootDatumError("Weyl closure exceeded the element limit")
-        frontier = nxt
-    return tuple(sorted(seen))
-
-
 def weyl_order(d: RootDatum) -> int:
-    return len(weyl_group(d))
+    """|W|, read off the context of a valid datum."""
+    return weyl_context(d).weyl_order
 
 
 def orbit(d: RootDatum, x: Vec) -> tuple[Vec, ...]:
-    """W-orbit of a weight, as a sorted tuple (descending)."""
+    """W-orbit of a weight, as a sorted tuple (descending).
+
+    The only walk of W: a coweight orbit is the orbit in the dual datum.
+    """
     x = tuple(x)
     seen = {x}
     frontier = [x]
@@ -209,7 +177,8 @@ class WeylContext:
 
     Keyed on (rank, simple roots, simple coroots), never on the name, so a
     datum and its renamed copy share one context.  Derived data are built
-    on first use; the memo dicts belong to the char engine, keyed by weight.
+    on first use.  The memo dicts are keyed by weight: `orbit` fills
+    `orbits`, the char engine the others.
     """
 
     datum: RootDatum
@@ -258,6 +227,53 @@ class WeylContext:
                 for c, (e, i) in seen.items()
             )
         )
+
+    def orbit(self, x: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        """W-orbit of x, descending, and the simple-coroot pairings of each weight."""
+        got = self.orbits.get(x)
+        if got is None:
+            d = self.datum
+            orb = orbit(d, x)
+            got = self.orbits[x] = (orb, tuple(d.pairing(w) for w in orb))
+        return got
+
+    @functools.cached_property
+    def dual(self) -> RootDatum:
+        """Simple roots and coroots swapped: its weight orbits are this datum's coweight orbits."""
+        d = self.datum
+        return RootDatum(d.rank, d.simple_coroots, d.simple_roots)
+
+    @functools.cached_property
+    def weyl_order(self) -> int:
+        """|W|, the size of the orbit of the regular weight rho2, whose stabilizer is trivial."""
+        return len(orbit(self.datum, self.rho2))
+
+    @functools.cached_property
+    def stretch(self) -> int:
+        """Largest sum of |entries| of a row of an element of W acting on weights.
+
+        Row a of w is the functional x -> (w x)_a, the image of the unit
+        covector e_a under the coweight action, so the rows of all of W are
+        the coweight orbits of the unit covectors.
+        """
+        n = self.datum.rank
+        units = (tuple(int(a == b) for b in range(n)) for a in range(n))
+        return max((sum(map(abs, y)) for e in units for y in orbit(self.dual, e)), default=1)
+
+    @functools.cached_property
+    def hull_normals(self) -> tuple[tuple[Vec, tuple[Vec, ...]], ...]:
+        """Each Y_i = sum_j adj(Cartan)_ij coroot_j with its coweight orbit W.Y_i.
+
+        Y_i is det(Cartan) times the i-th fundamental coweight.
+        """
+        d = self.datum
+        out = []
+        for row in self.cartan_adjugate[0]:
+            y = tuple(
+                sum(c * cv[r] for c, cv in zip(row, d.simple_coroots)) for r in range(d.rank)
+            )
+            out.append((y, orbit(self.dual, y)))
+        return tuple(out)
 
     @functools.cached_property
     def rho2(self) -> Vec:

@@ -1,10 +1,12 @@
+import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiroot import char_engine, root_datum
+from semiroot import char_engine, linalg, root_datum
+from semiroot.root_datum import RootDatum
 
 
 def test_character_sl2_string():
@@ -201,11 +203,55 @@ def test_monoid_generators():
         char_engine.fundamental_monoid_generators(root_datum.fixture("gl2"))
 
 
+def _reference_monoid_generators(d):
+    """Minimal dominant weights by rational solves: axis multiples searched upward."""
+
+    def weight(p):
+        sol = linalg.solve(d.simple_coroots, p)
+        return tuple(map(int, sol)) if all(c.denominator == 1 for c in sol) else None
+
+    n = d.rank
+    axis = [
+        next(m for m in itertools.count(1) if weight([m * (i == j) for j in range(n)]))
+        for i in range(n)
+    ]
+    members = {}
+    for p in itertools.product(*(range(m + 1) for m in axis)):
+        if any(p) and (w := weight(p)) is not None:
+            members[p] = w
+    minimal = [p for p in members if not any(q != p and linalg.vec_sub(p, q) in members
+                                             for q in members)]
+    return tuple(members[p] for p in sorted(minimal, reverse=True))
+
+
+def _simply_connected(rows):
+    n = len(rows)
+    roots = tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
+    return RootDatum(n, roots, tuple(map(tuple, linalg.identity(n))))
+
+
+def _adjoint(rows):
+    return RootDatum(len(rows), tuple(map(tuple, linalg.identity(len(rows)))), rows)
+
+
+A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+B3 = ((2, -1, 0), (-1, 2, -1), (0, -2, 2))
+C3 = ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
+FIXTURES = [root_datum.fixture(n) for n in root_datum.fixture_names()]
+SEMISIMPLE = [d for d in FIXTURES if d.semisimple_rank == d.rank > 0] + [
+    make(rows) for make in (_simply_connected, _adjoint) for rows in (A3, B3, C3)
+]
+
+
+@pytest.mark.parametrize("d", SEMISIMPLE, ids=lambda d: d.name or str(d.simple_roots))
+def test_monoid_generators_match_rational_reference(d):
+    root_datum.validate_root_datum(d)
+    assert char_engine.fundamental_monoid_generators(d) == _reference_monoid_generators(d)
+
+
 def test_monoid_generators_generate():
     d = root_datum.fixture("sp4")
     gens = char_engine.fundamental_monoid_generators(d)
-    from semiroot import linalg
-
     assert gens == ((1, 0), (1, 1))
     for v in [(2, 1), (1, 1), (3, 3)]:
         sol = linalg.solve_nonneg_int(linalg.transpose(gens), v)

@@ -106,6 +106,14 @@ def test_check_props_passes(capsys):
     assert "disagree=0" in out
 
 
+@pytest.mark.parametrize("name", root_datum.fixture_names())
+def test_check_props_passes_at_defaults(capsys, name):
+    code, out, _ = run(capsys, "check-props", "--datum", name)
+    assert code == 0
+    assert "undecided=0 disagree=0" in out
+    assert out.endswith("result: PASS\n")
+
+
 @pytest.mark.parametrize("name", ["gl2", "sl2xpgl2"])
 def test_check_props_passes_off_full_rank(capsys, name):
     # gl2's orbit hulls are segments in the plane; sl2xpgl2's are rectangles
@@ -159,6 +167,23 @@ def test_rejected_table_reports_validation_stage(tmp_path, capsys):
     blob = json.loads(report_path.read_text())
     assert blob["verdict"] == "rejected"
     assert blob["stage"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "line", ["prod zzzzzz zzzzzz : ?", "prod {x} zzzzzz : {x}*1", "dual: yyyyyy zzzzzz"]
+)
+def test_unknown_labels_rejected_at_validation(tmp_path, capsys, line):
+    src = tmp_path / "sl3.oracle"
+    run(capsys, "gen-oracle", "--datum", "sl3", "--bound", "2", "--out", str(src))
+    text = src.read_text()
+    label = oracle.parse_oracle(text).labels[0]
+    bad = tmp_path / "bad.oracle"
+    bad.write_text(text + line.format(x=label) + "\n")
+    code, out, err = run(capsys, "reconstruct", "--oracle", str(bad))
+    assert code == 1
+    assert out.startswith("verdict: rejected stage=validation reason=")
+    assert "zzzzzz" in out or "yyyyyy" in out
+    assert err == ""
 
 
 def test_env_overrides(tmp_path, capsys, monkeypatch):

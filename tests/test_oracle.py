@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from semiroot import char_engine, linalg, oracle, root_datum
+from semiroot import char_engine, linalg, oracle, reconstruction, root_datum
 from semiroot.oracle import OracleError, OracleFormatError, OracleTable
 
 
@@ -224,3 +224,20 @@ def test_validate_names_unknown_component():
     )
     with pytest.raises(OracleError, match="ghost"):
         oracle.validate_oracle(t)
+
+
+STRAY_LINES = [
+    ("prod zzzzzz zzzzzz : ?", "zzzzzz"),
+    ("prod {x} zzzzzz : {x}*1", "zzzzzz"),
+    ("dual: yyyyyy zzzzzz", "yyyyyy"),
+]
+
+
+@pytest.mark.parametrize("line,stray", STRAY_LINES)
+def test_validate_names_unknown_labels(sl3_oracle, line, stray):
+    _, table, _ = sl3_oracle
+    text = oracle.format_oracle(table) + line.format(x=table.labels[0]) + "\n"
+    t = oracle.parse_oracle(text)
+    with pytest.raises(OracleError, match=stray):
+        oracle.validate_oracle(t)
+    assert reconstruction.recover_datum(t).stage == "validate"

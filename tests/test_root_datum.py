@@ -83,12 +83,35 @@ def test_weyl_orders(name, order):
     assert root_datum.weyl_order(root_datum.fixture(name)) == order
 
 
+def _reflection_matrix(d, i):
+    alpha, cov = d.simple_roots[i], d.simple_coroots[i]
+    return [[int(a == b) - alpha[a] * cov[b] for b in range(d.rank)] for a in range(d.rank)]
+
+
+def _reference_weyl_group(d):
+    """All of W as integer matrices on weight coordinates: closure under the simple reflections."""
+    gens = [_reflection_matrix(d, i) for i in range(d.semisimple_rank)]
+    ident = tuple(map(tuple, linalg.identity(d.rank)))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = tuple(map(tuple, linalg.mat_mul(g, w)))
+                if wg not in seen:
+                    seen.add(wg)
+                    nxt.append(wg)
+        frontier = nxt
+    return seen
+
+
 @pytest.mark.parametrize("name", ["sl3", "sp4", "g2"])
 def test_weyl_elements_permute_roots(name):
     d = root_datum.fixture(name)
     roots = {r for r, _, _ in root_datum.positive_roots(d)}
     roots |= {tuple(-c for c in r) for r in roots}
-    for w in root_datum.weyl_group(d):
+    for w in _reference_weyl_group(d):
         image = {tuple(sum(row[j] * r[j] for j in range(d.rank)) for row in w) for r in roots}
         assert image == roots
 
@@ -96,7 +119,7 @@ def test_weyl_elements_permute_roots(name):
 def test_generators_are_involutions():
     d = root_datum.fixture("g2")
     for i in range(len(d.simple_roots)):
-        m = root_datum.reflection_matrix(d, i)
+        m = _reflection_matrix(d, i)
         assert linalg.mat_mul(m, m) == linalg.identity(d.rank)
 
 
@@ -198,6 +221,11 @@ RANK3 = {
 }
 
 
+def _coreflect(d, i, y):
+    c = linalg.dot(y, d.simple_roots[i])
+    return tuple(ya - c * ca for ya, ca in zip(y, d.simple_coroots[i]))
+
+
 def _reference_positive_roots(d):
     """Reflection closure of the simple roots, positivity by a rational solve."""
     seen = {}
@@ -208,7 +236,7 @@ def _reference_positive_roots(d):
         nxt = []
         for a, c, i in frontier:
             for j in range(d.semisimple_rank):
-                ra, rc = root_datum.reflect(d, j, a), root_datum.coreflect(d, j, c)
+                ra, rc = root_datum.reflect(d, j, a), _coreflect(d, j, c)
                 if ra not in seen:
                     seen[ra] = (rc, i)
                     nxt.append((ra, rc, i))
@@ -367,3 +395,43 @@ def test_unimodular_lifts_one_per_class(r, modulus, count):
     assert all(abs(linalg.det(h)) == 1 for h in lifts)
     residues = {tuple(tuple(x % modulus for x in row) for row in h) for h in lifts}
     assert len(residues) == count
+
+
+WEYL_DATA = ALL_DATA + [RANK3["B3"][0], RANK3["C3"][0]]
+WEYL_IDS = [d.name or "A3" for d in ALL_DATA] + ["B3", "C3"]
+
+
+@pytest.mark.parametrize("d", WEYL_DATA, ids=WEYL_IDS)
+def test_weyl_order_and_stretch_match_matrix_group(d):
+    group = _reference_weyl_group(d)
+    assert root_datum.weyl_order(d) == len(group)
+    stretch = max((sum(map(abs, row)) for w in group for row in w), default=1)
+    assert root_datum.weyl_context(d).stretch == stretch
+
+
+def _reference_coweight_orbit(d, y):
+    """Breadth-first closure of a coweight under the simple coreflections."""
+    seen = {y}
+    frontier = [y]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(d.semisimple_rank):
+                r = _coreflect(d, i, v)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("d", WEYL_DATA, ids=WEYL_IDS)
+def test_hull_normals_are_coweight_orbits(d):
+    ctx = root_datum.weyl_context(d)
+    k, det = d.semisimple_rank, ctx.cartan_adjugate[1]
+    assert len(ctx.hull_normals) == k
+    for i, (y, images) in enumerate(ctx.hull_normals):
+        # det(Cartan) times the i-th fundamental coweight, inside the coroot span
+        assert [linalg.dot(y, a) for a in d.simple_roots] == [det * (i == j) for j in range(k)]
+        assert linalg.solve(linalg.transpose(d.simple_coroots), y) is not None
+        assert set(images) == _reference_coweight_orbit(d, y)
