@@ -164,8 +164,7 @@ def cmd_reconstruct(args, cfg: Config) -> int:
     if args.out is not None:
         Path(args.out).write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
     if rep.certified:
-        bound = "-" if rep.inferred_bound is None else str(rep.inferred_bound)
-        print(f"verdict: certified rank={blob['rank']} bound={bound}")
+        print(f"verdict: certified rank={blob['rank']} bound={rep.inferred_bound}")
         return 0
     print(f"verdict: {rep.verdict} stage={rep.stage} reason={rep.reason}")
     return 1

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import char_engine, linalg, root_datum
-from .linalg import Vec, dot, vec_add
+from .linalg import Vec, vec_add
 from .root_datum import RootDatum
 
 
@@ -87,40 +87,41 @@ def _fresh_labels(count: int, rng: random.Random) -> list[str]:
     return out
 
 
+def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
+    """The unit, the duals and the products of a window, labelled by the weights themselves.
+
+    A pair is in window when its Cartan component is a window weight; the
+    window is closed downward, so every component of its product is one too.
+    """
+    wset = set(weights)
+    products: dict[tuple[Vec, Vec], dict[Vec, int] | None] = {}
+    for i, w1 in enumerate(weights):
+        for w2 in weights[i:]:
+            inside = vec_add(w1, w2) in wset
+            cell = char_engine.tensor_decompose(d, w1, w2) if inside else None
+            products[OracleTable.pair_key(w1, w2)] = cell
+    dual = {w: char_engine.dual_label(d, w) for w in weights}
+    return OracleTable(labels=weights, unit=(0,) * d.rank, dual=dual, products=products)
+
+
 def materialize_oracle(
     d: RootDatum, bound: int, seed: int = 0
 ) -> tuple[OracleTable, dict[str, Vec]]:
-    """Build the window table for a datum; also return label -> weight provenance.
+    """The window table of a datum under fresh labels, with label -> weight provenance.
 
     The provenance map is for harnesses and tests only; reconstruction must
     never see it.
     """
     root_datum.validate_root_datum(d)
-    weights = window_weights(d, bound)
-    rng = random.Random(seed)
-    ids = _fresh_labels(len(weights), rng)
-    label_of = dict(zip(weights, ids))
-    wset = set(weights)
+    window = window_table(d, window_weights(d, bound))
+    label_of = dict(zip(window.labels, _fresh_labels(len(window.labels), random.Random(seed))))
     products: dict[tuple[str, str], dict[str, int] | None] = {}
-    for i, w1 in enumerate(weights):
-        for w2 in weights[i:]:
-            key = OracleTable.pair_key(label_of[w1], label_of[w2])
-            if vec_add(w1, w2) not in wset:
-                products[key] = None
-                continue
-            decomp = char_engine.tensor_decompose(d, w1, w2)
-            assert all(nu in wset for nu in decomp)  # downward closure
-            products[key] = {label_of[nu]: m for nu, m in decomp.items()}
-    dual = {
-        label_of[w]: label_of[char_engine.dual_label(d, w)] for w in weights
-    }
-    table = OracleTable(
-        labels=tuple(sorted(ids)),
-        unit=label_of[(0,) * d.rank],
-        dual=dual,
-        products=products,
-    )
-    return table, {label_of[w]: w for w in weights}
+    for (x, y), val in window.products.items():
+        cell = None if val is None else {label_of[nu]: m for nu, m in val.items()}
+        products[OracleTable.pair_key(label_of[x], label_of[y])] = cell
+    dual = {label_of[w]: label_of[v] for w, v in window.dual.items()}
+    table = OracleTable(tuple(sorted(label_of.values())), label_of[window.unit], dual, products)
+    return table, {x: w for w, x in label_of.items()}
 
 
 def format_oracle(t: OracleTable) -> str:

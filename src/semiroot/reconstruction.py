@@ -5,7 +5,11 @@ dominance order, Cartan components of each in-window product, group
 completion of the resulting partial monoid, simple roots as minimal
 candidates from squares, simple coroots from dominance scans, and finally a
 reproduction check that re-materializes the window from the recovered datum
-and demands an exact match against the input table.
+and demands an exact match against the input table.  When the roots leave two
+or more coordinates to the torus quotient, the completion is rebased before
+the coroot scans so that the labels' torus coordinates fill a box, as those
+of a window do.  Certification has that one path: a certified report names
+the bound of the window that reproduces the table.
 
 Everything downstream of the table treats labels as opaque strings; weight
 coordinates only appear after the group completion invents them.
@@ -17,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import char_engine, linalg, oracle, polytope, root_datum
+from . import linalg, oracle, polytope, root_datum
 from .linalg import Vec, dot, vec_add, vec_sub
 from .oracle import OracleTable
 from .root_datum import RootDatum
@@ -480,9 +484,7 @@ def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec
     clist = sorted(cands, reverse=True)
     phi = polytope.positive_functional(clist)
     if phi is None:
-        # candidate cone is not pointed; true tables never produce this, so
-        # skip pruning and let datum validation reject the surplus loudly
-        return tuple(clist)
+        raise StageFailure("roots", "the root candidates lie in no open half-space")
     weight = {c: polytope.dot_f(phi, c) for c in clist}
     memo: dict[Vec, bool] = {}
 
@@ -585,6 +587,9 @@ def recover_datum(t: OracleTable, n_max: int = 3) -> ReconstructionReport:
         rank, embedding = recover_lattice(monoid)
         report.lattice_rank, report.embedding = rank, embedding
         roots = recover_simple_roots(t, embedding)
+        if rank - len(roots) >= 2:
+            embedding, roots = _box_coordinates(embedding, roots)
+            report.embedding = embedding
         report.simple_roots = roots
         coroots = recover_simple_coroots(t, embedding, roots)
         report.simple_coroots = coroots
@@ -607,130 +612,121 @@ def recover_datum(t: OracleTable, n_max: int = 3) -> ReconstructionReport:
         return report
 
 
+def _box_coordinates(
+    embedding: dict[str, Vec], roots: tuple[Vec, ...]
+) -> tuple[dict[str, Vec], tuple[Vec, ...]]:
+    """Rebase the completion so the labels' torus coordinates fill a box.
+
+    The left transform u of the roots' Smith form moves the roots into the
+    first k coordinates, so the last m = rank - k are torus-quotient
+    coordinates, fixed only up to some h in GL(m, Z).  A window's fill the
+    box [-bound, bound]^m, whose edges are the differences shared by the most
+    pairs of its points; with those differences of the labels' coordinates
+    as the columns of h, h^-1 turns the image back into the box.  At m <= 1
+    there is nothing to choose, since GL(1, Z) = {1, -1}.
+    """
+    rank, k = len(next(iter(embedding.values()))), len(roots)
+    _, u = linalg.smith_normal_form([[a[r] for a in roots] for r in range(rank)])
+    moved = {x: linalg.mat_vec(u, v) for x, v in embedding.items()}
+    points = sorted({v[k:] for v in moved.values()})
+    shared: dict[Vec, int] = {}
+    for p, q in itertools.combinations(points, 2):
+        # points are sorted, so each difference has a positive leading entry
+        diff = vec_sub(q, p)
+        shared[diff] = shared.get(diff, 0) + 1
+    m = rank - k
+    # most shared first, ties in descending order, so an aligned box keeps its basis
+    ranked = sorted(shared, key=lambda v: (-shared[v], linalg.vec_scale(-1, v)))
+    h = linalg.transpose(ranked[:m])
+    # a box's m edges are each shared by more pairs than any other difference
+    tied = len(ranked) > m and shared[ranked[m - 1]] == shared[ranked[m]]
+    if len(ranked) < m or tied or abs(linalg.det(h)) != 1:
+        raise StageFailure("certification", "the torus coordinates of the labels form no box")
+    adj, det = linalg.adjugate(h)
+    to_box = [[x * det for x in row] for row in adj]  # h^-1, as det(h) = +-1
+    rebased = {x: v[:k] + linalg.mat_vec(to_box, v[k:]) for x, v in moved.items()}
+    return rebased, tuple(linalg.mat_vec(u, a) for a in roots)
+
+
 def _certify(
     t: OracleTable, datum: RootDatum, embedding: dict[str, Vec]
-) -> tuple[int | None, dict[str, Vec]]:
+) -> tuple[int, dict[str, Vec]]:
     """Re-materialize the window from the recovered datum and match the table.
 
     Window size grows with the bound, so scanning upward finds the unique
-    size that fits the label count (plateaus repeat the same window and can
-    be skipped).  The label-weight bijection is then extended over any
-    unembedded labels by constraint matching and the whole table is checked
-    cell by cell.  Any mismatch fails the stage.
-
-    In directions the roots do not see, the completion basis is only
-    determined up to a lattice automorphism, so the embedded image may be a
-    sheared copy of the standard window.  When the embedding covers every
-    label the table is then verified against the embedded image directly,
-    which certifies the product structure without naming a bound.
+    size that fits the label count (plateaus repeat the same window and are
+    skipped).  The table of that window is built once, and the embedding is
+    extended over the unembedded labels one label at a time.  Every partial
+    bijection must agree with the window's table on the unit, on the dual
+    pairs it names and on the product cells it names in full, so a complete
+    one reproduces the table cell by cell.  There is no other way to
+    certify: a certified report always names its bound.
     """
-    values = list(embedding.values())
-    if len(set(values)) != len(values):
+    values = set(embedding.values())
+    if len(values) != len(embedding):
         raise StageFailure("certification", "embedding is not injective")
-    emb_set = set(values)
     last_size = -1
     for bound in range(1, 201):
         window = oracle.window_weights(datum, bound)
         if len(window) == last_size:
             continue
         last_size = len(window)
-        if len(window) > len(t.labels):
+        if len(window) >= len(t.labels):
             break
-        if len(window) < len(t.labels):
-            continue
-        if not emb_set <= set(window):
-            break
-        bijection = _complete_bijection(t, datum, embedding, window)
+    if len(window) == len(t.labels) and values <= set(window):
+        bijection = _extend_bijection(t, oracle.window_table(datum, window), embedding)
         if bijection is not None:
             return bound, bijection
-        break
-    if len(embedding) == len(t.labels):
-        bijection = _complete_bijection(t, datum, embedding, tuple(values))
-        if bijection is not None:
-            return None, bijection
     raise StageFailure(
         "certification", "no window of the recovered datum reproduces the table"
     )
 
 
-def _complete_bijection(
-    t: OracleTable,
-    datum: RootDatum,
-    embedding: dict[str, Vec],
-    window: tuple[Vec, ...],
+def _extend_bijection(
+    t: OracleTable, window: OracleTable, embedding: dict[str, Vec]
 ) -> dict[str, Vec] | None:
-    wset = set(window)
-    free_labels = sorted(set(t.labels) - set(embedding))
-    free_weights = sorted(wset - set(embedding.values()), reverse=True)
-    if len(free_labels) != len(free_weights):
-        return None
-    if t.unit in free_labels and (0,) * datum.rank not in free_weights:
-        return None
+    """A bijection from the labels onto the window's weights that extends the
+    embedding and carries the table onto the window's table, or None."""
+    bij = dict(embedding)
 
-    def verify(bij: dict[str, Vec]) -> bool:
-        if bij[t.unit] != (0,) * datum.rank:
-            return False
-        inv = {v: k for k, v in bij.items()}
-        if len(inv) != len(bij):
-            return False
-        for x in t.labels:
-            if bij[t.dual[x]] != char_engine.dual_label(datum, bij[x]):
+    def agrees(placed: Iterable[str], keys: Iterable[tuple[str, str]]) -> bool:
+        """Whether bij matches the window on the placed labels' unit and dual
+        pairs and on those of the given cells that name only placed labels."""
+        for x in placed:
+            if (x == t.unit) != (bij[x] == window.unit):
                 return False
-        for (x, y), val in t.products.items():
-            inside = vec_add(bij[x], bij[y]) in wset
-            if inside != (val is not None):
+            if t.dual[x] in bij and bij[t.dual[x]] != window.dual[bij[x]]:
                 return False
-            if val is None:
+        for key in keys:
+            val = t.products[key]
+            if any(z not in bij for z in (*key, *(val or ()))):
                 continue
-            true = char_engine.tensor_decompose(datum, bij[x], bij[y])
-            if {inv.get(nu): m for nu, m in true.items()} != val:
+            image = None if val is None else {bij[z]: m for z, m in val.items()}
+            if image != window.product(bij[key[0]], bij[key[1]]):
                 return False
         return True
 
-    if not free_labels:
-        bij = dict(embedding)
-        return bij if verify(bij) else None
-
-    # narrow each unplaced label by dual links and by the leftovers of
-    # product cells whose factors are already embedded
-    feasible: dict[str, set[Vec]] = {u: set(free_weights) for u in free_labels}
-    for u in free_labels:
-        du = t.dual[u]
-        if du in embedding:
-            feasible[u] &= {char_engine.dual_label(datum, embedding[du])}
-        elif du == u:
-            feasible[u] &= {
-                w for w in free_weights if char_engine.dual_label(datum, w) == w
-            }
-    emb_vals = set(embedding.values())
-    for (x, y), val in t.products.items():
-        if val is None or x not in embedding or y not in embedding:
-            continue
-        spare = [u for u in val if u not in embedding]
-        if not spare:
-            continue
-        true = char_engine.tensor_decompose(datum, embedding[x], embedding[y])
-        left = {nu: m for nu, m in true.items() if nu not in emb_vals}
-        for u in spare:
-            feasible[u] &= {nu for nu, m in left.items() if m == val[u]}
-    order = sorted(free_labels, key=lambda u: (len(feasible[u]), u))
-    if any(not feasible[u] for u in order):
+    if not agrees(embedding, t.products):
         return None
+    free = sorted(set(t.labels) - set(bij))
+    spare = sorted(set(window.labels) - set(bij.values()), reverse=True)
+    cells: dict[str, list[tuple[str, str]]] = {x: [] for x in free}
+    for key, val in t.products.items():
+        for x in cells.keys() & {*key, *(val or ())}:
+            cells[x].append(key)
 
-    def assign(i: int, bij: dict[str, Vec], used: set[Vec]) -> dict[str, Vec] | None:
-        if i == len(order):
-            return dict(bij) if verify(bij) else None
-        u = order[i]
-        for w in sorted(feasible[u], reverse=True):
-            if w in used:
+    def assign(i: int) -> dict[str, Vec] | None:
+        if i == len(free):
+            return dict(bij)
+        for w in spare:
+            if w in bij.values():
                 continue
-            bij[u] = w
-            used.add(w)
-            got = assign(i + 1, bij, used)
-            if got is not None:
-                return got
-            used.discard(w)
-            del bij[u]
+            bij[free[i]] = w
+            if agrees((free[i],), cells[free[i]]):
+                got = assign(i + 1)
+                if got is not None:
+                    return got
+            del bij[free[i]]
         return None
 
-    return assign(0, dict(embedding), set())
+    return assign(0)

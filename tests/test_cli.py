@@ -206,6 +206,19 @@ def test_flag_beats_env(tmp_path, capsys, monkeypatch):
     assert len(table.labels) == 5
 
 
+def test_torus2_reports_its_bound(tmp_path, capsys):
+    # two torus coordinates leave the completion basis free up to GL(2, Z);
+    # the report must still name the bound that generated the table
+    oracle_path = tmp_path / "torus2.oracle"
+    run(
+        capsys,
+        "gen-oracle", "--datum", "torus2", "--bound", "3", "--seed", "7", "--out", str(oracle_path),
+    )
+    code, out, _ = run(capsys, "reconstruct", "--oracle", str(oracle_path))
+    assert code == 0
+    assert out == "verdict: certified rank=2 bound=3\n"
+
+
 def test_report_json_sorted(tmp_path, capsys):
     oracle_path = tmp_path / "sl2.oracle"
     report_path = tmp_path / "report.json"

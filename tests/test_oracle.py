@@ -118,6 +118,22 @@ def test_materialize_deterministic():
     assert set(a.labels) != set(c.labels)
 
 
+@pytest.mark.parametrize("name", ["sl3", "gl2", "torus2"])
+def test_materialize_relabels_window_table(name):
+    d = root_datum.fixture(name)
+    weights = oracle.window_weights(d, 2)
+    window = oracle.window_table(d, weights)
+    assert window.labels == weights and window.unit == (0,) * d.rank
+    t, prov = oracle.materialize_oracle(d, 2, seed=3)
+    assert sorted(prov.values()) == sorted(weights)
+    assert prov[t.unit] == window.unit
+    assert {prov[x]: prov[y] for x, y in t.dual.items()} == window.dual
+    for (x, y), val in t.products.items():
+        image = None if val is None else {prov[z]: m for z, m in val.items()}
+        assert image == window.product(prov[x], prov[y])
+    assert len(t.products) == len(window.products)
+
+
 def test_format_parse_round_trip(sl3_oracle):
     _, t, _ = sl3_oracle
     text = oracle.format_oracle(t)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from semiroot import char_engine, oracle, polytope, reconstruction, root_datum
@@ -193,6 +195,28 @@ def test_simple_roots_count_and_independence(name, bound, count):
     assert linalg.rank(roots) == count
 
 
+def test_simple_roots_reject_opposite_candidates():
+    # the squares of a and b give the candidates (1, 0) and (-1, 0); no
+    # functional is positive on both, so the roots stage itself must fail
+    t = oracle.OracleTable(
+        labels=("a", "b", "e"),
+        unit="e",
+        dual={"a": "b", "b": "a", "e": "e"},
+        products={
+            ("e", "e"): {"e": 1},
+            ("a", "e"): {"a": 1},
+            ("b", "e"): {"b": 1},
+            ("a", "a"): {"a": 1},
+            ("b", "b"): {"b": 1},
+            ("a", "b"): None,
+        },
+    )
+    embedding = {"e": (0, 0), "a": (1, 0), "b": (-1, 0)}
+    with pytest.raises(StageFailure) as err:
+        reconstruction.recover_simple_roots(t, embedding)
+    assert err.value.stage == "roots"
+
+
 def test_simple_roots_torus_empty():
     d = root_datum.fixture("torus1")
     t, _ = oracle.materialize_oracle(d, 2, seed=3)
@@ -237,13 +261,68 @@ def test_round_trip_report_fields(sl2_oracle):
 
 
 def test_round_trip_torus_basis_freedom():
-    # no roots anchor the completion basis, so certification must accept a
-    # sheared image of the window
+    # no roots anchor the completion basis on torus2, so the completion is
+    # only fixed up to GL(2, Z); the box coordinates must still turn the
+    # image into the window that generated the table
     d = root_datum.fixture("torus2")
     t, _ = oracle.materialize_oracle(d, 2, seed=7)
     report = reconstruction.recover_datum(t)
     assert report.certified
+    assert report.inferred_bound == 2
     assert root_datum.root_data_isomorphic(report.datum, d) is not None
+
+
+TORUS2 = root_datum.fixture("torus2")
+SL2_T2 = root_datum.RootDatum(3, ((2, 0, 0),), ((1, 0, 0),), "sl2xT2")
+TORUS3 = root_datum.RootDatum(3, (), (), "torus3")
+
+
+@pytest.mark.parametrize(
+    "d,bound,seed",
+    [(TORUS2, b, s) for b in (1, 2, 3) for s in (7, 1, 5)]
+    + [(TORUS2, 4, s) for s in (1, 5)]
+    + [(SL2_T2, 2, s) for s in (7, 1, 5)]
+    + [(TORUS3, 2, s) for s in (7, 1)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_torus_part_certifies_at_its_bound(d, bound, seed):
+    # with two or more torus-quotient coordinates the completion basis is
+    # free up to GL(m, Z); certification must still find the generating window
+    t, prov = oracle.materialize_oracle(d, bound, seed=seed)
+    report = reconstruction.recover_datum(t)
+    assert report.certified, (report.stage, report.reason)
+    assert report.inferred_bound == bound
+    assert sorted(report.bijection.values()) == sorted(
+        oracle.window_weights(report.datum, bound)
+    )
+    assert root_datum.root_data_isomorphic(report.datum, d) is not None
+
+
+def test_hexagon_of_torus_weights_fails_certification():
+    # the 19 points with |x|, |y|, |x + y| <= 2 are a window of no datum at
+    # any bound, though they form a valid table of torus2 weights
+    hexagon = [
+        (x, y)
+        for x in range(-2, 3)
+        for y in range(-2, 3)
+        if abs(x + y) <= 2
+    ]
+    label = {w: f"w{i:02d}" for i, w in enumerate(hexagon)}
+    products = {}
+    for v, w in itertools.combinations_with_replacement(hexagon, 2):
+        total = (v[0] + w[0], v[1] + w[1])
+        key = oracle.OracleTable.pair_key(label[v], label[w])
+        products[key] = {label[total]: 1} if total in label else None
+    t = oracle.OracleTable(
+        labels=tuple(sorted(label.values())),
+        unit=label[(0, 0)],
+        dual={label[w]: label[(-w[0], -w[1])] for w in hexagon},
+        products=products,
+    )
+    oracle.validate_oracle(t)
+    report = reconstruction.recover_datum(t)
+    assert not report.certified
+    assert report.stage == "certification"
 
 
 def test_round_trip_skewed_basis_certifies():

@@ -1,9 +1,9 @@
-"""Report JSON pinned byte for byte.
+"""Oracle tables and report JSON pinned byte for byte.
 
-`reconstruct --out` must write the same bytes for the same table; a change
-to the pipeline that moves a coordinate, a label or a verdict shows here.
-The digests are sha256 of the files written by `gen-oracle --seed 7` and
-`reconstruct`.
+`gen-oracle` and `reconstruct --out` must write the same bytes for the same
+input; a change to the materializer or the pipeline that moves a label, a
+cell, a coordinate or a verdict shows here.  The digests are sha256 of the
+files written by `gen-oracle --seed 7` and by `reconstruct` on them.
 """
 
 import hashlib
@@ -11,6 +11,20 @@ import hashlib
 import pytest
 
 from semiroot import cli
+
+TABLE_SHA256 = [
+    ("g2", 3, "0297983fea4fa023012d98f4aa1dcc8606fc1cd926e966b1fafe76e1099dbb1b"),
+    ("gl2", 3, "65067a607c8bd2cd1a7510916ff51c58ec543f2ee7f2b879333ba118e9139868"),
+    ("pgl2", 3, "b91891ac5d71ff22ada31165f87ec26e0b9219dcddcda6c2b1a3ae0ade68bb42"),
+    ("pgl3", 3, "4ed988739080224d4a7270bb7748b10464dd466f77bdfd8f2cd5d3a8ff99e540"),
+    ("sl2", 3, "c86f5d8c5fa55aaf273dc0cf84d828be3532b01afb362800a5cf13436448e612"),
+    ("sl2xpgl2", 3, "66d2ef2a236ba893bff16482b73b58473527565a042475405b7b27f735682f25"),
+    ("sl3", 3, "e3458f3a799b7f8e8bb62308cbd7ea1db93580a592604d2730800f29e3d894f4"),
+    ("so5", 3, "d74b319745753d83439cc996d2159ad3ee5df44fe72c3971dd8c969760cebe63"),
+    ("sp4", 3, "4b8e3f7390993fbd1046d1d8e221a94cdb3168063d37e30bfa6c92c6889e82f0"),
+    ("torus1", 3, "c17149662d5a1db1cb0dde2164c6a800e4c261b67a70e502dd6c40bb2c68afb3"),
+    ("torus2", 3, "c78fe655ed9c1ceec72880aa23944c3f3f6a3830ff3eba82e184a8c827af2ce6"),
+]
 
 REPORT_SHA256 = [
     ("g2", 3, "dc754a9dc442a2954be724ad9d6fb72ce86329e869addd036a5d639c72ea1926"),
@@ -23,8 +37,8 @@ REPORT_SHA256 = [
     ("so5", 3, "88dc2edbcdf6cb07a3f89cc1b615d4808c4c07bf4e10d9f47781bee33e61fa10"),
     ("sp4", 3, "d920e6152fbb824a44bde38c248212bc5834eb6a775914a74af3917cd4f8f080"),
     ("torus1", 3, "2c03f1c1ea1ff7dcb85c21d610b526a61bcb302e8ef55d92773e5e150998adb1"),
-    ("torus2", 3, "4d37a27c21a49fe95df1b871c448745b306fbf2a4189cb36e6711ae1ec698fab"),
-    ("torus2", 4, "4050bb30a549f788e225fd544fafa22f20990a37453529d75dad97e93e493eb6"),
+    ("torus2", 3, "8f7064b936b3ebe5eca541353c454821436d3019bb199f9e5e04ffc656bcdd78"),
+    ("torus2", 4, "2b003a6cf57deecc8cecc03b11d282da9903844a55093328cf704bb0eb104f87"),
 ]
 
 
@@ -36,3 +50,12 @@ def test_report_bytes_pinned(name, bound, digest, tmp_path):
     )
     cli.main(["reconstruct", "--oracle", str(table), "--out", str(report)])
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,bound,digest", TABLE_SHA256, ids=lambda v: str(v)[:8])
+def test_table_bytes_pinned(name, bound, digest, tmp_path):
+    table = tmp_path / "table.txt"
+    cli.main(
+        ["gen-oracle", "--datum", name, "--bound", str(bound), "--seed", "7", "--out", str(table)]
+    )
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
