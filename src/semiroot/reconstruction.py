@@ -418,11 +418,18 @@ def recover_addition(t: OracleTable, order: RecoveredOrder) -> RecoveredMonoid:
 
 
 def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
-    """Step 3: group completion of the partial monoid via Smith normal form.
+    """Step 3: group completion of the partial monoid.
 
-    Labels appearing in some addition identity are embedded into the free
-    quotient; torsion in the completion means the table was inconsistent.
-    Returns (rank, embedding).
+    Every addition identity x + y = z is a relation x + y - z on the labels.
+    The relations are eliminated in sorted order (Tietze elimination, as in
+    Havas, Majewski and Matthews): once the labels eliminated so far are
+    substituted, a relation that vanishes is dropped, one with a +-1
+    coefficient solves for one such label, and any other is kept as a
+    residual relation.  The Smith normal form of the residual relations over
+    the labels left free gives their coordinates in the free quotient, and
+    each eliminated label takes the value of its expression.  Torsion in the
+    completion means the table was inconsistent.  Labels appearing in no
+    relation are not embedded.  Returns (rank, embedding).
     """
     relations: list[dict[str, int]] = []
     for (x, y), z in sorted(m.add.items()):
@@ -435,11 +442,43 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
     constrained = sorted({lbl for rel in relations for lbl in rel})
     if not constrained:
         raise StageFailure("lattice", "no addition identities to complete")
-    col = {lbl: i for i, lbl in enumerate(constrained)}
-    mat = [[0] * len(relations) for _ in constrained]
-    for j, rel in enumerate(relations):
+    # expr holds each eliminated label over the free labels only; users
+    # indexes, for each free label, the expressions it appears in
+    expr: dict[str, dict[str, int]] = {}
+    users: dict[str, set[str]] = {}
+    residual: list[dict[str, int]] = []
+    for rel in relations:
+        rel = _substitute(rel, expr)
+        if not rel:
+            continue
+        units = [lbl for lbl, c in rel.items() if abs(c) == 1]
+        if not units:
+            residual.append(rel)
+            continue
+        pivot = min(units)  # a fixed rule: the completion is the same in every run
+        c = rel.pop(pivot)
+        solved = {lbl: -c * v for lbl, v in rel.items()}
+        for user in users.pop(pivot, ()):
+            e = expr[user]
+            k = e.pop(pivot)
+            for lbl, v in solved.items():
+                total = e.get(lbl, 0) + k * v
+                if total:
+                    e[lbl] = total
+                    users.setdefault(lbl, set()).add(user)
+                else:
+                    del e[lbl]
+                    users[lbl].discard(user)
+        expr[pivot] = solved
+        for lbl in solved:
+            users.setdefault(lbl, set()).add(pivot)
+    free = [lbl for lbl in constrained if lbl not in expr]
+    residual = [rel for rel in (_substitute(r, expr) for r in residual) if rel]
+    row = {lbl: i for i, lbl in enumerate(free)}
+    mat = [[0] * len(residual) for _ in free]
+    for j, rel in enumerate(residual):
         for lbl, c in rel.items():
-            mat[col[lbl]][j] = c
+            mat[row[lbl]][j] = c
     d, u = linalg.smith_normal_form(mat)
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     r = sum(1 for x in diag if x != 0)
@@ -447,9 +486,13 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
         raise StageFailure(
             "lattice", "torsion in the group completion: inconsistent oracle"
         )
-    rank = len(constrained) - r
+    rank = len(free) - r
+    basis = {lbl: tuple(u[i][row[lbl]] for i in range(r, len(free))) for lbl in free}
     embedding = {
-        lbl: tuple(u[i][col[lbl]] for i in range(r, len(constrained)))
+        lbl: tuple(
+            sum(c * basis[f][i] for f, c in expr.get(lbl, {lbl: 1}).items())
+            for i in range(rank)
+        )
         for lbl in constrained
     }
     for (x, y), z in m.add.items():
@@ -457,6 +500,15 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
             if vec_add(embedding[x], embedding[y]) != embedding[z]:
                 raise StageFailure("lattice", f"completion broke identity {x}+{y}={z}")
     return rank, embedding
+
+
+def _substitute(rel: dict[str, int], expr: dict[str, dict[str, int]]) -> dict[str, int]:
+    """The relation with every eliminated label replaced by its expression."""
+    out: dict[str, int] = {}
+    for lbl, c in rel.items():
+        for f, v in expr.get(lbl, {lbl: 1}).items():
+            out[f] = out.get(f, 0) + c * v
+    return {f: v for f, v in out.items() if v != 0}
 
 
 def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec, ...]:

@@ -158,21 +158,94 @@ def test_snf_decomposition(rows):
                 assert x == 0
 
 
+def relation_matrix(monoid):
+    """The monoid's constrained labels and its labels by relations matrix, one
+    column x + y - z for each addition identity that does not cancel."""
+    relations = []
+    for (x, y), z in sorted(monoid.add.items()):
+        rel = {}
+        for lbl, c in ((x, 1), (y, 1), (z, -1)):
+            rel[lbl] = rel.get(lbl, 0) + c
+        rel = {k: v for k, v in rel.items() if v != 0}
+        if rel:
+            relations.append(rel)
+    constrained = sorted({lbl for rel in relations for lbl in rel})
+    row = {lbl: i for i, lbl in enumerate(constrained)}
+    mat = [[0] * len(relations) for _ in constrained]
+    for j, rel in enumerate(relations):
+        for lbl, c in rel.items():
+            mat[row[lbl]][j] = c
+    return constrained, mat
+
+
+def reference_recover_lattice(monoid):
+    """The dense group completion the library used to compute: the Smith
+    normal form of the whole relation matrix."""
+    constrained, mat = relation_matrix(monoid)
+    if not constrained:
+        raise reconstruction.StageFailure("lattice", "no addition identities to complete")
+    d, u = linalg.smith_normal_form(mat)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    r = sum(1 for x in diag if x != 0)
+    if any(x > 1 for x in diag[:r]):
+        raise reconstruction.StageFailure(
+            "lattice", "torsion in the group completion: inconsistent oracle"
+        )
+    embedding = {
+        lbl: tuple(u[i][j] for i in range(r, len(constrained)))
+        for j, lbl in enumerate(constrained)
+    }
+    return len(constrained) - r, embedding
+
+
 @pytest.mark.parametrize("name,bound", [("gl2", 4), ("torus2", 3)])
-def test_snf_relation_matrix_matches_reference(name, bound, monkeypatch):
-    """The lattice stage's own input: the relation matrix of a round trip."""
+def test_snf_relation_matrix_matches_reference(name, bound):
+    """The dense completion's input: the relation matrix of a round trip."""
     table, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=7)
     order = reconstruction.recover_order(table)
     monoid = reconstruction.recover_addition(table, order)
-    seen = []
-    original = linalg.smith_normal_form
-    monkeypatch.setattr(
-        linalg, "smith_normal_form", lambda mat: seen.append(mat) or original(mat)
-    )
-    reconstruction.recover_lattice(monoid)
-    (mat,) = seen
+    _, mat = relation_matrix(monoid)
     assert len(mat) < len(mat[0])  # labels by relations: the wide shape
     assert_matches_reference(mat)
+
+
+def undecided_order(table):
+    """An order that decides no pair, so recover_addition breaks no ties."""
+    return reconstruction.RecoveredOrder(
+        labels=table.labels, classes=dict.fromkeys(table.labels, 0), decided={}
+    )
+
+
+def completion(monoid, complete):
+    try:
+        return complete(monoid)
+    except reconstruction.StageFailure as e:
+        return e.reason
+
+
+@pytest.mark.parametrize(
+    "name,bound",
+    [(name, bound) for name in root_datum.fixture_names() for bound in (2, 3, 4)],
+)
+def test_lattice_matches_dense_reference(name, bound):
+    # the undecided order gives these tables the monoid recover_order does,
+    # without the order search
+    table, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=7)
+    monoid = reconstruction.recover_addition(table, undecided_order(table))
+    got = completion(monoid, reconstruction.recover_lattice)
+    want = completion(monoid, reference_recover_lattice)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (rank, embedding), (ref_rank, ref_embedding) = got, want
+    assert rank == ref_rank and embedding.keys() == ref_embedding.keys()
+    # one M in GL(rank, Z) carries the dense coordinates of every label to the new
+    labels = sorted(embedding)
+    rows = [list(ref_embedding[x]) for x in labels]
+    m = [linalg.solve(rows, [embedding[x][i] for x in labels]) for i in range(rank)]
+    assert all(row is not None and all(c.denominator == 1 for c in row) for row in m)
+    assert abs(linalg.det(m)) == 1
 
 
 @given(small_matrix)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from semiroot import char_engine, oracle, polytope, reconstruction, root_datum
+from semiroot import char_engine, linalg, oracle, polytope, reconstruction, root_datum
 from semiroot.reconstruction import StageFailure
 
 
@@ -170,6 +170,38 @@ def test_lattice_rank_gl2():
     assert rank == 2
 
 
+def test_lattice_torsion_fails():
+    # e + e = e and a + a = e: eliminating e = 2a leaves the relation 2a,
+    # which has no unit coefficient and reaches the residual Smith form
+    monoid = reconstruction.RecoveredMonoid(
+        labels=("a", "e"), zero="e", add={("a", "a"): "e", ("e", "e"): "e"}, undefined=()
+    )
+    with pytest.raises(StageFailure) as e:
+        reconstruction.recover_lattice(monoid)
+    assert (e.value.stage, e.value.reason) == (
+        "lattice", "torsion in the group completion: inconsistent oracle"
+    )
+
+
+def test_lattice_g2_bound4_entries_stay_small():
+    # this relabeling made the dense Smith normal form of all 159 relations
+    # grow its entries without limit; an order that decides nothing gives
+    # recover_addition the same monoid without the seconds of order search
+    t, _ = oracle.materialize_oracle(root_datum.fixture("g2"), 4, seed=3)
+    order = reconstruction.RecoveredOrder(
+        labels=t.labels, classes=dict.fromkeys(t.labels, 0), decided={}
+    )
+    monoid = reconstruction.recover_addition(t, order)
+    assert len(monoid.add) == 159
+    rank, embedding = reconstruction.recover_lattice(monoid)
+    assert rank == 2
+    assert embedding[monoid.zero] == (0, 0)
+    for (x, y), z in monoid.add.items():
+        if {x, y, z} <= embedding.keys():  # a label only in x + 0 = x is not embedded
+            assert tuple(a + b for a, b in zip(embedding[x], embedding[y])) == embedding[z]
+    assert max(abs(c) for v in embedding.values() for c in v).bit_length() <= 16
+
+
 def test_simple_roots_sl2(sl2_oracle):
     _, t, prov = sl2_oracle
     order = reconstruction.recover_order(t)
@@ -326,16 +358,30 @@ def test_hexagon_of_torus_weights_fails_certification():
 
 
 def test_round_trip_skewed_basis_certifies():
-    # this relabeling of A3 completes to a basis with coordinates of over 50 bits;
-    # certification's window box must not grow with them
+    # this relabeling of A3 once completed to coordinates of over 50 bits;
+    # the completion now keeps them small, and certification's window box
+    # must still not grow with the coordinates of a skewed basis
     a3 = root_datum.RootDatum(
         3, ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     )
     t, _ = oracle.materialize_oracle(a3, 2, seed=285521)
     report = reconstruction.recover_datum(t)
-    assert report.certified
-    assert max(abs(x) for a in report.datum.simple_roots for x in a).bit_length() > 50
+    assert report.certified and report.inferred_bound == 2
     assert root_datum.root_data_isomorphic(report.datum, a3) is not None
+    assert max(abs(c) for v in report.embedding.values() for c in v).bit_length() <= 8
+    # g and its inverse, with entries of over 50 bits, have determinant 1
+    n = 2**51 + 1
+    g = [[1, n, 0], [0, 1, n], [0, 0, 1]]
+    g_inv_t = [[1, 0, 0], [-n, 1, 0], [n * n, -n, 1]]
+    skewed = root_datum.RootDatum(
+        3,
+        tuple(linalg.mat_vec(g, a) for a in report.datum.simple_roots),
+        tuple(linalg.mat_vec(g_inv_t, c) for c in report.datum.simple_coroots),
+    )
+    embedding = {x: linalg.mat_vec(g, v) for x, v in report.embedding.items()}
+    assert max(abs(c) for a in skewed.simple_roots for c in a).bit_length() > 50
+    bound, _ = reconstruction._certify(t, skewed, embedding)
+    assert bound == 2
 
 
 def test_recover_datum_deterministic(sl3_oracle):

@@ -27,18 +27,18 @@ TABLE_SHA256 = [
 ]
 
 REPORT_SHA256 = [
-    ("g2", 3, "dc754a9dc442a2954be724ad9d6fb72ce86329e869addd036a5d639c72ea1926"),
-    ("gl2", 3, "30c56622ec68df4f7c2dcaf4bc5ef024d336b065fc7f26141e3d10cc9afd0452"),
+    ("g2", 3, "f7b7cf191b7b5126b0d74f88490e25499de2e9fbf900128a69a2a2481e11e5a1"),
+    ("gl2", 3, "bac6cea1e1961a636576cfdf4531d25d137a96f9f66d7ac3f4be16c3b60d57a3"),
     ("pgl2", 3, "2be0a732b253126167a5c6c87746c46d8a5638c33f5d6d0c72a5f3acab1030f9"),
     ("pgl3", 3, "3855a734162acf6059c34484a00141e469ac31f42e589bf75da291c974926a46"),
     ("sl2", 3, "7be68f60af06ec45e1a784dc0189cee7560fed03f2bb154bb6b5559e31ec2c9f"),
     ("sl2xpgl2", 3, "86b83607d6f76443f355039c11d794bc6e6385df0f37c2dda525c69464a8e1e8"),
     ("sl3", 3, "0f6c63f16a7426d2044a35975aa06d91caa9be40236fd79427af393341e5e063"),
     ("so5", 3, "88dc2edbcdf6cb07a3f89cc1b615d4808c4c07bf4e10d9f47781bee33e61fa10"),
-    ("sp4", 3, "d920e6152fbb824a44bde38c248212bc5834eb6a775914a74af3917cd4f8f080"),
+    ("sp4", 3, "cc03b20b520adf5daf94105b93a49dce639be22a37a2621c4b5fc66aeb98c1fa"),
     ("torus1", 3, "2c03f1c1ea1ff7dcb85c21d610b526a61bcb302e8ef55d92773e5e150998adb1"),
-    ("torus2", 3, "8f7064b936b3ebe5eca541353c454821436d3019bb199f9e5e04ffc656bcdd78"),
-    ("torus2", 4, "2b003a6cf57deecc8cecc03b11d282da9903844a55093328cf704bb0eb104f87"),
+    ("torus2", 3, "de5e3e3bab59fdac5889414b290886f710385a977f91726d059790bde5536aca"),
+    ("torus2", 4, "de63fec9a5feff5f284665b6e5e5d5c289558e3915a5b5efde9c008b94be0114"),
 ]
 
 
