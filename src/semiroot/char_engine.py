@@ -85,7 +85,7 @@ def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
     if cached is not None:
         return cached
     d = ctx.datum
-    columns = tuple(zip(*ctx.cartan))
+    columns = ctx.columns
     scale = math.lcm(*(s.denominator for s in ctx.symmetrizers))
     sym = [int(s * scale) for s in ctx.symmetrizers]
     roots = [(d.pairing(a), cov, sym[origin]) for a, cov, origin in ctx.positive_roots]
@@ -164,10 +164,15 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     """
     lam = _require_dominant(d, lam, "left weight")
     mu = _require_dominant(d, mu, "right weight")
-    ctx = root_datum.weyl_context(d)
+    return decompose_checked(root_datum.weyl_context(d), lam, mu)
+
+
+def decompose_checked(ctx: root_datum.WeylContext, lam: Vec, mu: Vec) -> Decomposition:
+    """`tensor_decompose` on weights the caller has checked: dominant tuples of full length."""
+    d = ctx.datum
     if _dimension(ctx, mu) > _dimension(ctx, lam):
         lam, mu = mu, lam
-    columns = tuple(zip(*ctx.cartan))
+    columns = ctx.columns
     shifted = tuple(x + 1 for x in d.pairing(lam))  # pairings of lam + rho
     acc: dict[Vec, int] = {}
     for delta, m in _dominant_mults(ctx, mu).items():

@@ -9,6 +9,7 @@ every component of an in-window product is itself a label.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -28,6 +29,15 @@ class OracleFormatError(ValueError):
 
 @dataclass
 class OracleTable:
+    """Labels, the unit, the duality and the product cell of every unordered pair.
+
+    `products` is the canonical field, keyed by `pair_key`; a cell is None
+    when the pair is out of window.  `format_oracle` and table equality read
+    it.  Every other read goes through `rows`, the symmetric row index built
+    from `products` on first read.  A table is not mutated after
+    construction, so the index never goes stale.
+    """
+
     labels: tuple[str, ...]
     unit: str
     dual: dict[str, str]
@@ -37,11 +47,17 @@ class OracleTable:
     def pair_key(x: str, y: str) -> tuple[str, str]:
         return (x, y) if x <= y else (y, x)
 
-    def product(self, x: str, y: str) -> dict[str, int] | None:
-        return self.products[self.pair_key(x, y)]
+    @functools.cached_property
+    def rows(self) -> dict[str, dict[str, dict[str, int] | None]]:
+        """rows[x][y] is the cell of x and y, in both orders."""
+        rows: dict[str, dict[str, dict[str, int] | None]] = {}
+        for (x, y), val in self.products.items():
+            rows.setdefault(x, {})[y] = val
+            rows.setdefault(y, {})[x] = val
+        return rows
 
-    def in_window(self, x: str, y: str) -> bool:
-        return self.products[self.pair_key(x, y)] is not None
+    def product(self, x: str, y: str) -> dict[str, int] | None:
+        return self.rows[x][y]
 
 
 def window_weights(d: RootDatum, bound: int) -> tuple[Vec, ...]:
@@ -92,15 +108,18 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
 
     A pair is in window when its Cartan component is a window weight; the
     window is closed downward, so every component of its product is one too.
+    Raises ValueError on a weight that is not dominant.
     """
+    # dual_label checks each weight, so the products skip the checks per pair
+    dual = {w: char_engine.dual_label(d, w) for w in weights}
+    ctx = root_datum.weyl_context(d)
     wset = set(weights)
     products: dict[tuple[Vec, Vec], dict[Vec, int] | None] = {}
     for i, w1 in enumerate(weights):
         for w2 in weights[i:]:
             inside = vec_add(w1, w2) in wset
-            cell = char_engine.tensor_decompose(d, w1, w2) if inside else None
+            cell = char_engine.decompose_checked(ctx, w1, w2) if inside else None
             products[OracleTable.pair_key(w1, w2)] = cell
-    dual = {w: char_engine.dual_label(d, w) for w in weights}
     return OracleTable(labels=weights, unit=(0,) * d.rank, dual=dual, products=products)
 
 
@@ -209,12 +228,17 @@ def parse_oracle(text: str) -> OracleTable:
 ASSOC_BUDGET = 5000
 
 
-def validate_oracle(t: OracleTable) -> None:
+def validate_oracle(t: OracleTable) -> int:
     """Check table well-formedness and the semiring axioms on the window.
 
-    Raises OracleError naming the first failed axiom.  Associativity is
-    checked on triples whose expansions stay fully in window, up to
-    ASSOC_BUDGET of them, in deterministic order.
+    Raises OracleError naming the first failed axiom, and otherwise returns
+    the number of associativity triples checked.  Associativity is
+    checked on the triples x, y, z at label positions i <= j <= k whose
+    cells x*y and y*z are in window and whose expansions stay fully in
+    window, up to ASSOC_BUDGET of them, in the order of
+    `itertools.combinations_with_replacement(t.labels, 3)`.  Only those
+    triples are walked: for each x its in-window partners y from x on, for
+    each y its in-window partners z from y on.
     """
     lset = set(t.labels)
     if len(t.labels) != len(lset) or not t.labels:
@@ -247,40 +271,52 @@ def validate_oracle(t: OracleTable) -> None:
                 raise OracleError(f"closure: unknown component {z} in {key}")
             if m < 1:
                 raise OracleError(f"closure: nonpositive multiplicity in {key}")
+    rows = t.rows
     for x in t.labels:
-        row = t.product(t.unit, x)
-        if row != {x: 1}:
+        if rows[t.unit][x] != {x: 1}:
             raise OracleError(f"unit: product with {x} must be that label alone")
     for x in t.labels:
-        square = t.product(x, x)
+        square = rows[x][x]
         if square == {x: 1} and x != t.unit:
             raise OracleError(f"unit: {x} behaves like a second unit")
-        pairing = t.product(x, t.dual[x])
+        pairing = rows[x][t.dual[x]]
         if pairing is not None and pairing.get(t.unit) != 1:
             raise OracleError(f"duality: unit multiplicity in {x} times its dual")
 
-    def expand(left: dict[str, int], z: str) -> dict[str, int] | None:
+    def expand(left: dict[str, int], row: dict) -> dict[str, int] | None:
+        """The product of a formal sum with the label of `row`; None when it leaves the window."""
         acc: dict[str, int] = {}
         for nu, c in left.items():
-            cell = t.product(nu, z)
+            cell = row[nu]
             if cell is None:
                 return None
             for w, m in cell.items():
                 acc[w] = acc.get(w, 0) + c * m
         return acc
 
+    labels = t.labels
+    # partners[i]: the positions j >= i whose cell with label i is in window
+    partners = [
+        [j for j in range(i, len(labels)) if rows[x][labels[j]] is not None]
+        for i, x in enumerate(labels)
+    ]
     checked = 0
-    for x, y, z in itertools.combinations_with_replacement(t.labels, 3):
-        if checked >= ASSOC_BUDGET:
-            break
-        xy = t.product(x, y)
-        yz = t.product(y, z)
-        if xy is None or yz is None:
-            continue
-        lhs = expand(xy, z)
-        rhs = expand(yz, x)
-        if lhs is None or rhs is None:
-            continue
-        checked += 1
-        if lhs != rhs:
-            raise OracleError(f"associativity: ({x} {y}) {z} differs from {x} ({y} {z})")
+    for i, x in enumerate(labels):
+        row_x = rows[x]
+        for j in partners[i]:
+            y = labels[j]
+            xy, row_y = row_x[y], rows[y]
+            for k in partners[j]:
+                z = labels[k]
+                lhs = expand(xy, rows[z])
+                if lhs is None:
+                    continue
+                rhs = expand(row_y[z], row_x)
+                if rhs is None:
+                    continue
+                if lhs != rhs:
+                    raise OracleError(f"associativity: ({x} {y}) {z} differs from {x} ({y} {z})")
+                checked += 1
+                if checked >= ASSOC_BUDGET:
+                    return checked
+    return checked

@@ -18,6 +18,7 @@ coordinates only appear after the group completion invents them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -103,8 +104,9 @@ def _expand_known(
     """
     acc: Sem = {}
     unknown = False
+    row = t.rows[factor]
     for nu, c in sem.items():
-        cell = t.product(nu, factor)
+        cell = row[nu]
         if cell is None:
             unknown = True
             continue
@@ -117,8 +119,9 @@ def _expand_known_sem(t: OracleTable, sem: Sem, other: Sem) -> tuple[Sem, bool]:
     acc: Sem = {}
     unknown = False
     for x, cx in sem.items():
+        row = t.rows[x]
         for y, cy in other.items():
-            cell = t.product(x, y)
+            cell = row[y]
             if cell is None:
                 unknown = True
                 continue
@@ -263,8 +266,9 @@ def recover_order(
             # reaches mu next to lam, or escapes the window
             hits: set[str] = set()
             open_edge: set[str] = set()
+            row = t.rows[lam]
             for x in labels:
-                cell = t.product(x, lam)
+                cell = row[x]
                 if cell is None:
                     open_edge.add(x)
                 elif mu in cell:
@@ -387,7 +391,7 @@ def recover_addition(t: OracleTable, order: RecoveredOrder) -> RecoveredMonoid:
     guessed; reconstruction fails later if it truly needs one of them.
     """
     profile: dict[str, frozenset[str]] = {
-        x: frozenset(y for y in t.labels if t.in_window(x, y)) for x in t.labels
+        x: frozenset(y for y, cell in t.rows[x].items() if cell is not None) for x in t.labels
     }
     add: dict[tuple[str, str], str] = {}
     undefined: list[tuple[str, str]] = []
@@ -537,7 +541,10 @@ def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec
     phi = polytope.positive_functional(clist)
     if phi is None:
         raise StageFailure("roots", "the root candidates lie in no open half-space")
-    weight = {c: polytope.dot_f(phi, c) for c in clist}
+    # a positive multiple of phi orders every comparison below as phi does
+    scale = math.lcm(*(c.denominator for c in phi))
+    phi = tuple(int(c * scale) for c in phi)
+    weight = {c: dot(phi, c) for c in clist}
     memo: dict[Vec, bool] = {}
 
     def reachable(v: Vec) -> bool:
@@ -546,7 +553,7 @@ def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec
         if got is not None:
             return got
         memo[v] = False
-        fv = polytope.dot_f(phi, v)
+        fv = dot(phi, v)
         for c in clist:
             if weight[c] > fv:
                 continue
@@ -580,7 +587,7 @@ def recover_simple_coroots(
     # scans near the window ceiling can stop a step early when the weight
     # above fell out of the embedding, so interior labels (large profiles)
     # are trusted first and ceiling equations get dropped on inconsistency
-    profile_size = {x: sum(1 for y in t.labels if t.in_window(x, y)) for x in t.labels}
+    profile_size = {x: sum(cell is not None for cell in t.rows[x].values()) for x in t.labels}
     usable: list[tuple[int, str, Vec]] = []
     for mu, mv in sorted(embedding.items()):
         if t.product(mu, mu) is not None:

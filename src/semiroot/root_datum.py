@@ -311,6 +311,11 @@ class WeylContext:
         return tuple(vals)  # type: ignore[arg-type]
 
     @functools.cached_property
+    def columns(self) -> Matrix:
+        """Columns of the Cartan matrix: column i holds <coroot_j, root_i> over j."""
+        return tuple(zip(*self.cartan))
+
+    @functools.cached_property
     def cartan_adjugate(self) -> tuple[Matrix, int]:
         adj, det = linalg.adjugate(self.cartan)
         return tuple(map(tuple, adj)), det

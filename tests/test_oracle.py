@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -132,6 +133,117 @@ def test_materialize_relabels_window_table(name):
         image = None if val is None else {prov[z]: m for z, m in val.items()}
         assert image == window.product(prov[x], prov[y])
     assert len(t.products) == len(window.products)
+
+
+def test_window_table_rejects_nondominant_weight():
+    sl3 = root_datum.fixture("sl3")
+    weights = oracle.window_weights(sl3, 1) + ((1, -1),)
+    with pytest.raises(ValueError, match="not dominant"):
+        oracle.window_table(sl3, weights)
+
+
+FIXTURE_TABLES = [(n, b) for n in root_datum.fixture_names() for b in (2, 3)]
+
+
+@pytest.mark.parametrize("name,bound", FIXTURE_TABLES)
+def test_rows_index_every_pair_in_both_orders(name, bound):
+    t, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=7)
+    for x in t.labels:
+        for y in t.labels:
+            assert t.rows[x][y] is t.products[OracleTable.pair_key(x, y)]
+
+
+def reference_associativity(t):
+    """The associativity check as a walk over every triple of
+    combinations_with_replacement, skipping those not fully in window; returns
+    the number of triples checked."""
+
+    def expand(left, z):
+        acc = {}
+        for nu, c in left.items():
+            cell = t.products[OracleTable.pair_key(nu, z)]
+            if cell is None:
+                return None
+            for w, m in cell.items():
+                acc[w] = acc.get(w, 0) + c * m
+        return acc
+
+    checked = 0
+    for x, y, z in itertools.combinations_with_replacement(t.labels, 3):
+        if checked >= oracle.ASSOC_BUDGET:
+            break
+        xy = t.products[OracleTable.pair_key(x, y)]
+        yz = t.products[OracleTable.pair_key(y, z)]
+        if xy is None or yz is None:
+            continue
+        lhs = expand(xy, z)
+        rhs = expand(yz, x)
+        if lhs is None or rhs is None:
+            continue
+        checked += 1
+        if lhs != rhs:
+            raise OracleError(f"associativity: ({x} {y}) {z} differs from {x} ({y} {z})")
+    return checked
+
+
+def _verdict(check, t):
+    try:
+        return "valid", check(t)
+    except OracleError as e:
+        return str(e), None
+
+
+def _mutate(text, rng):
+    """One to three changed product cells: a raised multiplicity, a swapped
+    component or a cell marked out of window."""
+    lines = text.splitlines()
+    labels = lines[0].split()[1:]
+    for _ in range(rng.randint(1, 3)):
+        cells = [i for i, line in enumerate(lines) if line.startswith("prod") and "?" not in line]
+        if not cells:
+            break
+        i = rng.choice(cells)
+        head, body = lines[i].split(" : ")
+        parts = body.split()
+        j = rng.randrange(len(parts))
+        z, m = parts[j].rsplit("*", 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            parts[j] = f"{z}*{int(m) + 1}"
+        elif kind == 1:
+            parts[j] = f"{rng.choice([x for x in labels if x != z])}*{m}"
+        else:
+            parts = ["?"]
+        lines[i] = head + " : " + " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _unsorted(text, rng):
+    """The same table with its labels: line shuffled."""
+    head, rest = text.split("\n", 1)
+    labels = head.split()[1:]
+    rng.shuffle(labels)
+    return "labels: " + " ".join(labels) + "\n" + rest
+
+
+@pytest.mark.parametrize("name,bound", FIXTURE_TABLES)
+def test_validate_walk_matches_reference(name, bound, monkeypatch):
+    table, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=7)
+    text = oracle.format_oracle(table)
+    rng = random.Random(f"{name}@{bound}")
+    texts = [text, _unsorted(text, rng)]
+    texts += [_mutate(texts[k % 2], rng) for k in range(16)]
+    for budget in (1, 40, oracle.ASSOC_BUDGET):
+        monkeypatch.setattr(oracle, "ASSOC_BUDGET", budget)
+        for body in texts:
+            try:
+                t = oracle.parse_oracle(body)
+            except OracleFormatError:
+                continue  # a repeated component
+            got = _verdict(oracle.validate_oracle, t)
+            # the checks before the walk stop the other tables
+            if got[0] == "valid" or got[0].startswith("associativity"):
+                assert got == _verdict(reference_associativity, t)
 
 
 def test_format_parse_round_trip(sl3_oracle):
