@@ -220,16 +220,16 @@ def fundamental_monoid_generators(d: RootDatum) -> tuple[Vec, ...]:
     """
     if d.semisimple_rank != d.rank:
         raise ValueError("dominant monoid is finitely generated only for semisimple data")
-    # a pairing vector p is a weight exactly when adj(F) p is divisible by det F
-    _, adj, det = root_datum.weyl_context(d).coordinates
+    ctx = root_datum.weyl_context(d)
+    _, adj, det = ctx.coordinates
     # least positive multiple of each pairing axis that is a weight; every
     # minimal monoid element fits under the box they span
     axis_mult = [abs(det) // math.gcd(det, *col) for col in zip(*adj)]
     members: list[tuple[Vec, Vec]] = []  # (pairing vector, weight)
     for p in itertools.product(*(range(0, m + 1) for m in axis_mult)):
-        x = linalg.mat_vec(adj, p)
-        if any(p) and all(c % det == 0 for c in x):
-            members.append((p, tuple(c // det for c in x)))
+        x = ctx.weight_at(p) if any(p) else None
+        if x is not None:
+            members.append((p, x))
     pset = {p for p, _ in members}
     gens = [
         (p, w)

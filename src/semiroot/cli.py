@@ -8,69 +8,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from itertools import product as iter_product
 from pathlib import Path
 
 from . import char_engine, linalg, oracle, polytope, reconstruction, root_datum
 from .root_datum import RootDatum, RootDatumError
 
-ENV_PREFIX = "SEMIROOT_"
-
 
 class InputError(Exception):
     """Anything wrong with what the user handed us; mapped to exit code 2."""
 
 
-@dataclass(frozen=True)
-class Config:
-    n_max: int = 3
-    bound: int = 4
-    fixture_dir: str | None = None
-
-    def check(self) -> "Config":
-        for field in ("n_max", "bound"):
-            if getattr(self, field) < 1:
-                raise InputError(f"config: {field} must be >= 1")
-        return self
-
-
-def config_from_env(environ=os.environ) -> Config:
-    """Defaults overridden by SEMIROOT_* variables; flags override both."""
-    values = {}
-    for field, caster in (
-        ("n_max", int),
-        ("bound", int),
-        ("fixture_dir", str),
-    ):
-        raw = environ.get(ENV_PREFIX + field.upper())
-        if raw is None:
-            continue
-        try:
-            values[field] = caster(raw)
-        except ValueError:
-            raise InputError(
-                f"config: {ENV_PREFIX}{field.upper()} wants {caster.__name__}, got {raw!r}"
-            ) from None
-    return Config(**values).check()
-
-
-def _load_datum(ref: str, cfg: Config) -> RootDatum:
+def _load_datum(ref: str) -> RootDatum:
     """Resolve a --datum argument: a JSON file path, or a shipped fixture name."""
-    candidates = [Path(ref)]
-    if cfg.fixture_dir is not None:
-        candidates += [Path(cfg.fixture_dir) / ref, Path(cfg.fixture_dir) / f"{ref}.json"]
-    for path in candidates:
-        if path.is_file():
-            try:
-                d = root_datum.load_datum(path)
-            except json.JSONDecodeError as e:
-                raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
-            except (KeyError, TypeError, ValueError) as e:
-                raise InputError(f"{path}: not a root datum file ({e})") from None
-            break
+    path = Path(ref)
+    if path.is_file():
+        try:
+            d = root_datum.load_datum(path)
+        except json.JSONDecodeError as e:
+            raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"{path}: not a root datum file ({e})") from None
     else:
         try:
             d = root_datum.fixture(ref)
@@ -108,12 +67,11 @@ def _write_out(path: str | None, text: str) -> None:
 # subcommands
 
 
-def cmd_gen_oracle(args, cfg: Config) -> int:
-    d = _load_datum(args.datum, cfg)
-    bound = args.bound if args.bound is not None else cfg.bound
-    if bound < 1:
+def cmd_gen_oracle(args) -> int:
+    d = _load_datum(args.datum)
+    if args.bound < 1:
         raise InputError("--bound must be >= 1")
-    table, provenance = oracle.materialize_oracle(d, bound, seed=args.seed)
+    table, provenance = oracle.materialize_oracle(d, args.bound, seed=args.seed)
     _write_out(args.out, oracle.format_oracle(table))
     if args.provenance_out is not None:
         blob = {x: list(provenance[x]) for x in table.labels}
@@ -144,7 +102,7 @@ def _report_blob(rep: reconstruction.ReconstructionReport) -> dict:
     return blob
 
 
-def cmd_reconstruct(args, cfg: Config) -> int:
+def cmd_reconstruct(args) -> int:
     path = Path(args.oracle)
     if not path.is_file():
         raise InputError(f"no such oracle file: {args.oracle}")
@@ -152,10 +110,7 @@ def cmd_reconstruct(args, cfg: Config) -> int:
         table = oracle.parse_oracle(path.read_text())
     except oracle.OracleFormatError as e:
         raise InputError(f"{args.oracle}: {e}") from None
-    n_max = args.n_max if args.n_max is not None else cfg.n_max
-    if n_max < 1:
-        raise InputError("--n-max must be >= 1")
-    rep = reconstruction.recover_datum(table, n_max=n_max)
+    rep = reconstruction.recover_datum(table)
     if rep.stage == "validate":
         rep = reconstruction.ReconstructionReport(
             verdict="rejected", stage="validation", reason=rep.reason
@@ -174,8 +129,8 @@ def _datum_from_report(blob: dict) -> RootDatum:
     try:
         d = RootDatum(
             rank=blob["rank"],
-            simple_roots=tuple(tuple(r) for r in blob["simple_roots"]),
-            simple_coroots=tuple(tuple(c) for c in blob["simple_coroots"]),
+            simple_roots=blob["simple_roots"],
+            simple_coroots=blob["simple_coroots"],
             name="recovered",
         )
     except (KeyError, TypeError) as e:
@@ -183,12 +138,12 @@ def _datum_from_report(blob: dict) -> RootDatum:
     try:
         root_datum.validate_root_datum(d)
     except RootDatumError as e:
-        raise InputError(f"report: recovered datum invalid: {e}") from None
+        raise InputError(f"report: invalid root datum: {e}") from None
     return d
 
 
-def cmd_verify(args, cfg: Config) -> int:
-    d = _load_datum(args.datum, cfg)
+def cmd_verify(args) -> int:
+    d = _load_datum(args.datum)
     path = Path(args.report)
     if not path.is_file():
         raise InputError(f"no such report file: {args.report}")
@@ -211,8 +166,8 @@ def cmd_verify(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_tensor(args, cfg: Config) -> int:
-    d = _load_datum(args.datum, cfg)
+def cmd_tensor(args) -> int:
+    d = _load_datum(args.datum)
     left = _parse_weight(args.left, d)
     right = _parse_weight(args.right, d)
     for v in (left, right):
@@ -224,8 +179,8 @@ def cmd_tensor(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_check_props(args, cfg: Config) -> int:
-    d = _load_datum(args.datum, cfg)
+def cmd_check_props(args) -> int:
+    d = _load_datum(args.datum)
     if args.max_coord < 1 or args.max_n < 1:
         raise InputError("--max-coord and --max-n must be >= 1")
     print(f"datum: {d.name} rank={d.rank} weyl_order={root_datum.weyl_order(d)}")
@@ -242,7 +197,7 @@ def cmd_check_props(args, cfg: Config) -> int:
                 continue
             pairs += 1
             try:
-                crit = polytope.order_criteria_agree(d, mu, lam, n_max=cfg.n_max)
+                crit = polytope.order_criteria_agree(d, mu, lam)
             except ArithmeticError:
                 undecided += 1
                 continue
@@ -286,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-oracle", help="materialize a windowed product table")
     p.add_argument("--datum", required=True, help="datum JSON file or fixture name")
-    p.add_argument("--bound", type=int, default=None, help="window bound (default 4)")
+    p.add_argument("--bound", type=int, default=4, help="window bound (default 4)")
     p.add_argument("--seed", type=int, default=0, help="label scrambling seed")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--provenance-out", default=None, help="write label->weight JSON")
@@ -294,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="recover a root datum from a table")
     p.add_argument("--oracle", required=True, help="oracle table file")
-    p.add_argument("--n-max", type=int, default=None, help="power horizon (default 3)")
     p.add_argument("--out", default=None, help="write report JSON here")
     p.set_defaults(func=cmd_reconstruct)
 
@@ -321,7 +275,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, config_from_env())
+        return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

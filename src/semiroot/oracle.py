@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from . import char_engine, linalg, root_datum
+from . import char_engine, root_datum
 from .linalg import Vec, vec_add
 from .root_datum import RootDatum
 
@@ -75,21 +75,17 @@ def window_box(d: RootDatum, bound: int) -> list[Vec]:
 
     With F the simple coroots stacked over the torus-quotient matrix, the box
     is every integral x with F x in [0, bound]^k x [-bound, bound]^(rank-k).
-    It is enumerated in those coordinates, keeping y when adj(F) y is
-    divisible by det(F), so its cost does not grow with how skewed the basis
-    of the character lattice is.
+    It is enumerated in those coordinates, keeping each y that is F x for a
+    weight x, so its cost does not grow with how skewed the basis of the
+    character lattice is.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    _, adj, det = root_datum.weyl_context(d).coordinates
+    ctx = root_datum.weyl_context(d)
     k = d.semisimple_rank
     ranges = [range(bound + 1)] * k + [range(-bound, bound + 1)] * (d.rank - k)
-    box: list[Vec] = []
-    for y in itertools.product(*ranges):
-        x = linalg.mat_vec(adj, y)
-        if all(c % det == 0 for c in x):
-            box.append(tuple(c // det for c in x))
-    return sorted(box)
+    box = (ctx.weight_at(y) for y in itertools.product(*ranges))
+    return sorted(x for x in box if x is not None)
 
 
 def _fresh_labels(count: int, rng: random.Random) -> list[str]:

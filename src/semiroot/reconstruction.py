@@ -630,7 +630,7 @@ def recover_simple_coroots(
     return tuple(out)
 
 
-def recover_datum(t: OracleTable, n_max: int = 3) -> ReconstructionReport:
+def recover_datum(t: OracleTable) -> ReconstructionReport:
     """Run the full pipeline and certify by reproducing the table exactly."""
     report = ReconstructionReport(verdict="failed")
     try:
@@ -639,7 +639,7 @@ def recover_datum(t: OracleTable, n_max: int = 3) -> ReconstructionReport:
         report.stage, report.reason = "validate", str(e)
         return report
     try:
-        order = recover_order(t, n_max=n_max, validated=True)
+        order = recover_order(t, validated=True)
         report.order = order
         monoid = recover_addition(t, order)
         report.monoid = monoid

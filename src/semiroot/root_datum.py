@@ -14,9 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .linalg import Vec, dot, vec_sub
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -53,12 +57,14 @@ def cartan_matrix(d: RootDatum) -> Matrix:
 
 def validate_root_datum(d: RootDatum) -> None:
     """Raise RootDatumError naming the first violated axiom."""
+    if not _is_int(d.rank):
+        raise RootDatumError("shape: rank must be an integer")
     if d.rank < 0:
         raise RootDatumError("shape: negative rank")
     if len(d.simple_roots) != len(d.simple_coroots):
         raise RootDatumError("shape: root/coroot count mismatch")
     for v in itertools.chain(d.simple_roots, d.simple_coroots):
-        if len(v) != d.rank or not all(isinstance(x, int) for x in v):
+        if len(v) != d.rank or not all(map(_is_int, v)):
             raise RootDatumError("shape: vectors must be integer and of length rank")
     k = d.semisimple_rank
     if k > d.rank:
@@ -87,6 +93,11 @@ def validate_root_datum(d: RootDatum) -> None:
         minor = [[a[i][j] for j in subset] for i in subset]
         if linalg.det(minor) <= 0:
             raise RootDatumError(f"finite type: nonpositive principal minor {list(subset)}")
+
+
+def _is_int(x) -> bool:
+    """An int and not a bool, which JSON `true` would otherwise pass for 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def reflect(d: RootDatum, i: int, x: Vec) -> Vec:
@@ -152,20 +163,6 @@ def dominance_leq_rational(d: RootDatum, mu: Vec, lam: Vec) -> bool:
 def positive_roots(d: RootDatum) -> tuple[tuple[Vec, Vec, int], ...]:
     """All positive roots as (root, coroot, index of the originating simple root)."""
     return weyl_context(d).positive_roots
-
-
-def rho2(d: RootDatum) -> Vec:
-    """Sum of all positive roots (twice the Weyl vector)."""
-    return weyl_context(d).rho2
-
-
-def symmetrizers(d: RootDatum) -> tuple[Fraction, ...]:
-    """Positive d_i with d_i * A[i][j] == d_j * A[j][i], one per simple root.
-
-    Determined up to scale on each Dynkin component; normalized so the
-    smallest value in each component is 1.
-    """
-    return weyl_context(d).symmetrizers
 
 
 CONTEXT_CACHE_SIZE = 16
@@ -284,6 +281,11 @@ class WeylContext:
 
     @functools.cached_property
     def symmetrizers(self) -> tuple[Fraction, ...]:
+        """Positive d_i with d_i * A[i][j] == d_j * A[j][i], one per simple root.
+
+        Determined up to scale on each Dynkin component; normalized so the
+        smallest value in each component is 1.
+        """
         k = self.datum.semisimple_rank
         a = self.cartan
         vals: list[Fraction | None] = [None] * k
@@ -330,6 +332,17 @@ class WeylContext:
         f = self.datum.simple_coroots + quotient_matrix(self.datum)
         adj, det = linalg.adjugate(f)
         return f, tuple(map(tuple, adj)), det
+
+    def weight_at(self, y: Vec) -> Vec | None:
+        """The weight x with F x = y, F the coordinate matrix, or None when there is none.
+
+        x is adj(F) y / det(F), a weight exactly when det(F) divides every entry.
+        """
+        _, adj, det = self.coordinates
+        x = linalg.mat_vec(adj, y)
+        if any(c % det for c in x):
+            return None
+        return tuple(c // det for c in x)
 
     def root_numerators(self, v: Vec) -> Vec | None:
         """det(Cartan) times v's coefficients over the simple roots, or None off their span.
@@ -439,26 +452,21 @@ def _unimodular_lifts(r: int, modulus: int) -> list[Matrix]:
     return list(lifts.values())
 
 
-def load_datum(path: str | Path) -> RootDatum:
-    data = json.loads(Path(path).read_text())
+def load_datum(path: str | Path | Traversable) -> RootDatum:
+    """Read a datum JSON file; its name defaults to the file's stem."""
+    path = Path(path) if isinstance(path, str) else path
+    data = json.loads(path.read_text())
     return RootDatum(
         rank=data["rank"],
-        simple_roots=tuple(tuple(r) for r in data["simple_roots"]),
-        simple_coroots=tuple(tuple(c) for c in data["simple_coroots"]),
-        name=data.get("name", Path(path).stem),
+        simple_roots=data["simple_roots"],
+        simple_coroots=data["simple_coroots"],
+        name=data.get("name", Path(path.name).stem),
     )
 
 
 def fixture(name: str) -> RootDatum:
     """Load a named datum shipped with the package."""
-    ref = resources.files(__package__).joinpath(f"fixtures/{name}.json")
-    data = json.loads(ref.read_text())
-    return RootDatum(
-        rank=data["rank"],
-        simple_roots=tuple(tuple(r) for r in data["simple_roots"]),
-        simple_coroots=tuple(tuple(c) for c in data["simple_coroots"]),
-        name=data.get("name", name),
-    )
+    return load_datum(resources.files(__package__).joinpath(f"fixtures/{name}.json"))
 
 
 def fixture_names() -> tuple[str, ...]:

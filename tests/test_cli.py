@@ -131,6 +131,44 @@ def test_check_props_skips_cover_for_torus(capsys):
     assert "cover: skipped" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen-oracle", "--datum", "sl2", "--bound", "0"), "--bound must be >= 1"),
+        (("check-props", "--datum", "sl2", "--max-coord", "0"), "--max-coord and --max-n"),
+        (("check-props", "--datum", "sl2", "--max-n", "0"), "--max-coord and --max-n"),
+    ],
+)
+def test_nonpositive_settings_rejected(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+SL3_ROOTS = [[2, -1], [-1, 2]]
+SL3_COROOTS = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("rank", [2.0, "2", None])
+def test_non_integer_rank_exits_2(tmp_path, capsys, rank):
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(
+        {"rank": rank, "simple_roots": SL3_ROOTS, "simple_coroots": SL3_COROOTS}
+    ))
+    code, out, err = run(capsys, "gen-oracle", "--datum", str(datum), "--bound", "1")
+    assert (code, out) == (2, "")
+    assert "invalid root datum: shape" in err
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({
+        "verdict": "certified", "rank": rank,
+        "simple_roots": SL3_ROOTS, "simple_coroots": SL3_COROOTS,
+    }))
+    code, out, err = run(capsys, "verify", "--datum", "sl3", "--report", str(report))
+    assert (code, out) == (2, "")
+    assert "invalid root datum: shape" in err
+
+
 def test_malformed_oracle_diagnoses_line(tmp_path, capsys):
     bad = tmp_path / "bad.oracle"
     bad.write_text("labels: a b\nunit: a\nwhat is this\n")
@@ -184,26 +222,6 @@ def test_unknown_labels_rejected_at_validation(tmp_path, capsys, line):
     assert out.startswith("verdict: rejected stage=validation reason=")
     assert "zzzzzz" in out or "yyyyyy" in out
     assert err == ""
-
-
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SEMIROOT_BOUND", "2")
-    out = tmp_path / "t.oracle"
-    run(capsys, "gen-oracle", "--datum", "sl2", "--out", str(out))
-    table = oracle.parse_oracle(out.read_text())
-    assert len(table.labels) == 3
-    monkeypatch.setenv("SEMIROOT_BOUND", "nope")
-    code, _, err = run(capsys, "gen-oracle", "--datum", "sl2", "--out", str(out))
-    assert code == 2
-    assert "SEMIROOT_BOUND" in err
-
-
-def test_flag_beats_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SEMIROOT_BOUND", "2")
-    out = tmp_path / "t.oracle"
-    run(capsys, "gen-oracle", "--datum", "sl2", "--bound", "4", "--out", str(out))
-    table = oracle.parse_oracle(out.read_text())
-    assert len(table.labels) == 5
 
 
 def test_torus2_reports_its_bound(tmp_path, capsys):

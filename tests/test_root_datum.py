@@ -53,6 +53,19 @@ def test_reject_dependent_roots():
         root_datum.validate_root_datum(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        RootDatum(rank=True, simple_roots=((2,),), simple_coroots=((1,),)),
+        RootDatum(rank=1, simple_roots=((2,),), simple_coroots=((True,),)),
+    ],
+)
+def test_reject_bool_for_integer(bad):
+    # JSON true loads as a bool, which Python would otherwise take for the integer 1
+    with pytest.raises(RootDatumError, match="shape"):
+        root_datum.validate_root_datum(bad)
+
+
 def test_is_dominant():
     sl2 = root_datum.fixture("sl2")
     assert root_datum.is_dominant(sl2, (3,))
