@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import char_engine, root_datum
-from .linalg import Vec, vec_add
+from .linalg import Vec, vec_add, vec_sub
 from .root_datum import RootDatum
 
 
@@ -105,16 +105,37 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
     A pair is in window when its Cartan component is a window weight; the
     window is closed downward, so every component of its product is one too.
     Raises ValueError on a weight that is not dominant.
+
+    Each product is decomposed once per pairing shape.  The factors of
+    V(w1) x V(w2), written as offsets from w1 + w2, and their multiplicities
+    depend only on the pairing vectors <w1, a_i^> and <w2, a_i^>: the
+    expansion runs on pairings, and the choice of the smaller factor compares
+    dimensions, which are pairings too.  So the first in-window pair of a
+    shape is decomposed, and every later pair of that shape gets its cell
+    shifted by its own w1 + w2 less the first pair's.  On a semisimple datum
+    the pairings determine the weight and no shape repeats; on a torus the
+    shape of every pair is the same.  The memo lives for this call only.
     """
     # dual_label checks each weight, so the products skip the checks per pair
     dual = {w: char_engine.dual_label(d, w) for w in weights}
     ctx = root_datum.weyl_context(d)
     wset = set(weights)
+    pairing = {w: d.pairing(w) for w in weights}
+    by_shape: dict[tuple[Vec, Vec], tuple[Vec, dict[Vec, int]]] = {}
     products: dict[tuple[Vec, Vec], dict[Vec, int] | None] = {}
     for i, w1 in enumerate(weights):
         for w2 in weights[i:]:
-            inside = vec_add(w1, w2) in wset
-            cell = char_engine.decompose_checked(ctx, w1, w2) if inside else None
+            top = vec_add(w1, w2)
+            cell = None
+            if top in wset:
+                shape = (pairing[w1], pairing[w2])
+                seen = by_shape.get(shape)
+                if seen is None:
+                    cell = char_engine.decompose_checked(ctx, w1, w2)
+                    by_shape[shape] = (top, cell)
+                else:
+                    shift = vec_sub(top, seen[0])
+                    cell = {vec_add(nu, shift): m for nu, m in seen[1].items()}
             products[OracleTable.pair_key(w1, w2)] = cell
     return OracleTable(labels=weights, unit=(0,) * d.rank, dual=dual, products=products)
 
@@ -280,7 +301,14 @@ def validate_oracle(t: OracleTable) -> int:
             raise OracleError(f"duality: unit multiplicity in {x} times its dual")
 
     def expand(left: dict[str, int], row: dict) -> dict[str, int] | None:
-        """The product of a formal sum with the label of `row`; None when it leaves the window."""
+        """The product of a formal sum with the label of `row`; None when it leaves the window.
+
+        A single label with coefficient 1 gives the row's own cell, not a copy.
+        """
+        if len(left) == 1:
+            ((nu, c),) = left.items()
+            if c == 1:
+                return row[nu]
         acc: dict[str, int] = {}
         for nu, c in left.items():
             cell = row[nu]

@@ -64,6 +64,9 @@ def reference_window_box(d, bound):
 # sl2 x T^2 (roots (2,0,0), coroots (1,0,0)) after the unimodular base change
 # [[1,0,2],[0,1,0],[2,0,5]]: roots m @ a, coroots m^-T @ c
 SL2XT2_SKEWED = root_datum.RootDatum(3, ((2, 0, 4),), ((5, 0, -2),))
+GL2XT1 = root_datum.RootDatum(3, ((1, -1, 0),), ((1, -1, 0),))
+# gl2 x T^1 after the unimodular base change [[1,0,0],[-1,1,1],[0,0,1]]
+GL2XT1_CHANGED = root_datum.RootDatum(3, ((1, -2, 0),), ((0, -1, 1),))
 
 
 @pytest.mark.parametrize(
@@ -77,14 +80,32 @@ def test_window_box_matches_coordinate_box(d, bounds):
         assert oracle.window_box(d, bound) == reference_window_box(d, bound)
 
 
-def test_materialize_matches_tensor_decompose(sl3_oracle):
-    d, t, prov = sl3_oracle
-    inv = {v: k for k, v in prov.items()}
-    for (x, y), val in t.products.items():
-        if val is None:
-            continue
-        true = char_engine.tensor_decompose(d, prov[x], prov[y])
-        assert {inv[nu]: m for nu, m in true.items()} == val
+def test_window_is_relative_to_datum_basis():
+    # the box bounds the torus-quotient coordinates in the basis that
+    # quotient_matrix returns, so isomorphic data can have different windows;
+    # each table still certifies and verifies isomorphic to its source
+    for d, size in [(GL2XT1, 40), (GL2XT1_CHANGED, 38)]:
+        assert len(oracle.window_weights(d, 2)) == size
+        t, _ = oracle.materialize_oracle(d, 2, seed=7)
+        report = reconstruction.recover_datum(t)
+        assert report.certified and report.inferred_bound == 2, (report.stage, report.reason)
+        assert root_datum.root_data_isomorphic(report.datum, d) is not None
+    assert root_datum.root_data_isomorphic(GL2XT1, GL2XT1_CHANGED) is not None
+
+
+def test_materialize_matches_tensor_decompose():
+    # window_table decomposes one pair per pairing shape and shifts the rest;
+    # the mixed data in skewed bases give shifted cells with nonzero pairings
+    cases = [(root_datum.fixture(n), b) for n in root_datum.fixture_names() for b in range(1, 5)]
+    cases += [(SL2XT2_SKEWED, 1), (SL2XT2_SKEWED, 2), (GL2XT1_CHANGED, 2)]
+    for d, bound in cases:
+        t, prov = oracle.materialize_oracle(d, bound, seed=7)
+        inv = {v: k for k, v in prov.items()}
+        for (x, y), val in t.products.items():
+            if val is None:
+                continue
+            true = char_engine.tensor_decompose(d, prov[x], prov[y])
+            assert {inv[nu]: m for nu, m in true.items()} == val, (d, bound, prov[x], prov[y])
 
 
 def test_materialize_marks_out_of_window(sl2_oracle):
@@ -226,9 +247,19 @@ def _unsorted(text, rng):
     return "labels: " + " ".join(labels) + "\n" + rest
 
 
-@pytest.mark.parametrize("name,bound", FIXTURE_TABLES)
-def test_validate_walk_matches_reference(name, bound, monkeypatch):
-    table, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=7)
+# the two mixed tables have mostly singleton cells, so their mutations run
+# through expand's single-label lookup
+WALK_TABLES = [(n, root_datum.fixture(n), b) for n, b in FIXTURE_TABLES] + [
+    ("sl2xT2-skewed", SL2XT2_SKEWED, 2),
+    ("gl2xT1-changed", GL2XT1_CHANGED, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name,d,bound", WALK_TABLES, ids=[f"{n}-{b}" for n, _, b in WALK_TABLES]
+)
+def test_validate_walk_matches_reference(name, d, bound, monkeypatch):
+    table, _ = oracle.materialize_oracle(d, bound, seed=7)
     text = oracle.format_oracle(table)
     rng = random.Random(f"{name}@{bound}")
     texts = [text, _unsorted(text, rng)]
