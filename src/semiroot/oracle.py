@@ -301,14 +301,7 @@ def validate_oracle(t: OracleTable) -> int:
             raise OracleError(f"duality: unit multiplicity in {x} times its dual")
 
     def expand(left: dict[str, int], row: dict) -> dict[str, int] | None:
-        """The product of a formal sum with the label of `row`; None when it leaves the window.
-
-        A single label with coefficient 1 gives the row's own cell, not a copy.
-        """
-        if len(left) == 1:
-            ((nu, c),) = left.items()
-            if c == 1:
-                return row[nu]
+        """The product of a formal sum with the label of `row`; None when it leaves the window."""
         acc: dict[str, int] = {}
         for nu, c in left.items():
             cell = row[nu]

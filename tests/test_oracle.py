@@ -247,8 +247,8 @@ def _unsorted(text, rng):
     return "labels: " + " ".join(labels) + "\n" + rest
 
 
-# the two mixed tables have mostly singleton cells, so their mutations run
-# through expand's single-label lookup
+# the two mixed tables have cells shifted from another pair of the same
+# pairing shape in a skewed basis, so their mutations run on shifted cells
 WALK_TABLES = [(n, root_datum.fixture(n), b) for n, b in FIXTURE_TABLES] + [
     ("sl2xT2-skewed", SL2XT2_SKEWED, 2),
     ("gl2xT1-changed", GL2XT1_CHANGED, 2),
