@@ -189,6 +189,9 @@ def parse_oracle(text: str) -> OracleTable:
             if labels is not None:
                 raise OracleFormatError(f"line {lineno}: second labels: line")
             labels = tuple(line[len("labels:") :].split())
+            bad = next((x for x in labels if ":" in x), None)
+            if bad is not None:
+                raise OracleFormatError(f"line {lineno}: label {bad!r} contains ':'")
         elif line.startswith("unit:"):
             if unit is not None:
                 raise OracleFormatError(f"line {lineno}: second unit: line")

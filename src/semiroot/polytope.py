@@ -1,9 +1,9 @@
 """Exact convex geometry for Weyl orbits.
 
-All computations are exact: feasibility by Fourier-Motzkin elimination over
-the rationals, Weyl orbit hulls by integer inequalities read off the datum,
-norms compared through their squares so no irrational number is ever
-materialized.
+All computations are exact: a functional positive on a set of vectors by
+Phase I of the simplex method over the rationals, Weyl orbit hulls by integer
+inequalities read off the datum, norms compared through their squares so no
+irrational number is ever materialized.
 """
 
 from __future__ import annotations
@@ -17,87 +17,59 @@ from . import linalg, root_datum
 from .linalg import Vec, dot, vec_add, vec_sub
 from .root_datum import RootDatum
 
-# a constraint is (coeffs, rhs) meaning coeffs . x <= rhs
-Constraint = tuple[tuple[Fraction, ...], Fraction]
-
-
-def fm_feasible(
-    constraints: list[Constraint], nvars: int
-) -> tuple[Fraction, ...] | None:
-    """A rational point satisfying every constraint, or None.
-
-    Fourier-Motzkin elimination back to front; fine for a few variables.
-    """
-    if nvars == 0:
-        ok = all(b >= 0 for a, b in constraints)
-        return () if ok else None
-    lows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    ups: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    rest: list[Constraint] = []
-    k = nvars - 1
-    for a, b in constraints:
-        c = a[k]
-        head = a[:k]
-        if c == 0:
-            rest.append((head, b))
-        elif c > 0:  # x_k <= (b - head.x)/c
-            ups.append((tuple(-h / c for h in head), b / c))
-        else:  # x_k >= (b - head.x)/c with c < 0
-            lows.append((tuple(-h / c for h in head), b / c))
-    for (la, lb), (ua, ub) in itertools.product(lows, ups):
-        # lower bound <= upper bound
-        rest.append((tuple(x - y for x, y in zip(la, ua)), ub - lb))
-    inner = fm_feasible(_dedupe(rest), k)
-    if inner is None:
-        return None
-    lo = max((lb + dot_f(la, inner) for la, lb in lows), default=None)
-    hi = min((ub + dot_f(ua, inner) for ua, ub in ups), default=None)
-    if lo is None and hi is None:
-        val = Fraction(0)
-    elif lo is None:
-        val = hi
-    elif hi is None:
-        val = lo
-    else:
-        val = (lo + hi) / 2
-    return inner + (val,)
-
-
-def dot_f(a, b) -> Fraction:
-    return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _dedupe(constraints: list[Constraint]) -> list[Constraint]:
-    seen: dict[tuple, Fraction] = {}
-    for a, b in constraints:
-        if all(x == 0 for x in a):
-            if b < 0:
-                return [(a, b)]  # infeasible marker survives
-            continue
-        key = a
-        if key not in seen or b < seen[key]:
-            seen[key] = b
-    return [(a, b) for a, b in seen.items()]
-
 
 def positive_functional(vectors) -> tuple[Fraction, ...] | None:
-    """A rational functional phi with phi(v) >= 1 for every v, if one exists.
+    """A rational functional phi with phi(v) >= 1 for every v, or None.
 
-    Exists exactly when the vectors span a pointed cone missing the origin,
-    e.g. nonzero nonnegative combinations of a root basis.
+    None exactly when 0 lies in the convex hull of the vectors, which covers
+    an empty list and a zero vector.  Each vector is cut to its primitive
+    ray p first, since phi.p >= 1 gives phi.(k p) >= 1 for every k >= 1.  By
+    Farkas' lemma phi exists exactly when A y = e, y >= 0 has no solution,
+    where A is the rays as columns over a row of ones and e is the last unit
+    vector.  Phase I of the revised simplex method with Bland's rule decides
+    that system on its n + 1 rows.  At a positive optimum the simplex
+    multipliers pi satisfy pi.A_j <= 0 < pi.e = pi[n], so phi = -pi[:n] / pi[n].
     """
-    vectors = list(vectors)
-    if not vectors:
+    rays: set[Vec] = set()
+    for v in vectors:
+        g = math.gcd(*v)
+        if g == 0:
+            return None
+        rays.add(tuple(x // g for x in v))
+    if not rays:
         return None
-    n = len(vectors[0])
-    cons: list[Constraint] = [
-        (tuple(Fraction(-x) for x in v), Fraction(-1)) for v in vectors
-    ]
-    return fm_feasible(cons, n)
+    cols = [(*p, 1) for p in sorted(rays)]
+    k, n = len(cols), len(cols[0]) - 1
+    # the inverse of the basis matrix; artificial variable i is number k + i
+    binv = [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+    basis = list(range(k, k + n + 1))
+    while True:
+        # multipliers of the sum of the artificials, scaled to integers;
+        # pi.e = pi[n] is that sum at the current basis
+        pi = [sum(r[m] for r, b in zip(binv, basis) if b >= k) for m in range(n + 1)]
+        scale = math.lcm(*(x.denominator for x in pi))
+        pi = [int(x * scale) for x in pi]
+        if pi[n] == 0:
+            return None
+        # Bland: the first column with reduced cost -pi.A_j < 0 enters
+        j = next((j for j, c in enumerate(cols) if dot(pi, c) > 0), None)
+        if j is None:
+            return tuple(Fraction(-x, pi[n]) for x in pi[:n])
+        u = [dot(r, cols[j]) for r in binv]
+        # ratio test on x_B = binv e, ties to the lowest-numbered variable
+        i = min(
+            (i for i in range(n + 1) if u[i] > 0),
+            key=lambda i: (binv[i][n] / u[i], basis[i]),
+        )
+        binv[i] = [x / u[i] for x in binv[i]]
+        for r in range(n + 1):
+            if r != i and u[r] != 0:
+                binv[r] = [x - u[r] * y for x, y in zip(binv[r], binv[i])]
+        basis[i] = j
 
 
-def norm_sq(v) -> Fraction:
-    return sum((Fraction(x) * x for x in v), Fraction(0))
+def norm_sq(v) -> int:
+    return sum(x * x for x in v)
 
 
 # an orbit-polytope inequality (a, b) means a . x <= b, all integers
@@ -163,7 +135,7 @@ def tensor_radius_sq(d: RootDatum, lam: Vec) -> int:
     """Squared radius of the certificate ball: (2m max|x|)^2 over the orbit."""
     orb = root_datum.weyl_context(d).orbit(tuple(lam))[0]
     m = len(orb)
-    top = max(sum(x * x for x in v) for v in orb)
+    top = max(norm_sq(v) for v in orb)
     return 4 * m * m * top
 
 
@@ -173,24 +145,26 @@ def certificate_support(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
     r = math.isqrt(r2)
     out: set[Vec] = set()
     for point in itertools.product(range(-r, r + 1), repeat=d.rank):
-        if sum(x * x for x in point) <= r2:
+        if norm_sq(point) <= r2:
             out.add(root_datum.dominant_representative(d, point))
     return tuple(sorted(out, reverse=True))
 
 
-def order_criteria_agree(
-    d: RootDatum, mu: Vec, lam: Vec, n_max: int = 3
-) -> CriteriaTriple:
+# the tensor powers n <= POWER_HORIZON that get an explicit decomposition
+POWER_HORIZON = 3
+
+
+def order_criteria_agree(d: RootDatum, mu: Vec, lam: Vec) -> CriteriaTriple:
     """Evaluate the three faces of the containment order on a same-coset pair.
 
     Dominance and hull containment are computed directly.  The tensor face is
     decided with certificates valid for every power, not just the probed ones:
-    positively by exhibiting, for each n <= n_max, an orbit-sum decomposition
-    n*mu = sum of orbit points of lam plus a remainder inside the certificate
-    ball (such a factor exists in the n-fold product against the ball
-    certificate); negatively by a witness power at which n*mu escapes the
-    Minkowski sum of the dilated hull with a box certainly containing the
-    certificate's weights.  A sharp bounded probe alone would claim
+    positively by exhibiting, for each n <= POWER_HORIZON, an orbit-sum
+    decomposition n*mu = sum of orbit points of lam plus a remainder inside
+    the certificate ball (such a factor exists in the n-fold product against
+    the ball certificate); negatively by a witness power at which n*mu
+    escapes the Minkowski sum of the dilated hull with a box certainly
+    containing the certificate's weights.  A sharp bounded probe alone would claim
     containment for pairs that only separate at higher powers.
     """
     mu = tuple(mu)
@@ -206,7 +180,7 @@ def order_criteria_agree(
 
     decomps: list[tuple[Vec, ...]] = []
     greedy = sorted(hull.vertices, key=lambda v: -dot(v, mu))
-    for n in range(1, n_max + 1):
+    for n in range(1, POWER_HORIZON + 1):
         target = linalg.vec_scale(n, mu)
         found = None
         for combo in itertools.combinations_with_replacement(greedy, n):

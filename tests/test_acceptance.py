@@ -57,7 +57,7 @@ def test_criterion_2_order_criteria_equivalence():
                 if not _same_coset(d, mu, lam):
                     continue
                 try:
-                    crit = polytope.order_criteria_agree(d, mu, lam, n_max=3)
+                    crit = polytope.order_criteria_agree(d, mu, lam)
                 except ArithmeticError:
                     disagreements.append(f"{name} {mu} {lam}: undecided")
                     continue

@@ -177,6 +177,15 @@ def test_malformed_oracle_diagnoses_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_label_with_colon_rejected_on_labels_line(tmp_path, capsys):
+    # a ':' ends a prod line's head, so such a label could never be multiplied
+    bad = tmp_path / "colon.oracle"
+    bad.write_text("labels: a b:c\nunit: a\ndual: a a\nprod a a: a*1\n")
+    code, out, err = run(capsys, "reconstruct", "--oracle", str(bad))
+    assert (code, out) == (2, "")
+    assert "line 1: label 'b:c' contains ':'" in err
+
+
 def test_missing_files(capsys):
     code, _, err = run(capsys, "reconstruct", "--oracle", "/nonexistent.oracle")
     assert code == 2

@@ -19,30 +19,67 @@ def _datum(name):
     return SL4 if name == "sl4" else root_datum.fixture(name)
 
 
-def test_fm_feasible_box():
-    point = polytope.fm_feasible(
-        [((1, 0), 2), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)], 2
-    )
-    assert point is not None
-    x, y = point
-    assert 0 <= x <= 2 and -1 <= y <= 1
+def _fm_feasible(constraints, nvars):
+    """Whether some rational x meets every a.x <= b, by Fourier-Motzkin.
+
+    The reference for `positive_functional`: each variable is eliminated by
+    adding positive multiples of every lower and upper bound on it.
+    """
+    for k in reversed(range(nvars)):
+        lows = [(a, b) for a, b in constraints if a[k] < 0]
+        ups = [(a, b) for a, b in constraints if a[k] > 0]
+        constraints = [(a, b) for a, b in constraints if a[k] == 0]
+        for (la, lb), (ua, ub) in iter_product(lows, ups):
+            s, t = ua[k], -la[k]
+            constraints.append(
+                (tuple(s * x + t * y for x, y in zip(la, ua)), s * lb + t * ub)
+            )
+    return all(b >= 0 for _, b in constraints)
 
 
-def test_fm_infeasible():
-    assert polytope.fm_feasible([((1,), 0), ((-1,), -1)], 1) is None
-
-
-def test_fm_equality_slice():
-    point = polytope.fm_feasible([((1, 1), 3), ((-1, -1), -3), ((1, -1), 0)], 2)
-    assert point is not None
-    assert point[0] + point[1] == 3
+def test_fm_reference():
+    assert _fm_feasible([((1, 0), 2), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)], 2)
+    assert not _fm_feasible([((1,), 0), ((-1,), -1)], 1)
+    assert not _fm_feasible([((1, 1), 3), ((-1, -1), -4)], 2)
 
 
 def test_positive_functional():
     phi = polytope.positive_functional([(2, -1), (-1, 2)])
     assert phi is not None
     for v in [(2, -1), (-1, 2)]:
-        assert polytope.dot_f(phi, v) >= 1
+        assert dot(phi, v) >= 1
+
+
+@given(
+    vectors=st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=8
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_positive_functional_matches_fourier_motzkin(vectors):
+    phi = polytope.positive_functional(vectors)
+    exists = _fm_feasible([(tuple(-x for x in v), -1) for v in vectors], len(vectors[0]))
+    assert (phi is not None) == exists
+    if phi is not None:
+        assert all(dot(phi, v) >= 1 for v in vectors)
+
+
+def test_positive_functional_rank4_f4_cone():
+    # columns of the F4 Cartan matrix; Fourier-Motzkin took 22 s on this cone
+    cartan = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    alphas = list(zip(*cartan))
+    cone = [
+        tuple(sum(c * a[i] for c, a in zip(cs, alphas)) for i in range(4))
+        for cs in iter_product(range(3), repeat=4)
+        if any(cs)
+    ]
+    assert len(set(cone)) == 80
+    phi = polytope.positive_functional(cone)
+    assert phi is not None
+    assert all(dot(phi, v) >= 1 for v in cone)
+    assert polytope.positive_functional(cone + [tuple(-x for x in alphas[0])]) is None
 
 
 def test_positive_functional_fails_on_opposites():
@@ -120,7 +157,7 @@ def test_criteria_shallow_containment_refuted():
 
 def test_criteria_records_decompositions():
     sl2 = root_datum.fixture("sl2")
-    crit = polytope.order_criteria_agree(sl2, (1,), (3,), n_max=3)
+    crit = polytope.order_criteria_agree(sl2, (1,), (3,))
     assert crit.tensor
     assert len(crit.decompositions) == 3
 

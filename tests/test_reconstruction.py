@@ -330,6 +330,34 @@ def test_torus_part_certifies_at_its_bound(d, bound, seed):
     assert root_datum.root_data_isomorphic(report.datum, d) is not None
 
 
+E3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+SP6 = root_datum.RootDatum(3, ((2, -1, 0), (-1, 2, -1), (0, -2, 2)), E3, "sp6")
+SPIN7 = root_datum.RootDatum(3, ((2, -1, 0), (-1, 2, -2), (0, -1, 2)), E3, "spin7")
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+def test_round_trip_sp6_rank3(seed):
+    t, _ = oracle.materialize_oracle(SP6, 1, seed=seed)
+    assert len(t.labels) == 12
+    report = reconstruction.recover_datum(t)
+    assert report.certified, (report.stage, report.reason)
+    assert report.inferred_bound == 1
+    assert len(report.simple_roots) == 3
+    assert root_datum.root_data_isomorphic(report.datum, SP6) is not None
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+def test_spin7_bound1_never_certifies_wrong_group(seed):
+    # the window is too small to pin down spin7's coroots; whatever the
+    # pipeline decides, a certificate must name the right group
+    t, _ = oracle.materialize_oracle(SPIN7, 1, seed=seed)
+    report = reconstruction.recover_datum(t)
+    if report.certified:
+        assert root_datum.root_data_isomorphic(report.datum, SPIN7) is not None
+    else:
+        assert report.stage is not None and report.reason
+
+
 def test_hexagon_of_torus_weights_fails_certification():
     # the 19 points with |x|, |y|, |x + y| <= 2 are a window of no datum at
     # any bound, though they form a valid table of torus2 weights
