@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from . import linalg, root_datum
+from . import linalg, polytope, root_datum
 from .linalg import Vec, dot, vec_add, vec_sub
 from .root_datum import RootDatum
 
@@ -225,24 +225,9 @@ def fundamental_monoid_generators(d: RootDatum) -> tuple[Vec, ...]:
     # least positive multiple of each pairing axis that is a weight; every
     # minimal monoid element fits under the box they span
     axis_mult = [abs(det) // math.gcd(det, *col) for col in zip(*adj)]
-    members: list[tuple[Vec, Vec]] = []  # (pairing vector, weight)
-    for p in itertools.product(*(range(0, m + 1) for m in axis_mult)):
-        x = ctx.weight_at(p) if any(p) else None
-        if x is not None:
-            members.append((p, x))
-    pset = {p for p, _ in members}
-    gens = [
-        (p, w)
-        for p, w in members
-        if not any(
-            q != p and all(x <= y for x, y in zip(q, p)) and tuple(
-                y - x for x, y in zip(q, p)
-            ) in pset
-            for q in pset
-        )
-    ]
-    gens.sort(key=lambda pw: pw[0], reverse=True)
-    return tuple(w for _, w in gens)
+    box = itertools.product(*(range(0, m + 1) for m in axis_mult))
+    weight_of = {p: x for p in box if any(p) and (x := ctx.weight_at(p)) is not None}
+    return tuple(weight_of[p] for p in polytope.indecomposables(weight_of) or ())
 
 
 def express_in_fundamentals(

@@ -263,6 +263,9 @@ def validate_oracle(t: OracleTable) -> int:
     lset = set(t.labels)
     if len(t.labels) != len(lset) or not t.labels:
         raise OracleError("labels: empty or duplicated")
+    for x in t.labels:
+        if x.split() != [x] or ":" in x:
+            raise OracleError(f"labels: {x!r} is empty or holds ':' or whitespace")
     if t.unit not in lset:
         raise OracleError("unit: not a label")
     for x in t.dual:

@@ -1,13 +1,14 @@
 """Exact convex geometry for Weyl orbits.
 
-All computations are exact: a functional positive on a set of vectors by
-Phase I of the simplex method over the rationals, Weyl orbit hulls by integer
-inequalities read off the datum, norms compared through their squares so no
-irrational number is ever materialized.
+All computations are exact: an integer functional positive on a set of vectors
+by Phase I of the simplex method, the least generating set of the monoid they
+span, Weyl orbit hulls by integer inequalities read off the datum, norms
+compared through their squares so no irrational number is ever materialized.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ from .linalg import Vec, dot, vec_add, vec_sub
 from .root_datum import RootDatum
 
 
-def positive_functional(vectors) -> tuple[Fraction, ...] | None:
-    """A rational functional phi with phi(v) >= 1 for every v, or None.
+def positive_functional(vectors) -> tuple[int, ...] | None:
+    """An integer functional phi with phi(v) >= 1 for every v, or None.
 
     None exactly when 0 lies in the convex hull of the vectors, which covers
     an empty list and a zero vector.  Each vector is cut to its primitive
@@ -28,7 +29,8 @@ def positive_functional(vectors) -> tuple[Fraction, ...] | None:
     where A is the rays as columns over a row of ones and e is the last unit
     vector.  Phase I of the revised simplex method with Bland's rule decides
     that system on its n + 1 rows.  At a positive optimum the simplex
-    multipliers pi satisfy pi.A_j <= 0 < pi.e = pi[n], so phi = -pi[:n] / pi[n].
+    multipliers pi, scaled to integers, satisfy pi.A_j <= 0 < pi.e = pi[n], so
+    phi = -pi[:n] gives phi.p >= pi[n] >= 1 on every ray p.
     """
     rays: set[Vec] = set()
     for v in vectors:
@@ -54,7 +56,7 @@ def positive_functional(vectors) -> tuple[Fraction, ...] | None:
         # Bland: the first column with reduced cost -pi.A_j < 0 enters
         j = next((j for j, c in enumerate(cols) if dot(pi, c) > 0), None)
         if j is None:
-            return tuple(Fraction(-x, pi[n]) for x in pi[:n])
+            return tuple(-x for x in pi[:n])
         u = [dot(r, cols[j]) for r in binv]
         # ratio test on x_B = binv e, ties to the lowest-numbered variable
         i = min(
@@ -66,6 +68,37 @@ def positive_functional(vectors) -> tuple[Fraction, ...] | None:
             if r != i and u[r] != 0:
                 binv[r] = [x - u[r] * y for x, y in zip(binv[r], binv[i])]
         basis[i] = j
+
+
+def indecomposables(vectors) -> tuple[Vec, ...] | None:
+    """The vectors that are no sum of two or more of them (repeats allowed), descending.
+
+    None exactly when `positive_functional` is.  A sweep in increasing phi
+    keeps each vector that the kept ones do not generate.  Every summand of
+    v weighs less than v, so by induction on phi the kept vectors generate
+    all of them: they are the Hilbert basis of the monoid the vectors span.
+    """
+    vecs = set(map(tuple, vectors))
+    phi = positive_functional(vecs)
+    if phi is None:
+        return None
+    weight = {v: dot(phi, v) for v in vecs}
+    kept: list[Vec] = []
+
+    @functools.cache
+    def generated(v: Vec, fv: int) -> bool:
+        """Whether v, of weight fv, is a nonempty sum of kept vectors."""
+        return any(
+            not any(rest := vec_sub(v, c)) or generated(rest, fv - weight[c])
+            for c in kept
+            if weight[c] <= fv
+        )
+
+    for v in sorted(vecs, key=weight.__getitem__):
+        if not generated(v, weight[v]):
+            kept.append(v)
+            generated.cache_clear()
+    return tuple(sorted(kept, reverse=True))
 
 
 def norm_sq(v) -> int:

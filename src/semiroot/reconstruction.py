@@ -18,7 +18,6 @@ coordinates only appear after the group completion invents them.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -518,9 +517,9 @@ def _substitute(rel: dict[str, int], expr: dict[str, dict[str, int]]) -> dict[st
 def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec, ...]:
     """Step 4: minimal nonzero differences 2*lam - kappa over squares.
 
-    Candidates come from every embedded square cell; a candidate is dropped
-    when it exceeds another modulo nonnegative integer combinations of
-    candidates.  For a torus there are no candidates and no roots.
+    Candidates come from every embedded square cell; those that are a sum of
+    two or more candidates are dropped, and the rest must be linearly
+    independent.  For a torus there are no candidates and no roots.
     """
     cands: set[Vec] = set()
     for lam, lv in embedding.items():
@@ -537,36 +536,16 @@ def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec
                 cands.add(tuple(diff))
     if not cands:
         return ()
-    clist = sorted(cands, reverse=True)
-    phi = polytope.positive_functional(clist)
-    if phi is None:
+    roots = polytope.indecomposables(cands)
+    if roots is None:
         raise StageFailure("roots", "the root candidates lie in no open half-space")
-    # a positive multiple of phi orders every comparison below as phi does
-    scale = math.lcm(*(c.denominator for c in phi))
-    phi = tuple(int(c * scale) for c in phi)
-    weight = {c: dot(phi, c) for c in clist}
-    memo: dict[Vec, bool] = {}
-
-    def reachable(v: Vec) -> bool:
-        """Whether v is a nonzero nonnegative integer combination of candidates."""
-        got = memo.get(v)
-        if got is not None:
-            return got
-        memo[v] = False
-        fv = dot(phi, v)
-        for c in clist:
-            if weight[c] > fv:
-                continue
-            rest = vec_sub(v, c)
-            if all(x == 0 for x in rest) or reachable(rest):
-                memo[v] = True
-                return True
-        return False
-
-    minimal = [
-        c for c in clist if not any(o != c and reachable(vec_sub(c, o)) for o in clist)
-    ]
-    return tuple(sorted(minimal, reverse=True))
+    if linalg.rank(roots) < len(roots):
+        raise StageFailure(
+            "roots",
+            f"{len(roots)} minimal root candidates in a lattice of rank "
+            f"{len(roots[0])} are linearly dependent",
+        )
+    return roots
 
 
 def recover_simple_coroots(

@@ -199,6 +199,7 @@ def test_monoid_generators():
         (1, 0),
         (0, 1),
     )
+    assert char_engine.fundamental_monoid_generators(RootDatum(0, (), ())) == ()
     with pytest.raises(ValueError):
         char_engine.fundamental_monoid_generators(root_datum.fixture("gl2"))
 

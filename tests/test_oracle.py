@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -317,6 +318,31 @@ def _tiny_table(products):
         dual={"e": "e", "u": "u"},
         products=products,
     )
+
+
+def _two_label_group(label):
+    """The table of Z/2 with unit `e` and generator `label`."""
+    return OracleTable(
+        labels=("e", label),
+        unit="e",
+        dual={"e": "e", label: label},
+        products={
+            ("e", "e"): {"e": 1},
+            tuple(sorted(("e", label))): {label: 1},
+            (label, label): {"e": 1},
+        },
+    )
+
+
+@pytest.mark.parametrize("label", ["b:c", "b c", "b\tc", ""])
+def test_validate_rejects_labels_the_text_format_cannot_carry(label):
+    # format_oracle would write text that parse_oracle rejects or reads as
+    # other labels
+    with pytest.raises(OracleError, match=re.escape(repr(label))):
+        oracle.validate_oracle(_two_label_group(label))
+    ok = _two_label_group("b")
+    oracle.validate_oracle(ok)
+    assert oracle.parse_oracle(oracle.format_oracle(ok)) == ok
 
 
 def test_validate_rejects_idempotent_nonunit():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiroot import polytope, root_datum
-from semiroot.linalg import dot
+from semiroot.linalg import dot, vec_sub
 from semiroot.root_datum import RootDatum
 
 SL4 = RootDatum(
@@ -85,6 +85,72 @@ def test_positive_functional_rank4_f4_cone():
 def test_positive_functional_fails_on_opposites():
     assert polytope.positive_functional([(1,), (-1,)]) is None
     assert polytope.positive_functional([(0, 0)]) is None
+
+
+def _pairwise_minimal(vectors):
+    """The reference for `indecomposables`: every vector against every other.
+
+    A vector is dropped when it exceeds another one by a nonzero nonnegative
+    integer combination of the vectors, found by a search over all of them.
+    """
+    vecs = sorted(set(vectors), reverse=True)
+    phi = polytope.positive_functional(vecs)
+    if phi is None:
+        return None
+    weight = {c: dot(phi, c) for c in vecs}
+    memo = {}
+
+    def reachable(v):
+        got = memo.get(v)
+        if got is not None:
+            return got
+        memo[v] = False
+        fv = dot(phi, v)
+        for c in vecs:
+            if weight[c] > fv:
+                continue
+            rest = vec_sub(v, c)
+            if all(x == 0 for x in rest) or reachable(rest):
+                memo[v] = True
+                return True
+        return False
+
+    return tuple(
+        c for c in vecs if not any(o != c and reachable(vec_sub(c, o)) for o in vecs)
+    )
+
+
+@given(
+    vectors=st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=10
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_indecomposables_match_pairwise_reference(vectors):
+    got = polytope.indecomposables(vectors)
+    assert (got is None) == (polytope.positive_functional(vectors) is None)
+    assert got == _pairwise_minimal(vectors)
+
+
+def test_indecomposables_exact_cases():
+    assert polytope.indecomposables([(1, 0), (2, 0)]) == ((1, 0),)
+    assert polytope.indecomposables([(2, 0), (3, 0)]) == ((3, 0), (2, 0))
+    assert polytope.indecomposables([(2, 0), (3, 0), (5, 0), (6, 0)]) == ((3, 0), (2, 0))
+    assert polytope.indecomposables([(1,), (-1,)]) is None
+    assert polytope.indecomposables([]) is None
+
+
+def test_indecomposables_call_positive_functional_through_the_module(monkeypatch):
+    # a wrapper put on the module attribute sees the call, as timing wrappers do
+    calls = []
+    original = polytope.positive_functional
+    monkeypatch.setattr(
+        polytope, "positive_functional", lambda vs: calls.append(vs) or original(vs)
+    )
+    assert polytope.indecomposables([(1, 1), (1, 2)]) == ((1, 2), (1, 1))
+    assert len(calls) == 1
 
 
 def test_hull_contains_orbit_sl2():

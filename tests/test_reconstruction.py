@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from semiroot import char_engine, linalg, oracle, polytope, reconstruction, root_datum
+from semiroot.linalg import dot
 from semiroot.reconstruction import StageFailure
+from test_linalg import undecided_order
 
 
 def invert(provenance):
@@ -348,14 +350,35 @@ def test_round_trip_sp6_rank3(seed):
 
 @pytest.mark.parametrize("seed", [7, 1])
 def test_spin7_bound1_never_certifies_wrong_group(seed):
-    # the window is too small to pin down spin7's coroots; whatever the
-    # pipeline decides, a certificate must name the right group
+    # the window is too small to show spin7's roots: the completion has rank
+    # 3 and five minimal root candidates, so the roots stage fails honestly
     t, _ = oracle.materialize_oracle(SPIN7, 1, seed=seed)
     report = reconstruction.recover_datum(t)
-    if report.certified:
-        assert root_datum.root_data_isomorphic(report.datum, SPIN7) is not None
-    else:
-        assert report.stage is not None and report.reason
+    assert not report.certified
+    assert report.stage == "roots"
+    assert report.reason == (
+        "5 minimal root candidates in a lattice of rank 3 are linearly dependent"
+    )
+
+
+D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+SPIN8 = root_datum.RootDatum(4, D4, tuple(map(tuple, linalg.identity(4))), "spin8")
+
+
+def test_roots_stage_rank4_spin8():
+    # the order search is skipped: the undecided order gives the same monoid
+    t, _ = oracle.materialize_oracle(SPIN8, 2, seed=7)
+    monoid = reconstruction.recover_addition(t, undecided_order(t))
+    rank, embedding = reconstruction.recover_lattice(monoid)
+    assert rank == 4
+    roots = reconstruction.recover_simple_roots(t, embedding)
+    assert len(roots) == 4
+    coroots = reconstruction.recover_simple_coroots(t, embedding, roots)
+    cartan = [[dot(a, c) for c in coroots] for a in roots]
+    assert any(
+        all(cartan[p[i]][p[j]] == D4[i][j] for i in range(4) for j in range(4))
+        for p in itertools.permutations(range(4))
+    )
 
 
 def test_hexagon_of_torus_weights_fails_certification():
