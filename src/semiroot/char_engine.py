@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterable
 
 from . import linalg, polytope, root_datum
@@ -44,7 +43,7 @@ def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
     Pairings with the simple coroots are carried along, so the dominance test
     is a subtraction.  The closure of a union is the union of the closures.
     """
-    steps = [(a, d.pairing(a)) for a, _, _ in root_datum.weyl_context(d).positive_roots]
+    steps = [(a, d.pairing(a)) for a, _ in root_datum.weyl_context(d).positive_roots]
     seen = set(tops)
     frontier = [(v, d.pairing(v)) for v in seen]
     while frontier:
@@ -74,36 +73,50 @@ def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
 
 
 def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
-    """Freudenthal's recursion, run on pairing vectors (Dynkin labels).
+    """Freudenthal's recursion on the integer invariant form, run on pairing vectors.
 
-    Weights of one irreducible differ by root lattice elements, on which the
-    pairings are injective, so a dominant weight is known by its pairings
-    and reflections to the dominant chamber never touch weight coordinates.
-    Symmetrizers are scaled to integers; the scale cancels in the quotient.
+    B(x, y) = sum over positive roots b of <x, b^v><y, b^v> is integral and
+    W-invariant, since W permutes the coroots up to sign, and Freudenthal's
+    formula holds for any invariant form.  With t_b = <2 lam + 2 rho, b^v>
+    and s_b the same for mu it reads
+        m(mu) = 8 sum_{a > 0} sum_{k >= 1} m(mu + k a) (B(mu, a) + k B(a, a))
+                / sum_{b > 0} (t_b^2 - s_b^2).
+    Weights come in decreasing sum_b <mu, b^v>, which is a constant less
+    twice the height of lam - mu, so every weight above mu is known at its
+    turn.  Weights of one irreducible differ by root lattice elements, on
+    which the pairings are injective, so a dominant weight is known by its
+    pairings and reflections to the dominant chamber never touch weight
+    coordinates.
     """
     cached = ctx.dominant_mults.get(lam)
     if cached is not None:
         return cached
     d = ctx.datum
     columns = ctx.columns
-    scale = math.lcm(*(s.denominator for s in ctx.symmetrizers))
-    sym = [int(s * scale) for s in ctx.symmetrizers]
-    roots = [(d.pairing(a), cov, sym[origin]) for a, cov, origin in ctx.positive_roots]
-    coeffs_of = {w: ctx.root_coefficients(vec_sub(lam, w)) for w in dominant_closure(d, [lam])}
-    assert None not in coeffs_of.values(), (lam, "closure left the root lattice")
-    weights = sorted(coeffs_of, key=lambda w: sum(coeffs_of[w]))
-    shifted = tuple(x + 2 for x in d.pairing(lam))  # pairings of lam + 2 rho
+    coroots = [cov for _, cov in ctx.positive_roots]
+
+    def full(x: Vec) -> list[int]:
+        """<x, b^v> over the positive roots b; B(x, y) is dot(full(x), full(y))."""
+        return [dot(cov, x) for cov in coroots]
+
+    roots = [(d.pairing(a), full(a), dot(full(a), full(a))) for a, _ in ctx.positive_roots]
+    shift = full(ctx.rho2)
+
+    def squares(fx: list[int]) -> int:
+        return sum((2 * p + r) ** 2 for p, r in zip(fx, shift))
+
+    t_squares = squares(full(lam))
     found: dict[Vec, int] = {}  # pairings -> multiplicity
     mults: dict[Vec, int] = {}
-    for mu in weights:
+    for mu in sorted(dominant_closure(d, [lam]), key=lambda w: -sum(full(w))):
         pmu = d.pairing(mu)
         if mu == lam:
             found[pmu] = mults[mu] = 1
             continue
+        fmu = full(mu)
         num = 0
-        for pa, cov, s in roots:
-            k = 1
-            base = dot(cov, mu)
+        for pa, fa, baa in roots:
+            b = dot(fmu, fa) + baa  # B(mu + k a, a) at k = 1
             q = vec_add(pmu, pa)
             while True:
                 dom = q
@@ -112,13 +125,12 @@ def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
                 m = found.get(dom)
                 if m is None:
                     break  # weight strings have no gaps
-                num += m * s * (base + 2 * k)
-                k += 1
+                num += m * b
+                b += baa
                 q = vec_add(q, pa)
-        x = vec_add(shifted, pmu)
-        denom = sum(c * s * p for c, s, p in zip(coeffs_of[mu], sym, x))
-        value, rem = divmod(2 * num, denom)
-        assert rem == 0 and value > 0, (lam, mu, Fraction(2 * num, denom))
+        denom = t_squares - squares(fmu)
+        value, rem = divmod(8 * num, denom)
+        assert rem == 0 and value > 0, (lam, mu, 8 * num, denom)
         found[pmu] = mults[mu] = value
     ctx.dominant_mults[lam] = mults
     return mults
@@ -146,13 +158,13 @@ def _dimension(ctx: root_datum.WeylContext, lam: Vec) -> int:
         return cached
     r2 = ctx.rho2
     num = den = 1
-    for _, cov, _ in ctx.positive_roots:
+    for _, cov in ctx.positive_roots:
         num *= dot(cov, vec_add(linalg.vec_scale(2, lam), r2))
         den *= dot(cov, r2)
-    value = Fraction(num, den)
-    assert value.denominator == 1 and value > 0
-    ctx.dimensions[lam] = int(value)
-    return int(value)
+    value, rem = divmod(num, den)
+    assert rem == 0 and value > 0, (lam, num, den)
+    ctx.dimensions[lam] = value
+    return value
 
 
 def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:

@@ -141,16 +141,6 @@ def orbit_hull(d: RootDatum, lam: Vec) -> OrbitHull:
     return OrbitHull(vertices=ctx.orbit(lam)[0], inequalities=tuple(ineqs))
 
 
-def hull_contains_orbit(d: RootDatum, mu: Vec, lam: Vec) -> bool:
-    """Whether the hull of the orbit of mu sits inside the hull for lam.
-
-    By Kostant's convexity theorem this holds exactly when the dominant
-    representative of mu is below that of lam in rational dominance.
-    """
-    dom = root_datum.dominant_representative
-    return root_datum.dominance_leq_rational(d, dom(d, mu), dom(d, lam))
-
-
 @dataclass(frozen=True)
 class CriteriaTriple:
     dominance: bool
@@ -190,7 +180,8 @@ POWER_HORIZON = 3
 def order_criteria_agree(d: RootDatum, mu: Vec, lam: Vec) -> CriteriaTriple:
     """Evaluate the three faces of the containment order on a same-coset pair.
 
-    Dominance and hull containment are computed directly.  The tensor face is
+    Dominance is read off the root coefficients of lam - mu, hull containment
+    off the inequalities of the hull of the orbit of lam.  The tensor face is
     decided with certificates valid for every power, not just the probed ones:
     positively by exhibiting, for each n <= POWER_HORIZON, an orbit-sum
     decomposition n*mu = sum of orbit points of lam plus a remainder inside
@@ -203,9 +194,9 @@ def order_criteria_agree(d: RootDatum, mu: Vec, lam: Vec) -> CriteriaTriple:
     mu = tuple(mu)
     lam = tuple(lam)
     a_dom = root_datum.dominance_leq(d, mu, lam)
-    b_hull = hull_contains_orbit(d, mu, lam)
-    r2 = tensor_radius_sq(d, lam)
     hull = orbit_hull(d, lam)
+    b_hull = hull.contains(mu)
+    r2 = tensor_radius_sq(d, lam)
 
     witness = _escape_witness(d, mu, hull, r2)
     if witness is not None:

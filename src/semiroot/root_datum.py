@@ -11,7 +11,6 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -154,14 +153,8 @@ def dominance_leq(d: RootDatum, mu: Vec, lam: Vec) -> bool:
     return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
-def dominance_leq_rational(d: RootDatum, mu: Vec, lam: Vec) -> bool:
-    """Rational relaxation of dominance_leq: nonnegative rational combination."""
-    scaled = weyl_context(d).root_numerators(vec_sub(lam, mu))
-    return scaled is not None and all(c >= 0 for c in scaled)
-
-
-def positive_roots(d: RootDatum) -> tuple[tuple[Vec, Vec, int], ...]:
-    """All positive roots as (root, coroot, index of the originating simple root)."""
+def positive_roots(d: RootDatum) -> tuple[tuple[Vec, Vec], ...]:
+    """All positive roots as (root, coroot) pairs, sorted by root."""
     return weyl_context(d).positive_roots
 
 
@@ -186,9 +179,10 @@ class WeylContext:
     expressions: dict = field(default_factory=dict, repr=False)
 
     @functools.cached_property
-    def positive_roots(self) -> tuple[tuple[Vec, Vec, int], ...]:
-        """Breadth-first closure of the simple roots under simple reflections.
+    def positive_roots(self) -> tuple[tuple[Vec, Vec], ...]:
+        """Positive (root, coroot) pairs, sorted by root.
 
+        Breadth-first closure of the simple roots under simple reflections.
         Roots and coroots travel as integer coefficient vectors over the
         simple roots and coroots: s_j lowers coefficient j by the pairing
         with coroot j.  Only positive roots are followed, since a simple
@@ -197,11 +191,11 @@ class WeylContext:
         d, a = self.datum, self.cartan
         k = d.semisimple_rank
         unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        seen: dict[Vec, tuple[Vec, int]] = {e: (e, i) for i, e in enumerate(unit)}
-        frontier = [(e, e, i) for i, e in enumerate(unit)]
+        seen: dict[Vec, Vec] = {e: e for e in unit}
+        frontier = [(e, e) for e in unit]
         while frontier:
             nxt = []
-            for c, e, i in frontier:
+            for c, e in frontier:
                 for j in range(k):
                     p = sum(a[j][m] * c[m] for m in range(k))
                     rc = c[:j] + (c[j] - p,) + c[j + 1 :]
@@ -209,8 +203,8 @@ class WeylContext:
                         continue
                     q = sum(e[m] * a[m][j] for m in range(k))
                     re = e[:j] + (e[j] - q,) + e[j + 1 :]
-                    seen[rc] = (re, i)
-                    nxt.append((rc, re, i))
+                    seen[rc] = re
+                    nxt.append((rc, re))
             frontier = nxt
 
         def combine(coeffs: Vec, basis: tuple[Vec, ...]) -> Vec:
@@ -220,8 +214,8 @@ class WeylContext:
 
         return tuple(
             sorted(
-                (combine(c, d.simple_roots), combine(e, d.simple_coroots), i)
-                for c, (e, i) in seen.items()
+                (combine(c, d.simple_roots), combine(e, d.simple_coroots))
+                for c, e in seen.items()
             )
         )
 
@@ -275,42 +269,9 @@ class WeylContext:
     @functools.cached_property
     def rho2(self) -> Vec:
         total = (0,) * self.datum.rank
-        for a, _, _ in self.positive_roots:
+        for a, _ in self.positive_roots:
             total = linalg.vec_add(total, a)
         return total
-
-    @functools.cached_property
-    def symmetrizers(self) -> tuple[Fraction, ...]:
-        """Positive d_i with d_i * A[i][j] == d_j * A[j][i], one per simple root.
-
-        Determined up to scale on each Dynkin component; normalized so the
-        smallest value in each component is 1.
-        """
-        k = self.datum.semisimple_rank
-        a = self.cartan
-        vals: list[Fraction | None] = [None] * k
-        for start in range(k):
-            if vals[start] is not None:
-                continue
-            vals[start] = Fraction(1)
-            stack = [start]
-            comp = [start]
-            while stack:
-                i = stack.pop()
-                for j in range(k):
-                    if j == i or a[i][j] == 0:
-                        continue
-                    implied = vals[i] * a[i][j] / a[j][i]
-                    if vals[j] is None:
-                        vals[j] = implied
-                        stack.append(j)
-                        comp.append(j)
-                    elif vals[j] != implied:
-                        raise RootDatumError("Cartan sign: no symmetrizer exists")
-            low = min(vals[i] for i in comp)
-            for i in comp:
-                vals[i] = vals[i] / low
-        return tuple(vals)  # type: ignore[arg-type]
 
     @functools.cached_property
     def columns(self) -> Matrix:

@@ -54,13 +54,53 @@ def test_dimension_g2_fundamentals():
     assert char_engine.dimension(g2, (0, 0)) == 1
 
 
-@pytest.mark.parametrize("name", ["sl3", "sp4"])
+def _cartan_columns(rows):
+    """Simply connected datum of a Cartan matrix: coroots are the standard basis."""
+    n = len(rows)
+    roots = tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
+    coroots = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return RootDatum(n, roots, coroots)
+
+
+_STD4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_UNITS3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+# rank 3 and 4 data with their fundamental weights and small sums: roots of
+# one length (A3, D4) and of two (B3, C3, F4), and a product whose factors'
+# invariant forms differ in scale (sp4xg2)
+MASS_CASES = {
+    "A3": (_cartan_columns([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), _UNITS3 + [(1, 1, 1)]),
+    "B3": (_cartan_columns([[2, -1, 0], [-1, 2, -1], [0, -2, 2]]), _UNITS3 + [(1, 1, 1)]),
+    "C3": (_cartan_columns([[2, -1, 0], [-1, 2, -2], [0, -1, 2]]), _UNITS3 + [(1, 1, 1)]),
+    "D4": (
+        RootDatum(4, ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)), _STD4),
+        [*_STD4, (1, 0, 1, 0)],
+    ),
+    "F4": (
+        RootDatum(4, ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)), _STD4),
+        [_STD4[0], _STD4[1], _STD4[3], (1, 0, 0, 1)],
+    ),
+    "sp4xg2": (
+        _cartan_columns([[2, -1, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -1], [0, 0, -3, 2]]),
+        [(1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["sl3", "sp4", "g2", "so5", "gl2", "sl2xpgl2", *MASS_CASES])
 def test_dimension_equals_character_mass(name):
-    d = root_datum.fixture(name)
-    for lam in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]:
+    d, weights = MASS_CASES.get(name) or (
+        root_datum.fixture(name), [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
+    )
+    for lam in weights:
         lam = root_datum.dominant_representative(d, lam)
         char = char_engine.irreducible_character(d, lam)
         assert char_engine.dimension(d, lam) == sum(char.values())
+
+
+def test_dimensions_of_f4_and_a_product():
+    f4, product = MASS_CASES["F4"][0], MASS_CASES["sp4xg2"][0]
+    assert [char_engine.dimension(f4, e) for e in _STD4] == [26, 273, 1274, 52]
+    assert char_engine.dimension(product, (1, 1, 1, 1)) == 16 * 64
 
 
 def test_clebsch_gordan():

@@ -3,7 +3,9 @@
 `gen-oracle` and `reconstruct --out` must write the same bytes for the same
 input; a change to the materializer or the pipeline that moves a label, a
 cell, a coordinate or a verdict shows here.  The digests are sha256 of the
-files written by `gen-oracle --seed 7` and by `reconstruct` on them.
+files written by `gen-oracle --seed 7` and by `reconstruct` on them.  The
+`check-props` digests pin its whole stdout at default options, so the pair,
+agreement, undecided and cover counts are pinned along with the verdict.
 """
 
 import hashlib
@@ -41,6 +43,20 @@ REPORT_SHA256 = [
     ("torus2", 4, "de63fec9a5feff5f284665b6e5e5d5c289558e3915a5b5efde9c008b94be0114"),
 ]
 
+CHECK_PROPS_SHA256 = [
+    ("g2", "c71dfb3242d00d657d3e842dc7db7ca1da2c88f68ee38f3bf7cfa1077b06df01"),
+    ("gl2", "0b6fbd415ddc8fc5969f68eafc3835fae686f6f5f354c18a1f4e716259dda6f8"),
+    ("pgl2", "d9c06507798503680d21b0f64d63a81e8d41c851c7f3acb2885ae72270093234"),
+    ("pgl3", "e66df1eb54ecf90fced1827466bee5b54ba5418b57b45835fbcd0d7005d925f4"),
+    ("sl2", "8460af7100a607dd19efa4a0c4f7edd25ba334441d1455564430a2feda4ffb26"),
+    ("sl2xpgl2", "783fc0b4dc7977873f8470b30c1949b3a8192ef1bfb148b914c1810496fd93da"),
+    ("sl3", "cc22678ae0a8ec95e47509cd67854b6cfe8d3c3420c61bfd1b978b3441500757"),
+    ("so5", "b5af730c7da0f591c2a213516b9b058682c193352f27270ce43a36407423910b"),
+    ("sp4", "721b7aa539722188904daed8cbb3a02668ff92653c5ad20a8d5062a20b188176"),
+    ("torus1", "37c607ba8f3cf44a49c172efc4c5e0c5eecba732322d213c89603654ae85139a"),
+    ("torus2", "c88413b42dd19b8105e1505e206fd8a29367c0e4a7ade8ef88fc6993499686fa"),
+]
+
 
 @pytest.mark.parametrize("name,bound,digest", REPORT_SHA256, ids=lambda v: str(v)[:8])
 def test_report_bytes_pinned(name, bound, digest, tmp_path):
@@ -59,3 +75,10 @@ def test_table_bytes_pinned(name, bound, digest, tmp_path):
         ["gen-oracle", "--datum", name, "--bound", str(bound), "--seed", "7", "--out", str(table)]
     )
     assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,digest", CHECK_PROPS_SHA256, ids=lambda v: str(v)[:8])
+def test_check_props_bytes_pinned(name, digest, capsys):
+    assert cli.main(["check-props", "--datum", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
