@@ -61,11 +61,6 @@ def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
     return tuple(sorted(seen, reverse=True))
 
 
-def dominant_weights_of(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
-    """All dominant weights below lam: the dominant weights of the irreducible."""
-    return dominant_closure(d, [_require_dominant(d, lam, "highest weight")])
-
-
 def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     """Multiplicity of each dominant weight of the irreducible with highest weight lam."""
     lam = _require_dominant(d, lam, "highest weight")
@@ -241,109 +236,3 @@ def fundamental_monoid_generators(d: RootDatum) -> tuple[Vec, ...]:
     weight_of = {p: x for p in box if any(p) and (x := ctx.weight_at(p)) is not None}
     return tuple(weight_of[p] for p in polytope.indecomposables(weight_of) or ())
 
-
-def express_in_fundamentals(
-    d: RootDatum, lam: Vec
-) -> tuple[dict[tuple[int, ...], int], tuple[Vec, ...]]:
-    """Polynomial writing the irreducible class over the monoid generators.
-
-    Returns (polynomial, generators): the polynomial maps exponent tuples to
-    integer coefficients, and substituting the generator classes recovers the
-    class of the irreducible with highest weight lam.
-    """
-    lam = _require_dominant(d, lam, "highest weight")
-    gens = fundamental_monoid_generators(d)
-    return _express(root_datum.weyl_context(d), lam, gens), gens
-
-
-def _express(
-    ctx: root_datum.WeylContext, lam: Vec, gens: tuple[Vec, ...]
-) -> dict[tuple[int, ...], int]:
-    cached = ctx.expressions.get(lam)
-    if cached is not None:
-        return cached
-    d = ctx.datum
-    zero = (0,) * d.rank
-    if lam == zero:
-        result = {(0,) * len(gens): 1}
-        ctx.expressions[lam] = result
-        return result
-    exponents = _monoid_expression(d, lam, gens)
-    assert exponents is not None, (lam, gens)
-    product: Decomposition = {zero: 1}
-    for e, g in zip(exponents, gens):
-        for _ in range(e):
-            nxt: Decomposition = {}
-            for nu, c in product.items():
-                for target, m in tensor_decompose(d, nu, g).items():
-                    nxt[target] = nxt.get(target, 0) + c * m
-            product = nxt
-    assert product.get(lam) == 1  # top factor is the Cartan component
-    poly: dict[tuple[int, ...], int] = {tuple(exponents): 1}
-    for nu, c in product.items():
-        if nu == lam:
-            continue
-        for mono, coeff in _express(ctx, nu, gens).items():
-            poly[mono] = poly.get(mono, 0) - c * coeff
-    poly = {m: c for m, c in poly.items() if c != 0}
-    ctx.expressions[lam] = poly
-    return poly
-
-
-def _monoid_expression(
-    d: RootDatum, lam: Vec, gens: tuple[Vec, ...]
-) -> tuple[int, ...] | None:
-    """Greedy-with-backtracking exponents writing lam as a sum of generators."""
-    target = d.pairing(lam)
-    pairings = [d.pairing(g) for g in gens]
-
-    def search(idx: int, remaining: tuple[int, ...]) -> tuple[int, ...] | None:
-        if all(x == 0 for x in remaining):
-            return (0,) * (len(gens) - idx)
-        if idx == len(gens):
-            return None
-        p = pairings[idx]
-        top = min(
-            (r // c for r, c in zip(remaining, p) if c > 0), default=0
-        )
-        for e in range(top, -1, -1):
-            rest = tuple(r - e * c for r, c in zip(remaining, p))
-            if any(x < 0 for x in rest):
-                continue
-            tail = search(idx + 1, rest)
-            if tail is not None:
-                return (e,) + tail
-        return None
-
-    return search(0, tuple(target))
-
-
-_VARS = "xyzwvutsrq"
-
-
-def format_polynomial(poly: dict[tuple[int, ...], int]) -> str:
-    """Human-readable form, generators named x, y, z, ... in order."""
-    if not poly:
-        return "0"
-    items = sorted(poly.items(), key=lambda mc: (sum(mc[0]), mc[0]), reverse=True)
-    parts: list[str] = []
-    for mono, coeff in items:
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(_VARS[i])
-            elif e > 1:
-                factors.append(f"{_VARS[i]}^{e}")
-        body = "*".join(factors)
-        mag = abs(coeff)
-        if not body:
-            term = str(mag)
-        elif mag == 1:
-            term = body
-        else:
-            term = f"{mag}*{body}"
-        if not parts:
-            parts.append(term if coeff > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if coeff > 0 else f"- {term}")
-    return " ".join(parts)

@@ -99,38 +99,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | Non
     return tuple(x)
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational kernel of the matrix (rows act on column ncols-vectors)."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve_nonneg_int(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, ...] | None:
-    """Solution of A x = b with x integral and >= 0, for full-column-rank A.
-
-    The solution of the rational system is unique when the columns are
-    independent, so this only checks integrality and sign.
-    """
-    x = solve(rows, rhs)
-    if x is None:
-        return None
-    if nullspace(rows, len(x)):
-        raise ValueError("columns are not independent")
-    if any(xi.denominator != 1 or xi < 0 for xi in x):
-        return None
-    return tuple(int(xi) for xi in x)
-
-
 def det(m: Sequence[Sequence]) -> Fraction:
     n = len(m)
     if n == 0:

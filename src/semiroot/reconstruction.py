@@ -68,9 +68,6 @@ class RecoveredMonoid:
     add: dict[tuple[str, str], str]
     undefined: tuple[tuple[str, str], ...]
 
-    def sum_of(self, x: str, y: str) -> str | None:
-        return self.add.get(OracleTable.pair_key(x, y))
-
 
 @dataclass
 class ReconstructionReport:
@@ -519,7 +516,9 @@ def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec
 
     Candidates come from every embedded square cell; those that are a sum of
     two or more candidates are dropped, and the rest must be linearly
-    independent.  For a torus there are no candidates and no roots.
+    independent.  For a torus there are no candidates and no roots; a torus
+    has no nonzero self-dual character, so a self-dual label other than the
+    unit with no candidate fails here.
     """
     cands: set[Vec] = set()
     for lam, lv in embedding.items():
@@ -535,6 +534,13 @@ def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec
             if any(x != 0 for x in diff):
                 cands.add(tuple(diff))
     if not cands:
+        selfdual = next((x for x in t.labels if x != t.unit and t.dual[x] == x), None)
+        if selfdual is not None:
+            raise StageFailure(
+                "roots",
+                f"label {selfdual} is self-dual but not the unit, so the group has "
+                "roots, yet no square in the window shows one",
+            )
         return ()
     roots = polytope.indecomposables(cands)
     if roots is None:
@@ -580,14 +586,12 @@ def recover_simple_coroots(
             m = 0
             while vec_sub(v, linalg.vec_scale(m + 1, a)) in values:
                 m += 1
-                if m > len(values) + 2:
-                    raise StageFailure("coroots", f"runaway scan for root {a}")
             eqs.append((mv, m))
         sol = None
         keep = len(eqs)
         while keep >= 1:
             rows = [list(mv) for mv, _ in eqs[:keep]] + [list(a)]
-            if linalg.nullspace(rows, rank):
+            if linalg.rank(rows) < rank:
                 raise StageFailure(
                     "coroots", f"window too small to pin down the coroot for root {a}"
                 )

@@ -176,7 +176,6 @@ class WeylContext:
     dominant_mults: dict = field(default_factory=dict, repr=False)
     dimensions: dict = field(default_factory=dict, repr=False)
     orbits: dict = field(default_factory=dict, repr=False)
-    expressions: dict = field(default_factory=dict, repr=False)
 
     @functools.cached_property
     def positive_roots(self) -> tuple[tuple[Vec, Vec], ...]:

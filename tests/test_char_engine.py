@@ -295,45 +295,9 @@ def test_monoid_generators_generate():
     gens = char_engine.fundamental_monoid_generators(d)
     assert gens == ((1, 0), (1, 1))
     for v in [(2, 1), (1, 1), (3, 3)]:
-        sol = linalg.solve_nonneg_int(linalg.transpose(gens), v)
+        sol = linalg.solve(linalg.transpose(gens), v)
         assert sol is not None
-
-
-def test_express_in_fundamentals():
-    sl2 = root_datum.fixture("sl2")
-    poly, gens = char_engine.express_in_fundamentals(sl2, (2,))
-    assert gens == ((1,),)
-    assert char_engine.format_polynomial(poly) == "x^2 - 1"
-    sl3 = root_datum.fixture("sl3")
-    poly, gens = char_engine.express_in_fundamentals(sl3, (1, 1))
-    assert char_engine.format_polynomial(poly) == "x*y - 1"
-
-
-def test_express_identity_cases():
-    sl2 = root_datum.fixture("sl2")
-    poly, _ = char_engine.express_in_fundamentals(sl2, (1,))
-    assert char_engine.format_polynomial(poly) == "x"
-    poly, _ = char_engine.express_in_fundamentals(sl2, (0,))
-    assert char_engine.format_polynomial(poly) == "1"
-
-
-def test_express_expands_back():
-    d = root_datum.fixture("sp4")
-    lam = (2, 1)
-    poly, gens = char_engine.express_in_fundamentals(d, lam)
-    total = Counter()
-    for mono, coeff in poly.items():
-        term = Counter({(0,) * d.rank: 1})
-        for g, e in zip(gens, mono):
-            for _ in range(e):
-                new = Counter()
-                for x, m in term.items():
-                    for z, c in char_engine.tensor_decompose(d, x, g).items():
-                        new[z] += m * c
-                term = new
-        for z, m in term.items():
-            total[z] += coeff * m
-    assert total == Counter({lam: 1})
+        assert all(x.denominator == 1 and x >= 0 for x in sol)
 
 
 def test_no_module_level_dict_caches():

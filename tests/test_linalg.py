@@ -33,19 +33,6 @@ def test_solve_underdetermined_picks_particular():
     assert sol[0] + sol[1] == 3
 
 
-def test_nullspace():
-    basis = linalg.nullspace([[1, 1, 0]], 3)
-    assert len(basis) == 2
-    for v in basis:
-        assert v[0] + v[1] == 0
-
-
-def test_solve_nonneg_int():
-    assert linalg.solve_nonneg_int([[2, 0], [0, 3]], [4, 6]) == (2, 2)
-    assert linalg.solve_nonneg_int([[2, 0], [0, 3]], [4, 7]) is None
-    assert linalg.solve_nonneg_int([[1, 0], [0, 1]], [-1, 0]) is None
-
-
 def test_det_and_invert():
     m = [[2, 1], [1, 1]]
     assert linalg.det(m) == 1

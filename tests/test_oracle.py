@@ -42,7 +42,7 @@ def test_window_is_union_of_box_closures(name):
     for bound in range(1, 5):
         union = set()
         for lam in oracle.window_box(d, bound):
-            union.update(char_engine.dominant_weights_of(d, lam))
+            union.update(char_engine.dominant_closure(d, [lam]))
         assert oracle.window_weights(d, bound) == tuple(sorted(union, reverse=True))
 
 

@@ -115,9 +115,9 @@ def test_addition_cartan_rule(sl2_oracle):
     order = reconstruction.recover_order(t)
     monoid = reconstruction.recover_addition(t, order)
     assert monoid.zero == t.unit
-    assert monoid.sum_of(inv[(1,)], inv[(1,)]) == inv[(2,)]
+    assert monoid.add[oracle.OracleTable.pair_key(inv[(1,)], inv[(1,)])] == inv[(2,)]
     for x in t.labels:
-        assert monoid.sum_of(x, t.unit) == x
+        assert monoid.add[oracle.OracleTable.pair_key(x, t.unit)] == x
 
 
 def test_addition_matches_weights(sl3_oracle):
@@ -125,7 +125,7 @@ def test_addition_matches_weights(sl3_oracle):
     order = reconstruction.recover_order(t)
     monoid = reconstruction.recover_addition(t, order)
     inv = invert(prov)
-    assert monoid.sum_of(inv[(1, 0)], inv[(0, 1)]) == inv[(1, 1)]
+    assert monoid.add[oracle.OracleTable.pair_key(inv[(1, 0)], inv[(0, 1)])] == inv[(1, 1)]
     for (x, y), z in monoid.add.items():
         expect = tuple(a + b for a, b in zip(prov[x], prov[y]))
         assert prov[z] == expect
@@ -137,7 +137,7 @@ def test_addition_leaves_ambiguity_undefined():
     order = reconstruction.recover_order(t)
     monoid = reconstruction.recover_addition(t, order)
     for cell in monoid.undefined:
-        assert monoid.sum_of(*cell) is None
+        assert oracle.OracleTable.pair_key(*cell) not in monoid.add
 
 
 def test_lattice_completion(sl2_oracle):
@@ -359,6 +359,43 @@ def test_spin7_bound1_never_certifies_wrong_group(seed):
     assert report.reason == (
         "5 minimal root candidates in a lattice of rank 3 are linearly dependent"
     )
+
+
+SL3_T2 = root_datum.RootDatum(
+    4, ((2, -1, 0, 0), (-1, 2, 0, 0)), ((1, 0, 0, 0), (0, 1, 0, 0)), "sl3xT2"
+)
+PGL2_T1 = root_datum.RootDatum(2, ((1, 0),), ((2, 0),), "pgl2xT1")
+
+
+@pytest.mark.parametrize(
+    "d,bound,seed",
+    [(d, b, s) for d, b in ((SL2_T2, 1), (SL3_T2, 1), (PGL2_T1, 2)) for s in (7, 1)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_self_dual_label_without_root_candidate_fails_at_roots(d, bound, seed):
+    # no square in window shows a root, but a torus has no nonzero self-dual
+    # character, so the roots stage, not certification, must fail
+    t, _ = oracle.materialize_oracle(d, bound, seed=seed)
+    report = reconstruction.recover_datum(t)
+    assert not report.certified
+    assert report.stage == "roots"
+    label = report.reason.split()[1]
+    assert label != t.unit and t.dual[label] == label
+    assert report.reason == (
+        f"label {label} is self-dual but not the unit, so the group has roots, "
+        "yet no square in the window shows one"
+    )
+
+
+@pytest.mark.parametrize("seed,root", [(7, (0, 3, -1)), (1, (0, 2, -1))])
+def test_coroot_not_pinned_down_fails_at_coroots(seed, root):
+    # pgl3@3 completes to a lattice of rank 3; the dominance scans for this
+    # root leave the coroot's equations without full rank
+    t, _ = oracle.materialize_oracle(root_datum.fixture("pgl3"), 3, seed=seed)
+    report = reconstruction.recover_datum(t)
+    assert not report.certified
+    assert report.stage == "coroots"
+    assert report.reason == f"window too small to pin down the coroot for root {root}"
 
 
 D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))

@@ -31,7 +31,7 @@ TABLE_SHA256 = [
 REPORT_SHA256 = [
     ("g2", 3, "f7b7cf191b7b5126b0d74f88490e25499de2e9fbf900128a69a2a2481e11e5a1"),
     ("gl2", 3, "bac6cea1e1961a636576cfdf4531d25d137a96f9f66d7ac3f4be16c3b60d57a3"),
-    ("pgl2", 3, "2be0a732b253126167a5c6c87746c46d8a5638c33f5d6d0c72a5f3acab1030f9"),
+    ("pgl2", 3, "c2effcbd08efbe3937f128957285a661ee00494392f77bc16be24e5250d8af5f"),
     ("pgl3", 3, "3855a734162acf6059c34484a00141e469ac31f42e589bf75da291c974926a46"),
     ("sl2", 3, "7be68f60af06ec45e1a784dc0189cee7560fed03f2bb154bb6b5559e31ec2c9f"),
     ("sl2xpgl2", 3, "86b83607d6f76443f355039c11d794bc6e6385df0f37c2dda525c69464a8e1e8"),
