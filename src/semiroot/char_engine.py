@@ -11,19 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add, sub
 from typing import Iterable
 
 from . import linalg, polytope, root_datum
-from .linalg import Vec, dot, vec_add, vec_sub
+from .linalg import Vec, dot, vec_add
 from .root_datum import RootDatum
 
 Decomposition = dict[Vec, int]
-
-
-def _reflect(q: Vec, i: int, column: Vec) -> Vec:
-    """Pairings after the simple reflection s_i; column holds <coroot_j, root_i>."""
-    c = q[i]
-    return tuple(x - c * a for x, a in zip(q, column))
 
 
 def _require_dominant(d: RootDatum, x: Vec, what: str) -> Vec:
@@ -42,6 +37,7 @@ def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
     dominant weight under a top is reachable this way through dominant stops.
     Pairings with the simple coroots are carried along, so the dominance test
     is a subtraction.  The closure of a union is the union of the closures.
+    `d.pairing` checks the length of every top, so the sums skip that check.
     """
     steps = [(a, d.pairing(a)) for a, _ in root_datum.weyl_context(d).positive_roots]
     seen = set(tops)
@@ -50,10 +46,10 @@ def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
         nxt = []
         for v, p in frontier:
             for a, pa in steps:
-                q = vec_sub(p, pa)
+                q = tuple(map(sub, p, pa))
                 if min(q) < 0:
                     continue
-                w = vec_sub(v, a)
+                w = tuple(map(sub, v, a))
                 if w not in seen:
                     seen.add(w)
                     nxt.append((w, q))
@@ -81,13 +77,15 @@ def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
     turn.  Weights of one irreducible differ by root lattice elements, on
     which the pairings are injective, so a dominant weight is known by its
     pairings and reflections to the dominant chamber never touch weight
-    coordinates.
+    coordinates.  A pairing vector reaches the chamber by reflecting at its
+    first negative entry until there is none.
     """
     cached = ctx.dominant_mults.get(lam)
     if cached is not None:
         return cached
     d = ctx.datum
     columns = ctx.columns
+    n = d.semisimple_rank
     coroots = [cov for _, cov in ctx.positive_roots]
 
     def full(x: Vec) -> list[int]:
@@ -112,17 +110,22 @@ def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
         num = 0
         for pa, fa, baa in roots:
             b = dot(fmu, fa) + baa  # B(mu + k a, a) at k = 1
-            q = vec_add(pmu, pa)
+            q = tuple(map(add, pmu, pa))
             while True:
-                dom = q
-                while (i := next((i for i, c in enumerate(dom) if c < 0), None)) is not None:
-                    dom = _reflect(dom, i, columns[i])
+                dom, i = q, 0
+                while i < n:
+                    c = dom[i]
+                    if c < 0:
+                        dom = tuple([x - c * a for x, a in zip(dom, columns[i])])
+                        i = 0
+                    else:
+                        i += 1
                 m = found.get(dom)
                 if m is None:
                     break  # weight strings have no gaps
                 num += m * b
                 b += baa
-                q = vec_add(q, pa)
+                q = tuple(map(add, q, pa))
         denom = t_squares - squares(fmu)
         value, rem = divmod(8 * num, denom)
         assert rem == 0 and value > 0, (lam, mu, 8 * num, denom)
@@ -143,8 +146,20 @@ def irreducible_character(d: RootDatum, lam: Vec) -> dict[Vec, int]:
 
 
 def dimension(d: RootDatum, lam: Vec) -> int:
-    lam = _require_dominant(d, lam, "highest weight")
-    return _dimension(root_datum.weyl_context(d), lam)
+    """Dimension of the irreducible with highest weight lam, by Weyl's formula.
+
+    The memo in the datum's context is read before lam is checked.  That is
+    sound because the memo only ever holds dominant weights of full length:
+    every caller of `_dimension` checked its weight on entry.  So a hit needs
+    no check, and every weight of the wrong length or not dominant misses and
+    is checked.
+    """
+    lam = tuple(lam)
+    ctx = root_datum.weyl_context(d)
+    value = ctx.dimensions.get(lam)
+    if value is None:
+        value = _dimension(ctx, _require_dominant(d, lam, "highest weight"))
+    return value
 
 
 def _dimension(ctx: root_datum.WeylContext, lam: Vec) -> int:
@@ -175,22 +190,33 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
 
 
 def decompose_checked(ctx: root_datum.WeylContext, lam: Vec, mu: Vec) -> Decomposition:
-    """`tensor_decompose` on weights the caller has checked: dominant tuples of full length."""
+    """`tensor_decompose` on weights the caller has checked: dominant tuples of full length.
+
+    Each lam + w is reflected at the first simple root whose rho-shifted
+    pairing is negative, and the scan starts over, until every pairing is
+    positive or one is zero.  The checked lengths let the sums skip the
+    length checks.
+    """
     d = ctx.datum
     if _dimension(ctx, mu) > _dimension(ctx, lam):
         lam, mu = mu, lam
-    columns = ctx.columns
+    columns, roots = ctx.columns, d.simple_roots
+    n = d.semisimple_rank
     shifted = tuple(x + 1 for x in d.pairing(lam))  # pairings of lam + rho
     acc: dict[Vec, int] = {}
     for delta, m in _dominant_mults(ctx, mu).items():
         for w, pw in zip(*ctx.orbit(delta)):
-            y, q, sign = vec_add(lam, w), vec_add(shifted, pw), m
-            while (i := next((i for i, c in enumerate(q) if c <= 0), None)) is not None:
-                if q[i] == 0:
+            y, q, sign, i = tuple(map(add, lam, w)), tuple(map(add, shifted, pw)), m, 0
+            while i < n:
+                c = q[i]
+                if c > 0:
+                    i += 1
+                    continue
+                if c == 0:
                     break  # on a wall
-                y = vec_sub(y, linalg.vec_scale(q[i], d.simple_roots[i]))
-                q = _reflect(q, i, columns[i])
-                sign = -sign
+                y = tuple([x - c * a for x, a in zip(y, roots[i])])
+                q = tuple([x - c * a for x, a in zip(q, columns[i])])
+                sign, i = -sign, 0
             else:
                 acc[y] = acc.get(y, 0) + sign
     out = {k: v for k, v in acc.items() if v != 0}

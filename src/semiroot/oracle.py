@@ -13,9 +13,10 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from . import char_engine, root_datum
-from .linalg import Vec, vec_add, vec_sub
+from .linalg import Vec
 from .root_datum import RootDatum
 
 
@@ -116,7 +117,7 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
     the pairings determine the weight and no shape repeats; on a torus the
     shape of every pair is the same.  The memo lives for this call only.
     """
-    # dual_label checks each weight, so the products skip the checks per pair
+    # dual_label checks each weight, so the products and sums skip the checks per pair
     dual = {w: char_engine.dual_label(d, w) for w in weights}
     ctx = root_datum.weyl_context(d)
     wset = set(weights)
@@ -125,7 +126,7 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
     products: dict[tuple[Vec, Vec], dict[Vec, int] | None] = {}
     for i, w1 in enumerate(weights):
         for w2 in weights[i:]:
-            top = vec_add(w1, w2)
+            top = tuple(map(add, w1, w2))
             cell = None
             if top in wset:
                 shape = (pairing[w1], pairing[w2])
@@ -134,8 +135,8 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
                     cell = char_engine.decompose_checked(ctx, w1, w2)
                     by_shape[shape] = (top, cell)
                 else:
-                    shift = vec_sub(top, seen[0])
-                    cell = {vec_add(nu, shift): m for nu, m in seen[1].items()}
+                    shift = tuple(map(sub, top, seen[0]))
+                    cell = {tuple(map(add, nu, shift)): m for nu, m in seen[1].items()}
             products[OracleTable.pair_key(w1, w2)] = cell
     return OracleTable(labels=weights, unit=(0,) * d.rank, dual=dual, products=products)
 

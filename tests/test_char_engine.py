@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiroot import char_engine, linalg, root_datum
+from semiroot import char_engine, linalg, oracle, root_datum
 from semiroot.root_datum import RootDatum
 
 
@@ -53,6 +54,20 @@ def test_dimension_g2_fundamentals():
     assert char_engine.dimension(g2, (1, 0)) == 14
     assert char_engine.dimension(g2, (0, 0)) == 1
 
+
+def test_memoized_dimension_still_checks_its_weight():
+    sl3 = root_datum.fixture("sl3")
+    assert char_engine.dimension(sl3, (2, 1)) == 15
+    memo = root_datum.weyl_context(sl3).dimensions
+    assert memo[(2, 1)] == 15
+    assert char_engine.dimension(sl3, [2, 1]) == 15
+    for bad in [(-1, 2), (2,), (2, 1, 0)]:
+        with pytest.raises(ValueError):
+            char_engine.dimension(sl3, bad)
+        assert bad not in memo
+    for left, right in [((2, 1), (-1, 2)), ((-1, 2), (2, 1))]:
+        with pytest.raises(ValueError):
+            char_engine.tensor_decompose(sl3, left, right)
 
 def _cartan_columns(rows):
     """Simply connected datum of a Cartan matrix: coroots are the standard basis."""
@@ -152,6 +167,88 @@ def test_tensor_product_character_is_pointwise_product():
         for w, m in char_engine.irreducible_character(sl3, nu).items():
             total[w] += mult * m
     assert conv == total
+
+
+_STD3 = tuple(map(tuple, linalg.identity(3)))
+# past rank 2: one simply laced datum and one with two root lengths
+PINNED_DATA = [root_datum.fixture(n) for n in root_datum.fixture_names()] + [
+    RootDatum(3, ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), _STD3, "sl4"),
+    RootDatum(3, ((2, -1, 0), (-1, 2, -1), (0, -2, 2)), _STD3, "sp6"),
+]
+# sha256 of every product and every dominant multiplicity map on the bound-2
+# window, in the serialization of _answer_digests
+PINNED_DIGESTS = {
+    "g2": (
+        "8a97eac29a6583be71523c8bf9786d118c19802696aa1c5f8c942820d0cbd831",
+        "d52befd14933b5839155d243193f0b19b33c8243b0b69ffefa78ad98b2525cd7",
+    ),
+    "gl2": (
+        "48e2b412ba4ac5d774d2b5609469a1bd69511b0c152644ffa798455c4dc61828",
+        "75dcdbdd7ca2cbf07924adc423d6ec612f181f104347853e9922c38bda90bc5d",
+    ),
+    "pgl2": (
+        "f1cbf0a093d1bc55cf1a85de88fed8c62816e1a24dddcfe776cdec59368b5a8b",
+        "a98334f98685d535750c3b3716cb0226b5eaa304422275d467c4cf899f0e6a89",
+    ),
+    "pgl3": (
+        "8f086fd69c984065c882848cb93efc7663c28daf9e76254aa8f18162874a3700",
+        "8329bd7b2d05f56cf791d9433ab648db85189168ca5b1bb14c79c884f0b0d6f1",
+    ),
+    "sl2": (
+        "278209a16bf7af18c552293d94fcb3139445e067b8f668be83d69a8ab61e128a",
+        "413fa641d8310c86bfbaa61f301d14940dccf881e8a4d5bdb578d8044ae8726c",
+    ),
+    "sl2xpgl2": (
+        "66842e9f960055d21ff938ac31e787c1b6c28dfd390d992e24401037bbd0f800",
+        "2005648a40a2cb1a11b94243c233052d4aa7b025d19049a02608731f792b84d0",
+    ),
+    "sl3": (
+        "52d4ddc0c27c3256856c5311b0372e6f0b6cb1e92f9183f534e55d9b3496aa00",
+        "d2ffb6c213205c304629731f036afc1db6397e853649df083280519ef9e4f4a0",
+    ),
+    "so5": (
+        "036f1f1fbe1b0a9e733a91b31f17071cd9c13198b9b94fcae4dfeb8068fa5f46",
+        "43e6013f14105314a7aaea69dc66f7db1cb56b6e82fefe339abd7838f91bb125",
+    ),
+    "sp4": (
+        "2d237fd391411f5374d6edb6e72515de2495c8b5c942baa5bede1bb11289a442",
+        "1efd3524cc31793f974b0ff43edeaa4c2a567ec5a99ba2c5e86b3c13e48d9291",
+    ),
+    "torus1": (
+        "336102654de5fd3e099ad2dbb40b105cfd9fd86763e6017ff5bea2254cea67dc",
+        "bad38a2b54b97c0e44fc6606aacc9c85f792ba117e244f017c67e7bdbe7d1b8a",
+    ),
+    "torus2": (
+        "d1b7f017a6a59034b06a8c5b9af445bb5b68902fba2e04a1e4ea8a3df3cd3350",
+        "652a1f9cb1ecffcd4d1da13a51d66888e054ea02a17618027da7c0798fb020ad",
+    ),
+    "sl4": (
+        "b3dcf4574423f9994a4439419e980ae195cf73ae72a676ce12e4d6c05c5993de",
+        "63730890ac4e50d8f9d893960a59f347816cf83413f93c4ad2ec284c1a8f0650",
+    ),
+    "sp6": (
+        "408a4a6e7f99689375e2f807145ee1a67efdffd0de68ee0359fe55be3dccf318",
+        "eb6b1402a4e27289cd4d387d417f34e1faf9a53adba1142b73a51fa35b857e8f",
+    ),
+}
+
+
+def _answer_digests(d):
+    weights = oracle.window_weights(d, 2)
+    products, mults = hashlib.sha256(), hashlib.sha256()
+    for lam, mu in itertools.product(weights, repeat=2):
+        dec = char_engine.tensor_decompose(d, lam, mu)
+        products.update(repr((lam, mu, sorted(dec.items()))).encode())
+    for lam in weights:
+        m = char_engine.dominant_weight_multiplicities(d, lam)
+        mults.update(repr((lam, sorted(m.items()))).encode())
+    return products.hexdigest(), mults.hexdigest()
+
+
+@pytest.mark.parametrize("d", PINNED_DATA, ids=lambda d: d.name)
+def test_answers_pinned_on_the_bound_2_window(d):
+    """Every ordered pair of window weights, so both factor orders run the kernel."""
+    assert _answer_digests(d) == PINNED_DIGESTS[d.name]
 
 
 small2 = st.tuples(st.integers(0, 2), st.integers(0, 2))
