@@ -110,6 +110,8 @@ def cmd_reconstruct(args) -> int:
         table = oracle.parse_oracle(path.read_text())
     except oracle.OracleFormatError as e:
         raise InputError(f"{args.oracle}: {e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"{args.oracle}: not a readable oracle file ({e})") from None
     rep = reconstruction.recover_datum(table)
     if rep.stage == "validate":
         rep = reconstruction.ReconstructionReport(
@@ -153,6 +155,8 @@ def cmd_verify(args) -> int:
         raise InputError(
             f"{args.report}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"{args.report}: not a readable report file ({e})") from None
     if not isinstance(blob, dict) or "verdict" not in blob:
         raise InputError(f"{args.report}: not a reconstruction report")
     if blob["verdict"] != "certified":

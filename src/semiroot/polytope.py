@@ -162,17 +162,6 @@ def tensor_radius_sq(d: RootDatum, lam: Vec) -> int:
     return 4 * m * m * top
 
 
-def certificate_support(d: RootDatum, lam: Vec) -> tuple[Vec, ...]:
-    """Dominant representatives of all lattice points in the certificate ball."""
-    r2 = tensor_radius_sq(d, lam)
-    r = math.isqrt(r2)
-    out: set[Vec] = set()
-    for point in itertools.product(range(-r, r + 1), repeat=d.rank):
-        if norm_sq(point) <= r2:
-            out.add(root_datum.dominant_representative(d, point))
-    return tuple(sorted(out, reverse=True))
-
-
 # the tensor powers n <= POWER_HORIZON that get an explicit decomposition
 POWER_HORIZON = 3
 
@@ -242,6 +231,10 @@ def _escape_witness(d: RootDatum, mu: Vec, hull: OrbitHull, r2: int) -> int | No
     return min(powers, default=None)
 
 
+# the most lattice points a covering check enumerates before it skips
+COVER_POINT_BUDGET = 200_000
+
+
 @dataclass(frozen=True)
 class CoverReport:
     verdict: str  # "ok", "failed", or "skipped"
@@ -254,16 +247,14 @@ class CoverReport:
         return self.verdict == "ok"
 
 
-def quantized_cover_check(
-    d: RootDatum, lam: Vec, n: int, point_budget: int = 200_000
-) -> CoverReport:
+def quantized_cover_check(d: RootDatum, lam: Vec, n: int) -> CoverReport:
     """Every lattice point of n*Conv(W.lam) must be near an n-fold sum of orbit points.
 
     Near means within radius R = 2 |orbit| max|x|, compared through
     squares.  Lattice points are enumerated over the bounding box of the
     dilated orbit and kept when they meet the hull inequalities a.z <= n*b.
-    A box larger than the point budget yields a skipped verdict rather than
-    a failure.
+    A box of more than COVER_POINT_BUDGET points yields a skipped verdict
+    rather than a failure.
     """
     hull = orbit_hull(d, lam)
     pts = hull.vertices
@@ -274,7 +265,7 @@ def quantized_cover_check(
     count = 1
     for lo, hi in zip(los, his):
         count *= hi - lo + 1
-    if count > point_budget:
+    if count > COVER_POINT_BUDGET:
         return CoverReport(verdict="skipped", radius_sq=r2, points_checked=0)
 
     sums: set[Vec] = {(0,) * d.rank}

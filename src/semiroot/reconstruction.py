@@ -1,15 +1,16 @@
 """Recovering a root datum from an opaque oracle table.
 
-The pipeline walks the window in stages: a bounded certificate search for the
-dominance order, Cartan components of each in-window product, group
-completion of the resulting partial monoid, simple roots as minimal
-candidates from squares, simple coroots from dominance scans, and finally a
-reproduction check that re-materializes the window from the recovered datum
-and demands an exact match against the input table.  When the roots leave two
-or more coordinates to the torus quotient, the completion is rebased before
-the coroot scans so that the labels' torus coordinates fill a box, as those
-of a window do.  Certification has that one path: a certified report names
-the bound of the window that reproduces the table.
+The pipeline walks the window in stages: Cartan components of each in-window
+product, group completion of the resulting partial monoid, simple roots as
+minimal candidates from squares, simple coroots from dominance scans, and
+finally a reproduction check that re-materializes the window from the
+recovered datum and demands an exact match against the input table.  When the
+roots leave two or more coordinates to the torus quotient, the completion is
+rebased before the coroot scans so that the labels' torus coordinates fill a
+box, as those of a window do.  Certification has that one path: a certified
+report names the bound of the window that reproduces the table.  A bounded
+certificate search for the dominance order on labels still runs after
+validation and is kept on the report, but no later stage reads it.
 
 Everything downstream of the table treats labels as opaque strings; weight
 coordinates only appear after the group completion invents them.
@@ -375,16 +376,16 @@ def _edges_in_cycles(
     }
 
 
-def recover_addition(t: OracleTable, order: RecoveredOrder) -> RecoveredMonoid:
+def recover_addition(t: OracleTable) -> RecoveredMonoid:
     """Step 2: the Cartan component of each in-window product.
 
     The top factor is found by comparing how labels compose with the rest of
     the window: adding a strictly larger weight leaves the window no later,
     so the Cartan component has a minimal composability profile among the
-    factors.  Multiplicity one is required, and the recovered order breaks
-    what ties it can.  Cells whose top factor stays ambiguous (at the window
-    ceiling the profiles flatten out) are recorded as undefined rather than
-    guessed; reconstruction fails later if it truly needs one of them.
+    factors.  Multiplicity one is required.  Cells with several such factors
+    (at the window ceiling the profiles flatten out) are recorded as undefined
+    rather than guessed; reconstruction fails later if it truly needs one of
+    them.
     """
     profile: dict[str, frozenset[str]] = {
         x: frozenset(y for y, cell in t.rows[x].items() if cell is not None) for x in t.labels
@@ -400,14 +401,6 @@ def recover_addition(t: OracleTable, order: RecoveredOrder) -> RecoveredMonoid:
             for nu, m in val.items()
             if m == 1 and all(profile[nu] <= profile[other] for other in val)
         ]
-        if len(cands) > 1:
-            cands = [
-                nu
-                for nu in cands
-                if not any(
-                    other != nu and order.leq(nu, other) is True for other in val
-                )
-            ]
         if len(cands) == 1:
             add[key] = cands[0]
         else:
@@ -622,9 +615,8 @@ def recover_datum(t: OracleTable) -> ReconstructionReport:
         report.stage, report.reason = "validate", str(e)
         return report
     try:
-        order = recover_order(t, validated=True)
-        report.order = order
-        monoid = recover_addition(t, order)
+        report.order = recover_order(t, validated=True)
+        monoid = recover_addition(t)
         report.monoid = monoid
         rank, embedding = recover_lattice(monoid)
         report.lattice_rank, report.embedding = rank, embedding

@@ -105,7 +105,7 @@ def test_criterion_5_quantized_covering():
         d = root_datum.fixture(name)
         for gen in char_engine.fundamental_monoid_generators(d):
             for n in range(1, 7):
-                rep = polytope.quantized_cover_check(d, gen, n, point_budget=500_000)
+                rep = polytope.quantized_cover_check(d, gen, n)
                 if rep.verdict != "ok":
                     bad.append(f"{name} {gen} n={n}: {rep.verdict}")
     _verdict(5, "quantized covering", not bad, "; ".join(bad[:5]))

@@ -195,6 +195,22 @@ def test_missing_files(capsys):
     assert code == 2
 
 
+def test_oracle_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.oracle"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "reconstruct", "--oracle", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: ")
+
+
+def test_report_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "verify", "--datum", "sl2", "--report", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: ")
+
+
 def test_rejected_table_reports_validation_stage(tmp_path, capsys):
     src = tmp_path / "good.oracle"
     run(capsys, "gen-oracle", "--datum", "sl2", "--bound", "3", "--out", str(src))

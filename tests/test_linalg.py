@@ -189,18 +189,10 @@ def reference_recover_lattice(monoid):
 def test_snf_relation_matrix_matches_reference(name, bound):
     """The dense completion's input: the relation matrix of a round trip."""
     table, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=7)
-    order = reconstruction.recover_order(table)
-    monoid = reconstruction.recover_addition(table, order)
+    monoid = reconstruction.recover_addition(table)
     _, mat = relation_matrix(monoid)
     assert len(mat) < len(mat[0])  # labels by relations: the wide shape
     assert_matches_reference(mat)
-
-
-def undecided_order(table):
-    """An order that decides no pair, so recover_addition breaks no ties."""
-    return reconstruction.RecoveredOrder(
-        labels=table.labels, classes=dict.fromkeys(table.labels, 0), decided={}
-    )
 
 
 def completion(monoid, complete):
@@ -215,10 +207,8 @@ def completion(monoid, complete):
     [(name, bound) for name in root_datum.fixture_names() for bound in (2, 3, 4)],
 )
 def test_lattice_matches_dense_reference(name, bound):
-    # the undecided order gives these tables the monoid recover_order does,
-    # without the order search
     table, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=7)
-    monoid = reconstruction.recover_addition(table, undecided_order(table))
+    monoid = reconstruction.recover_addition(table)
     got = completion(monoid, reconstruction.recover_lattice)
     want = completion(monoid, reference_recover_lattice)
     assert type(got) is type(want)

@@ -245,12 +245,6 @@ def test_tensor_radius():
     assert polytope.tensor_radius_sq(sl2, (3,)) == 144
 
 
-def test_certificate_support_ball():
-    sl2 = root_datum.fixture("sl2")
-    support = polytope.certificate_support(sl2, (3,))
-    assert support == tuple((k,) for k in range(12, -1, -1))
-
-
 def same_root_coset(d, mu, lam):
     from semiroot import linalg
 
@@ -313,7 +307,11 @@ def test_cover_sl4_fundamental_orbits(gen, counts):
 
 
 def test_cover_budget_skip():
-    sl3 = root_datum.fixture("sl3")
-    rep = polytope.quantized_cover_check(sl3, (1, 1), 3, point_budget=10)
+    # the box of 100000 * Conv{(-1,), (1,)} has 200,001 points, one past the
+    # budget, so the check skips before it builds any sum of orbit points
+    sl2 = root_datum.fixture("sl2")
+    rep = polytope.quantized_cover_check(sl2, (1,), 100_000)
+    assert polytope.COVER_POINT_BUDGET == 200_000
     assert rep.verdict == "skipped"
+    assert rep.points_checked == 0
     assert not rep.ok

@@ -5,7 +5,6 @@ import pytest
 from semiroot import char_engine, linalg, oracle, polytope, reconstruction, root_datum
 from semiroot.linalg import dot
 from semiroot.reconstruction import StageFailure
-from test_linalg import undecided_order
 
 
 def invert(provenance):
@@ -90,7 +89,7 @@ def test_ball_certificate_accepted():
     sl2 = root_datum.fixture("sl2")
     t, prov = oracle.materialize_oracle(sl2, 21, seed=3)
     inv = invert(prov)
-    theta = {inv[nu]: 1 for nu in polytope.certificate_support(sl2, (3,))}
+    theta = {inv[(k,)]: 1 for k in range(13)}
     cert = reconstruction.check_certificate(t, inv[(1,)], inv[(3,)], theta, n_max=3)
     assert cert is not None
     assert cert.strict_ns == (1, 2, 3)
@@ -112,38 +111,82 @@ def test_certificate_rejects_false_pair(sl2_oracle):
 def test_addition_cartan_rule(sl2_oracle):
     _, t, prov = sl2_oracle
     inv = invert(prov)
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     assert monoid.zero == t.unit
     assert monoid.add[oracle.OracleTable.pair_key(inv[(1,)], inv[(1,)])] == inv[(2,)]
     for x in t.labels:
         assert monoid.add[oracle.OracleTable.pair_key(x, t.unit)] == x
 
 
-def test_addition_matches_weights(sl3_oracle):
-    d, t, prov = sl3_oracle
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
-    inv = invert(prov)
-    assert monoid.add[oracle.OracleTable.pair_key(inv[(1, 0)], inv[(0, 1)])] == inv[(1, 1)]
+def assert_cells_are_cartan_components(monoid, prov):
     for (x, y), z in monoid.add.items():
         expect = tuple(a + b for a, b in zip(prov[x], prov[y]))
         assert prov[z] == expect
 
 
+def test_addition_matches_weights(sl3_oracle):
+    d, t, prov = sl3_oracle
+    monoid = reconstruction.recover_addition(t)
+    inv = invert(prov)
+    assert monoid.add[oracle.OracleTable.pair_key(inv[(1, 0)], inv[(0, 1)])] == inv[(1, 1)]
+    assert_cells_are_cartan_components(monoid, prov)
+
+
+def standard_coroots(roots):
+    """Simply connected data: simple roots as rows, the standard basis as coroots."""
+    n = len(roots)
+    return root_datum.RootDatum(n, roots, tuple(map(tuple, linalg.identity(n))))
+
+
+WIDE_DATA = {
+    "sl4": standard_coroots(((2, -1, 0), (-1, 2, -1), (0, -1, 2))),
+    "sp6": standard_coroots(((2, -1, 0), (-1, 2, -1), (0, -2, 2))),
+    "spin7": standard_coroots(((2, -1, 0), (-1, 2, -2), (0, -1, 2))),
+    "spin9": standard_coroots(
+        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2))
+    ),
+    "sp8": standard_coroots(
+        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -2, 2))
+    ),
+}
+# undefined cells at both label seeds, as recorded when an order search still
+# broke ties among the candidates
+UNDEFINED_CELLS = {
+    ("sl4", 2): 57,
+    ("sp6", 2): 98,
+    ("spin7", 2): 94,
+    ("spin9", 1): 34,
+    ("sp8", 1): 39,
+    ("g2", 4): 81,
+}
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+@pytest.mark.parametrize(
+    "name,bound",
+    [(name, bound) for name in root_datum.fixture_names() for bound in (2, 3, 4)]
+    + [("sl4", 2), ("sp6", 2), ("spin7", 2), ("spin9", 1), ("sp8", 1)],
+)
+def test_addition_cells_are_cartan_components(name, bound, seed):
+    d = WIDE_DATA[name] if name in WIDE_DATA else root_datum.fixture(name)
+    t, prov = oracle.materialize_oracle(d, bound, seed=seed)
+    monoid = reconstruction.recover_addition(t)
+    assert_cells_are_cartan_components(monoid, prov)
+    if (name, bound) in UNDEFINED_CELLS:
+        assert len(monoid.undefined) == UNDEFINED_CELLS[name, bound]
+
+
 def test_addition_leaves_ambiguity_undefined():
     d = root_datum.fixture("sl3")
     t, _ = oracle.materialize_oracle(d, 4, seed=2)
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     for cell in monoid.undefined:
         assert oracle.OracleTable.pair_key(*cell) not in monoid.add
 
 
 def test_lattice_completion(sl2_oracle):
     _, t, prov = sl2_oracle
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     rank, embedding = reconstruction.recover_lattice(monoid)
     assert rank == 1
     assert embedding[t.unit] == (0,)
@@ -156,8 +199,7 @@ def test_lattice_completion(sl2_oracle):
 def test_lattice_rank_torus():
     d = root_datum.fixture("torus2")
     t, _ = oracle.materialize_oracle(d, 1, seed=4)
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     rank, embedding = reconstruction.recover_lattice(monoid)
     assert rank == 2
     assert len(embedding) == 9
@@ -166,8 +208,7 @@ def test_lattice_rank_torus():
 def test_lattice_rank_gl2():
     d = root_datum.fixture("gl2")
     t, _ = oracle.materialize_oracle(d, 2, seed=4)
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     rank, embedding = reconstruction.recover_lattice(monoid)
     assert rank == 2
 
@@ -187,13 +228,9 @@ def test_lattice_torsion_fails():
 
 def test_lattice_g2_bound4_entries_stay_small():
     # this relabeling made the dense Smith normal form of all 159 relations
-    # grow its entries without limit; an order that decides nothing gives
-    # recover_addition the same monoid without the seconds of order search
+    # grow its entries without limit
     t, _ = oracle.materialize_oracle(root_datum.fixture("g2"), 4, seed=3)
-    order = reconstruction.RecoveredOrder(
-        labels=t.labels, classes=dict.fromkeys(t.labels, 0), decided={}
-    )
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     assert len(monoid.add) == 159
     rank, embedding = reconstruction.recover_lattice(monoid)
     assert rank == 2
@@ -206,8 +243,7 @@ def test_lattice_g2_bound4_entries_stay_small():
 
 def test_simple_roots_sl2(sl2_oracle):
     _, t, prov = sl2_oracle
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     _, embedding = reconstruction.recover_lattice(monoid)
     roots = reconstruction.recover_simple_roots(t, embedding)
     assert len(roots) == 1
@@ -221,8 +257,7 @@ def test_simple_roots_count_and_independence(name, bound, count):
 
     d = root_datum.fixture(name)
     t, _ = oracle.materialize_oracle(d, bound, seed=3)
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     _, embedding = reconstruction.recover_lattice(monoid)
     roots = reconstruction.recover_simple_roots(t, embedding)
     assert len(roots) == count
@@ -254,16 +289,14 @@ def test_simple_roots_reject_opposite_candidates():
 def test_simple_roots_torus_empty():
     d = root_datum.fixture("torus1")
     t, _ = oracle.materialize_oracle(d, 2, seed=3)
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     _, embedding = reconstruction.recover_lattice(monoid)
     assert reconstruction.recover_simple_roots(t, embedding) == ()
 
 
 def test_coroots_pair_to_two(sl2_oracle):
     _, t, prov = sl2_oracle
-    order = reconstruction.recover_order(t)
-    monoid = reconstruction.recover_addition(t, order)
+    monoid = reconstruction.recover_addition(t)
     _, embedding = reconstruction.recover_lattice(monoid)
     roots = reconstruction.recover_simple_roots(t, embedding)
     coroots = reconstruction.recover_simple_coroots(t, embedding, roots)
@@ -403,9 +436,8 @@ SPIN8 = root_datum.RootDatum(4, D4, tuple(map(tuple, linalg.identity(4))), "spin
 
 
 def test_roots_stage_rank4_spin8():
-    # the order search is skipped: the undecided order gives the same monoid
     t, _ = oracle.materialize_oracle(SPIN8, 2, seed=7)
-    monoid = reconstruction.recover_addition(t, undecided_order(t))
+    monoid = reconstruction.recover_addition(t)
     rank, embedding = reconstruction.recover_lattice(monoid)
     assert rank == 4
     roots = reconstruction.recover_simple_roots(t, embedding)
