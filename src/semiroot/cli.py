@@ -1,7 +1,8 @@
 """Command line front end: oracle generation, reconstruction, verification.
 
 Exit codes: 0 success (or certified / isomorphic / all properties hold),
-1 verification failure, 2 malformed input or bad usage.
+1 verification failure, 2 malformed input, bad usage or an output file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -56,11 +57,18 @@ def _fmt_weight(v) -> str:
     return ",".join(str(c) for c in v)
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise InputError(f"{path}: cannot write ({e.strerror or e})") from None
+
+
 def _write_out(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write_file(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +83,7 @@ def cmd_gen_oracle(args) -> int:
     _write_out(args.out, oracle.format_oracle(table))
     if args.provenance_out is not None:
         blob = {x: list(provenance[x]) for x in table.labels}
-        Path(args.provenance_out).write_text(
-            json.dumps(blob, indent=2, sort_keys=True) + "\n"
-        )
+        _write_file(args.provenance_out, json.dumps(blob, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -119,7 +125,7 @@ def cmd_reconstruct(args) -> int:
         )
     blob = _report_blob(rep)
     if args.out is not None:
-        Path(args.out).write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
+        _write_file(args.out, json.dumps(blob, indent=2, sort_keys=True) + "\n")
     if rep.certified:
         print(f"verdict: certified rank={blob['rank']} bound={rep.inferred_bound}")
         return 0

@@ -186,7 +186,39 @@ def parse_oracle(text: str) -> OracleTable:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("labels:"):
+        # prod lines are all but a handful, so they are tested for first
+        if line.startswith("prod "):
+            try:
+                head, body = line.split(":", 1)
+            except ValueError:
+                raise OracleFormatError(f"line {lineno}: missing ':'") from None
+            parts = head.split()
+            if len(parts) != 3:
+                raise OracleFormatError(f"line {lineno}: prod wants two labels")
+            _, x, y = parts
+            key = (x, y) if x <= y else (y, x)  # OracleTable.pair_key, inlined for the hot loop
+            if key in products:
+                raise OracleFormatError(f"line {lineno}: product {' '.join(key)} given twice")
+            body = body.strip()
+            if body == "?":
+                products[key] = None
+                continue
+            val: dict[str, int] = {}
+            for item in body.split():
+                try:
+                    z, m = item.rsplit("*", 1)
+                    mult = int(m)
+                except ValueError:
+                    raise OracleFormatError(
+                        f"line {lineno}: bad component {item!r}"
+                    ) from None
+                if mult < 1 or z in val:
+                    raise OracleFormatError(f"line {lineno}: bad component {item!r}")
+                val[z] = mult
+            if not val:
+                raise OracleFormatError(f"line {lineno}: empty product")
+            products[key] = val
+        elif line.startswith("labels:"):
             if labels is not None:
                 raise OracleFormatError(f"line {lineno}: second labels: line")
             labels = tuple(line[len("labels:") :].split())
@@ -209,36 +241,6 @@ def parse_oracle(text: str) -> OracleTable:
                 raise OracleFormatError(f"line {lineno}: dual of {twice[0]} given twice")
             dual[parts[0]] = parts[1]
             dual[parts[1]] = parts[0]
-        elif line.startswith("prod "):
-            try:
-                head, body = line.split(":", 1)
-            except ValueError:
-                raise OracleFormatError(f"line {lineno}: missing ':'") from None
-            parts = head.split()
-            if len(parts) != 3:
-                raise OracleFormatError(f"line {lineno}: prod wants two labels")
-            key = OracleTable.pair_key(parts[1], parts[2])
-            if key in products:
-                raise OracleFormatError(f"line {lineno}: product {' '.join(key)} given twice")
-            body = body.strip()
-            if body == "?":
-                products[key] = None
-                continue
-            val: dict[str, int] = {}
-            for item in body.split():
-                try:
-                    z, m = item.rsplit("*", 1)
-                    mult = int(m)
-                except ValueError:
-                    raise OracleFormatError(
-                        f"line {lineno}: bad component {item!r}"
-                    ) from None
-                if mult < 1 or z in val:
-                    raise OracleFormatError(f"line {lineno}: bad component {item!r}")
-                val[z] = mult
-            if not val:
-                raise OracleFormatError(f"line {lineno}: empty product")
-            products[key] = val
         else:
             raise OracleFormatError(f"line {lineno}: unrecognized line {line[:40]!r}")
     if labels is None or unit is None:
@@ -280,14 +282,22 @@ def validate_oracle(t: OracleTable) -> int:
             raise OracleError(f"duality: not an involution at {x}")
     if t.dual[t.unit] != t.unit:
         raise OracleError("duality: unit must be self-dual")
-    for x in t.labels:
-        for y in t.labels:
-            if x <= y and (x, y) not in t.products:
-                raise OracleError(f"closure: missing product {x} {y}")
+    # n(n+1)/2 distinct canonical keys of known labels are exactly the pairs
+    # x <= y, so the pair scan and the key label test run only when this fails
+    n = len(t.labels)
+    complete = len(t.products) == n * (n + 1) // 2 and all(
+        x <= y and x in lset and y in lset for x, y in t.products
+    )
+    if not complete:
+        for x in t.labels:
+            for y in t.labels:
+                if x <= y and (x, y) not in t.products:
+                    raise OracleError(f"closure: missing product {x} {y}")
     for key, val in t.products.items():
-        for x in key:
-            if x not in lset:
-                raise OracleError(f"closure: unknown label {x} in {key}")
+        if not complete:
+            for x in key:
+                if x not in lset:
+                    raise OracleError(f"closure: unknown label {x} in {key}")
         if val is None:
             continue
         for z, m in val.items():
@@ -309,6 +319,10 @@ def validate_oracle(t: OracleTable) -> int:
 
     def expand(left: dict[str, int], row: dict) -> dict[str, int] | None:
         """The product of a formal sum with the label of `row`; None when it leaves the window."""
+        if len(left) == 1:
+            ((nu, c),) = left.items()
+            if c == 1:
+                return row[nu]
         acc: dict[str, int] = {}
         for nu, c in left.items():
             cell = row[nu]

@@ -19,11 +19,12 @@ coordinates only appear after the group completion invents them.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import linalg, oracle, polytope, root_datum
-from .linalg import Vec, dot, vec_add, vec_sub
+from .linalg import Vec, dot, vec_sub
 from .oracle import OracleTable
 from .root_datum import RootDatum
 
@@ -396,11 +397,15 @@ def recover_addition(t: OracleTable) -> RecoveredMonoid:
         val = t.products[key]
         if val is None:
             continue
-        cands = [
-            nu
-            for nu, m in val.items()
-            if m == 1 and all(profile[nu] <= profile[other] for other in val)
-        ]
+        if len(val) == 1:
+            # a lone factor is trivially minimal
+            cands = [nu for nu, m in val.items() if m == 1]
+        else:
+            cands = [
+                nu
+                for nu, m in val.items()
+                if m == 1 and all(profile[nu] <= profile[other] for other in val)
+            ]
         if len(cands) == 1:
             add[key] = cands[0]
         else:
@@ -426,12 +431,15 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
     """
     relations: list[dict[str, int]] = []
     for (x, y), z in sorted(m.add.items()):
-        rel: dict[str, int] = {}
-        for lbl, c in ((x, 1), (y, 1), (z, -1)):
-            rel[lbl] = rel.get(lbl, 0) + c
-        rel = {k: v for k, v in rel.items() if v != 0}
-        if rel:
-            relations.append(rel)
+        # the coefficients sum to 1, so no relation vanishes
+        rel = {x: 1}
+        rel[y] = rel.get(y, 0) + 1
+        c = rel.get(z, 0) - 1
+        if c:
+            rel[z] = c
+        else:
+            del rel[z]
+        relations.append(rel)
     constrained = sorted({lbl for rel in relations for lbl in rel})
     if not constrained:
         raise StageFailure("lattice", "no addition identities to complete")
@@ -488,9 +496,10 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
         )
         for lbl in constrained
     }
+    # every coordinate vector has length rank, so the sums skip the length check
     for (x, y), z in m.add.items():
         if x in embedding and y in embedding and z in embedding:
-            if vec_add(embedding[x], embedding[y]) != embedding[z]:
+            if tuple(map(operator.add, embedding[x], embedding[y])) != embedding[z]:
                 raise StageFailure("lattice", f"completion broke identity {x}+{y}={z}")
     return rank, embedding
 
@@ -499,7 +508,11 @@ def _substitute(rel: dict[str, int], expr: dict[str, dict[str, int]]) -> dict[st
     """The relation with every eliminated label replaced by its expression."""
     out: dict[str, int] = {}
     for lbl, c in rel.items():
-        for f, v in expr.get(lbl, {lbl: 1}).items():
+        e = expr.get(lbl)
+        if e is None:
+            out[lbl] = out.get(lbl, 0) + c
+            continue
+        for f, v in e.items():
             out[f] = out.get(f, 0) + c * v
     return {f: v for f, v in out.items() if v != 0}
 
@@ -722,6 +735,7 @@ def _extend_bijection(
     """A bijection from the labels onto the window's weights that extends the
     embedding and carries the table onto the window's table, or None."""
     bij = dict(embedding)
+    rows = window.rows
 
     def agrees(placed: Iterable[str], keys: Iterable[tuple[str, str]]) -> bool:
         """Whether bij matches the window on the placed labels' unit and dual
@@ -731,18 +745,21 @@ def _extend_bijection(
                 return False
             if t.dual[x] in bij and bij[t.dual[x]] != window.dual[bij[x]]:
                 return False
+        all_placed = len(bij) == len(t.labels)  # then every cell names only placed labels
         for key in keys:
             val = t.products[key]
-            if any(z not in bij for z in (*key, *(val or ()))):
+            if not all_placed and any(z not in bij for z in (*key, *(val or ()))):
                 continue
             image = None if val is None else {bij[z]: m for z, m in val.items()}
-            if image != window.product(bij[key[0]], bij[key[1]]):
+            if image != rows[bij[key[0]]][bij[key[1]]]:
                 return False
         return True
 
     if not agrees(embedding, t.products):
         return None
     free = sorted(set(t.labels) - set(bij))
+    if not free:
+        return bij
     spare = sorted(set(window.labels) - set(bij.values()), reverse=True)
     cells: dict[str, list[tuple[str, str]]] = {x: [] for x in free}
     for key, val in t.products.items():

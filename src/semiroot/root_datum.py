@@ -49,6 +49,11 @@ class RootDatum:
         """Pairings of x against every simple coroot."""
         return tuple(dot(c, x) for c in self.simple_coroots)
 
+    @functools.cached_property
+    def _context(self) -> WeylContext:
+        """The shared context, looked up once and then kept on this datum."""
+        return _weyl_context(self.rank, self.simple_roots, self.simple_coroots)
+
 
 def cartan_matrix(d: RootDatum) -> Matrix:
     return weyl_context(d).cartan
@@ -327,8 +332,12 @@ class WeylContext:
 
 
 def weyl_context(d: RootDatum) -> WeylContext:
-    """The shared context of a datum's coordinates."""
-    return _weyl_context(d.rank, d.simple_roots, d.simple_coroots)
+    """The shared context of a datum's coordinates.
+
+    The first call on a datum looks it up in the bounded memo, keyed on the
+    coordinates; the datum then keeps it, so later calls hash nothing.
+    """
+    return d._context
 
 
 @functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)

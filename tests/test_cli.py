@@ -211,6 +211,29 @@ def test_report_not_utf8_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-oracle", "--datum", "sl2", "--bound", "2", "--out", "{missing}/t.txt"],
+        [
+            "gen-oracle", "--datum", "sl2", "--bound", "2", "--out", "{tmp}/t.txt",
+            "--provenance-out", "{missing}/p.json",
+        ],
+        ["reconstruct", "--oracle", "{table}", "--out", "{missing}/r.json"],
+    ],
+    ids=["gen-oracle-out", "provenance-out", "reconstruct-out"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    table = tmp_path / "sl2.oracle"
+    run(capsys, "gen-oracle", "--datum", "sl2", "--bound", "2", "--out", str(table))
+    missing = tmp_path / "missing_dir"
+    argv = [a.format(missing=missing, tmp=tmp_path, table=table) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {missing}/")
+    assert not missing.exists()
+
+
 def test_rejected_table_reports_validation_stage(tmp_path, capsys):
     src = tmp_path / "good.oracle"
     run(capsys, "gen-oracle", "--datum", "sl2", "--bound", "3", "--out", str(src))

@@ -426,3 +426,38 @@ def test_validate_names_unknown_labels(sl3_oracle, line, stray):
     with pytest.raises(OracleError, match=stray):
         oracle.validate_oracle(t)
     assert reconstruction.recover_datum(t).stage == "validate"
+
+
+def _closure_case(table, case):
+    """A table that breaks closure, with the message validation must raise.
+
+    The pair scan names the first missing product in label order; a key's
+    labels are named only when every product is present.
+    """
+    labels, products = table.labels, dict(table.products)
+    c, d = labels[3], labels[4]
+    if case == "missing":
+        del products[(labels[5], labels[7])], products[(labels[2], labels[9])]
+        return products, f"closure: missing product {labels[2]} {labels[9]}"
+    if case == "non-canonical":
+        products[(d, c)] = products.pop((c, d))
+        return products, f"closure: missing product {c} {d}"
+    if case == "traded":
+        # one product traded for a key naming an unknown label: the key count is still right
+        del products[(c, d)]
+        products[(c, "zzzzzz")] = None
+        n = len(labels)
+        assert len(products) == n * (n + 1) // 2
+        return products, f"closure: missing product {c} {d}"
+    products[(c, "zzzzzz")] = None
+    return products, f"closure: unknown label zzzzzz in {(c, 'zzzzzz')}"
+
+
+@pytest.mark.parametrize("case", ["missing", "non-canonical", "traded", "extra"])
+def test_validate_closure_messages(sl3_oracle, case):
+    _, table, _ = sl3_oracle
+    products, message = _closure_case(table, case)
+    t = OracleTable(table.labels, table.unit, dict(table.dual), products)
+    with pytest.raises(OracleError) as err:
+        oracle.validate_oracle(t)
+    assert str(err.value) == message

@@ -3,12 +3,14 @@
 `gen-oracle` and `reconstruct --out` must write the same bytes for the same
 input; a change to the materializer or the pipeline that moves a label, a
 cell, a coordinate or a verdict shows here.  The digests are sha256 of the
-files written by `gen-oracle --seed 7` and by `reconstruct` on them.  The
+files written by `gen-oracle --seed 7` and by `reconstruct` on them; data
+the fixtures do not ship are written to a datum JSON file first.  The
 `check-props` digests pin its whole stdout at default options, so the pair,
 agreement, undecided and cover counts are pinned along with the verdict.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +43,16 @@ REPORT_SHA256 = [
     ("torus1", 3, "2c03f1c1ea1ff7dcb85c21d610b526a61bcb302e8ef55d92773e5e150998adb1"),
     ("torus2", 3, "de5e3e3bab59fdac5889414b290886f710385a977f91726d059790bde5536aca"),
     ("torus2", 4, "de63fec9a5feff5f284665b6e5e5d5c289558e3915a5b5efde9c008b94be0114"),
+    ("gl2", 4, "24b42d2c014239d459f5f0a117db47674e41a68dc54f7e8b8569e23bf83b9c50"),
+    ("torus1", 4, "b3fd94a91d3593384ba4e90e623f7df84f8d4c7b1d67c415b8e522e45875c00c"),
+    ("sl2xT2", 2, "21f42f8c0444f8ad2674ea8136b293981b740130ed1120f56f151ba97db2e722"),
 ]
+
+# data the fixtures do not ship, handed to --datum as a JSON file
+DATUM_FILES = {
+    "sl2xT2": '{"rank": 3, "simple_roots": [[2,0,0]], "simple_coroots": [[1,0,0]], '
+    '"name": "sl2xT2"}\n',
+}
 
 CHECK_PROPS_SHA256 = [
     ("g2", "c71dfb3242d00d657d3e842dc7db7ca1da2c88f68ee38f3bf7cfa1077b06df01"),
@@ -61,8 +72,12 @@ CHECK_PROPS_SHA256 = [
 @pytest.mark.parametrize("name,bound,digest", REPORT_SHA256, ids=lambda v: str(v)[:8])
 def test_report_bytes_pinned(name, bound, digest, tmp_path):
     table, report = tmp_path / "table.txt", tmp_path / "report.json"
+    datum = name
+    if name in DATUM_FILES:
+        datum = str(tmp_path / f"{name}.json")
+        Path(datum).write_text(DATUM_FILES[name])
     cli.main(
-        ["gen-oracle", "--datum", name, "--bound", str(bound), "--seed", "7", "--out", str(table)]
+        ["gen-oracle", "--datum", datum, "--bound", str(bound), "--seed", "7", "--out", str(table)]
     )
     cli.main(["reconstruct", "--oracle", str(table), "--out", str(report)])
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
