@@ -2,9 +2,8 @@
 
 Weight multiplicities come from the Freudenthal recursion, tensor products
 from the reflection-based expansion over the weights of the smaller factor.
-Derived Weyl data and the memos live in the datum's shared context
-(`root_datum.weyl_context`).  All arithmetic is exact; every quotient is
-asserted back to an integer.
+Derived Weyl data and the memos live on the datum (`root_datum.RootDatum`).
+All arithmetic is exact; every quotient is asserted back to an integer.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
     is a subtraction.  The closure of a union is the union of the closures.
     `d.pairing` checks the length of every top, so the sums skip that check.
     """
-    steps = [(a, d.pairing(a)) for a, _ in root_datum.weyl_context(d).positive_roots]
+    steps = [(a, d.pairing(a)) for a, _ in d.positive_roots]
     seen = set(tops)
     frontier = [(v, d.pairing(v)) for v in seen]
     while frontier:
@@ -60,10 +59,10 @@ def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
 def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     """Multiplicity of each dominant weight of the irreducible with highest weight lam."""
     lam = _require_dominant(d, lam, "highest weight")
-    return _dominant_mults(root_datum.weyl_context(d), lam)
+    return _dominant_mults(d, lam)
 
 
-def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
+def _dominant_mults(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     """Freudenthal's recursion on the integer invariant form, run on pairing vectors.
 
     B(x, y) = sum over positive roots b of <x, b^v><y, b^v> is integral and
@@ -80,20 +79,19 @@ def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
     coordinates.  A pairing vector reaches the chamber by reflecting at its
     first negative entry until there is none.
     """
-    cached = ctx.dominant_mults.get(lam)
+    cached = d.dominant_mults.get(lam)
     if cached is not None:
         return cached
-    d = ctx.datum
-    columns = ctx.columns
+    columns = d.columns
     n = d.semisimple_rank
-    coroots = [cov for _, cov in ctx.positive_roots]
+    coroots = [cov for _, cov in d.positive_roots]
 
     def full(x: Vec) -> list[int]:
         """<x, b^v> over the positive roots b; B(x, y) is dot(full(x), full(y))."""
         return [dot(cov, x) for cov in coroots]
 
-    roots = [(d.pairing(a), full(a), dot(full(a), full(a))) for a, _ in ctx.positive_roots]
-    shift = full(ctx.rho2)
+    roots = [(d.pairing(a), full(a), dot(full(a), full(a))) for a, _ in d.positive_roots]
+    shift = full(d.rho2)
 
     def squares(fx: list[int]) -> int:
         return sum((2 * p + r) ** 2 for p, r in zip(fx, shift))
@@ -130,17 +128,16 @@ def _dominant_mults(ctx: root_datum.WeylContext, lam: Vec) -> dict[Vec, int]:
         value, rem = divmod(8 * num, denom)
         assert rem == 0 and value > 0, (lam, mu, 8 * num, denom)
         found[pmu] = mults[mu] = value
-    ctx.dominant_mults[lam] = mults
+    d.dominant_mults[lam] = mults
     return mults
 
 
 def irreducible_character(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     """Full weight multiset of the irreducible, as weight -> multiplicity."""
     lam = _require_dominant(d, lam, "highest weight")
-    ctx = root_datum.weyl_context(d)
     out: dict[Vec, int] = {}
-    for mu, m in _dominant_mults(ctx, lam).items():
-        for w in ctx.orbit(mu)[0]:
+    for mu, m in _dominant_mults(d, lam).items():
+        for w in d.paired_orbit(mu)[0]:
             out[w] = m
     return out
 
@@ -148,32 +145,30 @@ def irreducible_character(d: RootDatum, lam: Vec) -> dict[Vec, int]:
 def dimension(d: RootDatum, lam: Vec) -> int:
     """Dimension of the irreducible with highest weight lam, by Weyl's formula.
 
-    The memo in the datum's context is read before lam is checked.  That is
-    sound because the memo only ever holds dominant weights of full length:
-    every caller of `_dimension` checked its weight on entry.  So a hit needs
-    no check, and every weight of the wrong length or not dominant misses and
-    is checked.
+    The datum's memo is read before lam is checked.  That is sound because
+    the memo only ever holds dominant weights of full length: every caller of
+    `_dimension` checked its weight on entry.  So a hit needs no check, and
+    every weight of the wrong length or not dominant misses and is checked.
     """
     lam = tuple(lam)
-    ctx = root_datum.weyl_context(d)
-    value = ctx.dimensions.get(lam)
+    value = d.dimensions.get(lam)
     if value is None:
-        value = _dimension(ctx, _require_dominant(d, lam, "highest weight"))
+        value = _dimension(d, _require_dominant(d, lam, "highest weight"))
     return value
 
 
-def _dimension(ctx: root_datum.WeylContext, lam: Vec) -> int:
-    cached = ctx.dimensions.get(lam)
+def _dimension(d: RootDatum, lam: Vec) -> int:
+    cached = d.dimensions.get(lam)
     if cached is not None:
         return cached
-    r2 = ctx.rho2
+    r2 = d.rho2
     num = den = 1
-    for _, cov in ctx.positive_roots:
+    for _, cov in d.positive_roots:
         num *= dot(cov, vec_add(linalg.vec_scale(2, lam), r2))
         den *= dot(cov, r2)
     value, rem = divmod(num, den)
     assert rem == 0 and value > 0, (lam, num, den)
-    ctx.dimensions[lam] = value
+    d.dimensions[lam] = value
     return value
 
 
@@ -186,10 +181,10 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     """
     lam = _require_dominant(d, lam, "left weight")
     mu = _require_dominant(d, mu, "right weight")
-    return decompose_checked(root_datum.weyl_context(d), lam, mu)
+    return decompose_checked(d, lam, mu)
 
 
-def decompose_checked(ctx: root_datum.WeylContext, lam: Vec, mu: Vec) -> Decomposition:
+def decompose_checked(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     """`tensor_decompose` on weights the caller has checked: dominant tuples of full length.
 
     Each lam + w is reflected at the first simple root whose rho-shifted
@@ -197,15 +192,14 @@ def decompose_checked(ctx: root_datum.WeylContext, lam: Vec, mu: Vec) -> Decompo
     positive or one is zero.  The checked lengths let the sums skip the
     length checks.
     """
-    d = ctx.datum
-    if _dimension(ctx, mu) > _dimension(ctx, lam):
+    if _dimension(d, mu) > _dimension(d, lam):
         lam, mu = mu, lam
-    columns, roots = ctx.columns, d.simple_roots
+    columns, roots = d.columns, d.simple_roots
     n = d.semisimple_rank
     shifted = tuple(x + 1 for x in d.pairing(lam))  # pairings of lam + rho
     acc: dict[Vec, int] = {}
-    for delta, m in _dominant_mults(ctx, mu).items():
-        for w, pw in zip(*ctx.orbit(delta)):
+    for delta, m in _dominant_mults(d, mu).items():
+        for w, pw in zip(*d.paired_orbit(delta)):
             y, q, sign, i = tuple(map(add, lam, w)), tuple(map(add, shifted, pw)), m, 0
             while i < n:
                 c = q[i]
@@ -239,7 +233,7 @@ def prv_components(d: RootDatum, lam: Vec, mu: Vec) -> tuple[Vec, ...]:
     mu = _require_dominant(d, mu, "right weight")
     found = {
         root_datum.dominant_representative(d, vec_add(lam, w))
-        for w in root_datum.weyl_context(d).orbit(mu)[0]
+        for w in d.paired_orbit(mu)[0]
     }
     return tuple(sorted(found, reverse=True))
 
@@ -253,12 +247,11 @@ def fundamental_monoid_generators(d: RootDatum) -> tuple[Vec, ...]:
     """
     if d.semisimple_rank != d.rank:
         raise ValueError("dominant monoid is finitely generated only for semisimple data")
-    ctx = root_datum.weyl_context(d)
-    _, adj, det = ctx.coordinates
+    _, adj, det = d.coordinates
     # least positive multiple of each pairing axis that is a weight; every
     # minimal monoid element fits under the box they span
     axis_mult = [abs(det) // math.gcd(det, *col) for col in zip(*adj)]
     box = itertools.product(*(range(0, m + 1) for m in axis_mult))
-    weight_of = {p: x for p in box if any(p) and (x := ctx.weight_at(p)) is not None}
+    weight_of = {p: x for p in box if any(p) and (x := d.weight_at(p)) is not None}
     return tuple(weight_of[p] for p in polytope.indecomposables(weight_of) or ())
 

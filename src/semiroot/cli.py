@@ -199,11 +199,10 @@ def cmd_check_props(args) -> int:
     dominant = sorted(
         v for v in iter_product(box, repeat=d.rank) if root_datum.is_dominant(d, v)
     )
-    ctx = root_datum.weyl_context(d)
     pairs = agree_ab = agree_ac = undecided = 0
     for mu in dominant:
         for lam in dominant:
-            if ctx.root_coefficients(linalg.vec_sub(lam, mu)) is None:
+            if d.root_coefficients(linalg.vec_sub(lam, mu)) is None:
                 continue
             pairs += 1
             try:

@@ -82,10 +82,9 @@ def window_box(d: RootDatum, bound: int) -> list[Vec]:
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    ctx = root_datum.weyl_context(d)
     k = d.semisimple_rank
     ranges = [range(bound + 1)] * k + [range(-bound, bound + 1)] * (d.rank - k)
-    box = (ctx.weight_at(y) for y in itertools.product(*ranges))
+    box = (d.weight_at(y) for y in itertools.product(*ranges))
     return sorted(x for x in box if x is not None)
 
 
@@ -119,7 +118,6 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
     """
     # dual_label checks each weight, so the products and sums skip the checks per pair
     dual = {w: char_engine.dual_label(d, w) for w in weights}
-    ctx = root_datum.weyl_context(d)
     wset = set(weights)
     pairing = {w: d.pairing(w) for w in weights}
     by_shape: dict[tuple[Vec, Vec], tuple[Vec, dict[Vec, int]]] = {}
@@ -132,7 +130,7 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
                 shape = (pairing[w1], pairing[w2])
                 seen = by_shape.get(shape)
                 if seen is None:
-                    cell = char_engine.decompose_checked(ctx, w1, w2)
+                    cell = char_engine.decompose_checked(d, w1, w2)
                     by_shape[shape] = (top, cell)
                 else:
                     shift = tuple(map(sub, top, seen[0]))

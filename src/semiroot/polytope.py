@@ -129,16 +129,15 @@ def orbit_hull(d: RootDatum, lam: Vec) -> OrbitHull:
     dominant.  A point x meets all of them exactly when lam - dom(x) lies in
     the rational root span with nonnegative coefficients, which by Kostant's
     convexity theorem is membership in the hull.  The normals are the
-    context's `hull_normals`, so only their right-hand sides depend on lam.
+    datum's `hull_normals`, so only their right-hand sides depend on lam.
     """
     lam = root_datum.dominant_representative(d, lam)
-    ctx = root_datum.weyl_context(d)
     ineqs: list[Inequality] = []
-    for q in ctx.coordinates[0][d.semisimple_rank :]:
+    for q in d.coordinates[0][d.semisimple_rank :]:
         ineqs += [(q, dot(q, lam)), (tuple(-c for c in q), -dot(q, lam))]
-    for y, images in ctx.hull_normals:
+    for y, images in d.hull_normals:
         ineqs += [(wy, dot(y, lam)) for wy in images]
-    return OrbitHull(vertices=ctx.orbit(lam)[0], inequalities=tuple(ineqs))
+    return OrbitHull(vertices=d.paired_orbit(lam)[0], inequalities=tuple(ineqs))
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ class CriteriaTriple:
 
 def tensor_radius_sq(d: RootDatum, lam: Vec) -> int:
     """Squared radius of the certificate ball: (2m max|x|)^2 over the orbit."""
-    orb = root_datum.weyl_context(d).orbit(tuple(lam))[0]
+    orb = d.paired_orbit(tuple(lam))[0]
     m = len(orb)
     top = max(norm_sq(v) for v in orb)
     return 4 * m * m * top
@@ -222,7 +221,7 @@ def _escape_witness(d: RootDatum, mu: Vec, hull: OrbitHull, r2: int) -> int | No
     while a.(n*mu) = n*b + n*m, so n*mu is outside it once
     n = h*sum|a| // m + 1.
     """
-    box_half = root_datum.weyl_context(d).stretch * (math.isqrt(r2) + 1)
+    box_half = d.stretch * (math.isqrt(r2) + 1)
     powers = [
         box_half * sum(abs(x) for x in a) // margin + 1
         for a, b in hull.inequalities

@@ -19,7 +19,6 @@ coordinates only appear after the group completion invents them.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -65,7 +64,6 @@ class RecoveredOrder:
 
 @dataclass
 class RecoveredMonoid:
-    labels: tuple[str, ...]
     zero: str
     add: dict[tuple[str, str], str]
     undefined: tuple[tuple[str, str], ...]
@@ -410,9 +408,7 @@ def recover_addition(t: OracleTable) -> RecoveredMonoid:
             add[key] = cands[0]
         else:
             undefined.append(key)
-    return RecoveredMonoid(
-        labels=t.labels, zero=t.unit, add=add, undefined=tuple(undefined)
-    )
+    return RecoveredMonoid(zero=t.unit, add=add, undefined=tuple(undefined))
 
 
 def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
@@ -427,7 +423,10 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
     the labels left free gives their coordinates in the free quotient, and
     each eliminated label takes the value of its expression.  Torsion in the
     completion means the table was inconsistent.  Labels appearing in no
-    relation are not embedded.  Returns (rank, embedding).
+    relation are not embedded.  Every relation holds in the embedding by
+    construction: each solved label takes its expression, and the rows of
+    the Smith transform that give the coordinates vanish on the residual
+    relations.  Returns (rank, embedding).
     """
     relations: list[dict[str, int]] = []
     for (x, y), z in sorted(m.add.items()):
@@ -496,11 +495,6 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
         )
         for lbl in constrained
     }
-    # every coordinate vector has length rank, so the sums skip the length check
-    for (x, y), z in m.add.items():
-        if x in embedding and y in embedding and z in embedding:
-            if tuple(map(operator.add, embedding[x], embedding[y])) != embedding[z]:
-                raise StageFailure("lattice", f"completion broke identity {x}+{y}={z}")
     return rank, embedding
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -30,6 +30,15 @@ class RootDatumError(ValueError):
 
 @dataclass(frozen=True)
 class RootDatum:
+    """A root datum in coordinates, with its derived Weyl data.
+
+    Derived data live on the datum: each is a cached property, built on first
+    use and kept for the datum's lifetime.  The dicts `orbits`,
+    `dominant_mults` and `dimensions` are memos keyed by weight:
+    `paired_orbit` fills the first, the char engine the others.  Nothing is
+    shared between data, so an equal or renamed copy builds its own.
+    """
+
     rank: int
     simple_roots: tuple[Vec, ...]
     simple_coroots: tuple[Vec, ...]
@@ -50,13 +59,169 @@ class RootDatum:
         return tuple(dot(c, x) for c in self.simple_coroots)
 
     @functools.cached_property
-    def _context(self) -> WeylContext:
-        """The shared context, looked up once and then kept on this datum."""
-        return _weyl_context(self.rank, self.simple_roots, self.simple_coroots)
+    def cartan(self) -> Matrix:
+        """Row i holds <coroot_i, root_j> over j."""
+        return tuple(tuple(dot(c, a) for a in self.simple_roots) for c in self.simple_coroots)
 
+    @functools.cached_property
+    def positive_roots(self) -> tuple[tuple[Vec, Vec], ...]:
+        """Positive (root, coroot) pairs, sorted by root.
 
-def cartan_matrix(d: RootDatum) -> Matrix:
-    return weyl_context(d).cartan
+        Breadth-first closure of the simple roots under simple reflections.
+        Roots and coroots travel as integer coefficient vectors over the
+        simple roots and coroots: s_j lowers coefficient j by the pairing
+        with coroot j.  Only positive roots are followed, since a simple
+        reflection takes a negative root to a positive one only at -alpha_j.
+        """
+        a, k = self.cartan, self.semisimple_rank
+        unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        seen: dict[Vec, Vec] = {e: e for e in unit}
+        frontier = [(e, e) for e in unit]
+        while frontier:
+            nxt = []
+            for c, e in frontier:
+                for j in range(k):
+                    p = sum(a[j][m] * c[m] for m in range(k))
+                    rc = c[:j] + (c[j] - p,) + c[j + 1 :]
+                    if rc in seen or rc[j] < 0:
+                        continue
+                    q = sum(e[m] * a[m][j] for m in range(k))
+                    re = e[:j] + (e[j] - q,) + e[j + 1 :]
+                    seen[rc] = re
+                    nxt.append((rc, re))
+            frontier = nxt
+
+        def combine(coeffs: Vec, basis: tuple[Vec, ...]) -> Vec:
+            return tuple(
+                sum(cf * v[r] for cf, v in zip(coeffs, basis)) for r in range(self.rank)
+            )
+
+        return tuple(
+            sorted(
+                (combine(c, self.simple_roots), combine(e, self.simple_coroots))
+                for c, e in seen.items()
+            )
+        )
+
+    @functools.cached_property
+    def orbits(self) -> dict:
+        """Memo of `paired_orbit`, keyed by weight."""
+        return {}
+
+    @functools.cached_property
+    def dominant_mults(self) -> dict:
+        """Memo of the char engine's dominant weight multiplicities, keyed by highest weight."""
+        return {}
+
+    @functools.cached_property
+    def dimensions(self) -> dict:
+        """Memo of the char engine's dimensions, keyed by highest weight."""
+        return {}
+
+    def paired_orbit(self, x: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        """W-orbit of x, descending, and the simple-coroot pairings of each weight."""
+        got = self.orbits.get(x)
+        if got is None:
+            orb = orbit(self, x)
+            got = self.orbits[x] = (orb, tuple(self.pairing(w) for w in orb))
+        return got
+
+    @functools.cached_property
+    def dual(self) -> RootDatum:
+        """Simple roots and coroots swapped: its weight orbits are this datum's coweight orbits."""
+        return RootDatum(self.rank, self.simple_coroots, self.simple_roots)
+
+    @functools.cached_property
+    def weyl_order(self) -> int:
+        """|W|, the size of the orbit of the regular weight rho2, whose stabilizer is trivial."""
+        return len(orbit(self, self.rho2))
+
+    @functools.cached_property
+    def stretch(self) -> int:
+        """Largest sum of |entries| of a row of an element of W acting on weights.
+
+        Row a of w is the functional x -> (w x)_a, the image of the unit
+        covector e_a under the coweight action, so the rows of all of W are
+        the coweight orbits of the unit covectors.
+        """
+        n = self.rank
+        units = (tuple(int(a == b) for b in range(n)) for a in range(n))
+        return max((sum(map(abs, y)) for e in units for y in orbit(self.dual, e)), default=1)
+
+    @functools.cached_property
+    def hull_normals(self) -> tuple[tuple[Vec, tuple[Vec, ...]], ...]:
+        """Each Y_i = sum_j adj(Cartan)_ij coroot_j with its coweight orbit W.Y_i.
+
+        Y_i is det(Cartan) times the i-th fundamental coweight.
+        """
+        out = []
+        for row in self.cartan_adjugate[0]:
+            y = tuple(
+                sum(c * cv[r] for c, cv in zip(row, self.simple_coroots))
+                for r in range(self.rank)
+            )
+            out.append((y, orbit(self.dual, y)))
+        return tuple(out)
+
+    @functools.cached_property
+    def rho2(self) -> Vec:
+        total = (0,) * self.rank
+        for a, _ in self.positive_roots:
+            total = linalg.vec_add(total, a)
+        return total
+
+    @functools.cached_property
+    def columns(self) -> Matrix:
+        """Columns of the Cartan matrix: column i holds <coroot_j, root_i> over j."""
+        return tuple(zip(*self.cartan))
+
+    @functools.cached_property
+    def cartan_adjugate(self) -> tuple[Matrix, int]:
+        adj, det = linalg.adjugate(self.cartan)
+        return tuple(map(tuple, adj)), det
+
+    @functools.cached_property
+    def coordinates(self) -> tuple[Matrix, Matrix, int]:
+        """(F, adj F, det F), F the simple coroots stacked over the torus-quotient matrix.
+
+        F x lists the pairings of x with the simple coroots, then its
+        torus-quotient coordinates.
+        """
+        f = self.simple_coroots + quotient_matrix(self)
+        adj, det = linalg.adjugate(f)
+        return f, tuple(map(tuple, adj)), det
+
+    def weight_at(self, y: Vec) -> Vec | None:
+        """The weight x with F x = y, F the coordinate matrix, or None when there is none.
+
+        x is adj(F) y / det(F), a weight exactly when det(F) divides every entry.
+        """
+        _, adj, det = self.coordinates
+        x = linalg.mat_vec(adj, y)
+        if any(c % det for c in x):
+            return None
+        return tuple(c // det for c in x)
+
+    def root_numerators(self, v: Vec) -> Vec | None:
+        """det(Cartan) times v's coefficients over the simple roots, or None off their span.
+
+        v lies in the span when the torus rows of the coordinate matrix vanish
+        on it; its pairings are then the Cartan matrix applied to the
+        coefficients, so the integer adjugate inverts them.  det(Cartan) is
+        positive for a datum of finite type.
+        """
+        if any(dot(row, v) for row in self.coordinates[0][self.semisimple_rank :]):
+            return None
+        p = self.pairing(v)
+        return tuple(dot(row, p) for row in self.cartan_adjugate[0])
+
+    def root_coefficients(self, v: Vec) -> Vec | None:
+        """Integer coefficients of v over the simple roots, or None off the root lattice."""
+        scaled = self.root_numerators(v)
+        det = self.cartan_adjugate[1]
+        if scaled is None or any(c % det for c in scaled):
+            return None
+        return tuple(c // det for c in scaled)
 
 
 def validate_root_datum(d: RootDatum) -> None:
@@ -75,7 +240,7 @@ def validate_root_datum(d: RootDatum) -> None:
         raise RootDatumError("shape: more simple roots than rank")
     if len(set(d.simple_roots)) != k:
         raise RootDatumError("shape: duplicate simple roots")
-    a = cartan_matrix(d)
+    a = d.cartan
     for i in range(k):
         if a[i][i] != 2:
             raise RootDatumError(f"pairing normalization: <coroot {i}, root {i}> != 2")
@@ -110,8 +275,8 @@ def reflect(d: RootDatum, i: int, x: Vec) -> Vec:
 
 
 def weyl_order(d: RootDatum) -> int:
-    """|W|, read off the context of a valid datum."""
-    return weyl_context(d).weyl_order
+    """|W| of a valid datum."""
+    return d.weyl_order
 
 
 def orbit(d: RootDatum, x: Vec) -> tuple[Vec, ...]:
@@ -154,198 +319,13 @@ def dominant_representative(d: RootDatum, x: Vec) -> Vec:
 
 def dominance_leq(d: RootDatum, mu: Vec, lam: Vec) -> bool:
     """Whether lam - mu is a nonnegative integer combination of simple roots."""
-    coeffs = weyl_context(d).root_coefficients(vec_sub(lam, mu))
+    coeffs = d.root_coefficients(vec_sub(lam, mu))
     return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
 def positive_roots(d: RootDatum) -> tuple[tuple[Vec, Vec], ...]:
     """All positive roots as (root, coroot) pairs, sorted by root."""
-    return weyl_context(d).positive_roots
-
-
-CONTEXT_CACHE_SIZE = 16
-
-
-@dataclass(frozen=True, eq=False)
-class WeylContext:
-    """Weyl data of one datum's coordinates, derived once and shared.
-
-    Keyed on (rank, simple roots, simple coroots), never on the name, so a
-    datum and its renamed copy share one context.  Derived data are built
-    on first use.  The memo dicts are keyed by weight: `orbit` fills
-    `orbits`, the char engine the others.
-    """
-
-    datum: RootDatum
-    cartan: Matrix
-    dominant_mults: dict = field(default_factory=dict, repr=False)
-    dimensions: dict = field(default_factory=dict, repr=False)
-    orbits: dict = field(default_factory=dict, repr=False)
-
-    @functools.cached_property
-    def positive_roots(self) -> tuple[tuple[Vec, Vec], ...]:
-        """Positive (root, coroot) pairs, sorted by root.
-
-        Breadth-first closure of the simple roots under simple reflections.
-        Roots and coroots travel as integer coefficient vectors over the
-        simple roots and coroots: s_j lowers coefficient j by the pairing
-        with coroot j.  Only positive roots are followed, since a simple
-        reflection takes a negative root to a positive one only at -alpha_j.
-        """
-        d, a = self.datum, self.cartan
-        k = d.semisimple_rank
-        unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        seen: dict[Vec, Vec] = {e: e for e in unit}
-        frontier = [(e, e) for e in unit]
-        while frontier:
-            nxt = []
-            for c, e in frontier:
-                for j in range(k):
-                    p = sum(a[j][m] * c[m] for m in range(k))
-                    rc = c[:j] + (c[j] - p,) + c[j + 1 :]
-                    if rc in seen or rc[j] < 0:
-                        continue
-                    q = sum(e[m] * a[m][j] for m in range(k))
-                    re = e[:j] + (e[j] - q,) + e[j + 1 :]
-                    seen[rc] = re
-                    nxt.append((rc, re))
-            frontier = nxt
-
-        def combine(coeffs: Vec, basis: tuple[Vec, ...]) -> Vec:
-            return tuple(
-                sum(cf * v[r] for cf, v in zip(coeffs, basis)) for r in range(d.rank)
-            )
-
-        return tuple(
-            sorted(
-                (combine(c, d.simple_roots), combine(e, d.simple_coroots))
-                for c, e in seen.items()
-            )
-        )
-
-    def orbit(self, x: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """W-orbit of x, descending, and the simple-coroot pairings of each weight."""
-        got = self.orbits.get(x)
-        if got is None:
-            d = self.datum
-            orb = orbit(d, x)
-            got = self.orbits[x] = (orb, tuple(d.pairing(w) for w in orb))
-        return got
-
-    @functools.cached_property
-    def dual(self) -> RootDatum:
-        """Simple roots and coroots swapped: its weight orbits are this datum's coweight orbits."""
-        d = self.datum
-        return RootDatum(d.rank, d.simple_coroots, d.simple_roots)
-
-    @functools.cached_property
-    def weyl_order(self) -> int:
-        """|W|, the size of the orbit of the regular weight rho2, whose stabilizer is trivial."""
-        return len(orbit(self.datum, self.rho2))
-
-    @functools.cached_property
-    def stretch(self) -> int:
-        """Largest sum of |entries| of a row of an element of W acting on weights.
-
-        Row a of w is the functional x -> (w x)_a, the image of the unit
-        covector e_a under the coweight action, so the rows of all of W are
-        the coweight orbits of the unit covectors.
-        """
-        n = self.datum.rank
-        units = (tuple(int(a == b) for b in range(n)) for a in range(n))
-        return max((sum(map(abs, y)) for e in units for y in orbit(self.dual, e)), default=1)
-
-    @functools.cached_property
-    def hull_normals(self) -> tuple[tuple[Vec, tuple[Vec, ...]], ...]:
-        """Each Y_i = sum_j adj(Cartan)_ij coroot_j with its coweight orbit W.Y_i.
-
-        Y_i is det(Cartan) times the i-th fundamental coweight.
-        """
-        d = self.datum
-        out = []
-        for row in self.cartan_adjugate[0]:
-            y = tuple(
-                sum(c * cv[r] for c, cv in zip(row, d.simple_coroots)) for r in range(d.rank)
-            )
-            out.append((y, orbit(self.dual, y)))
-        return tuple(out)
-
-    @functools.cached_property
-    def rho2(self) -> Vec:
-        total = (0,) * self.datum.rank
-        for a, _ in self.positive_roots:
-            total = linalg.vec_add(total, a)
-        return total
-
-    @functools.cached_property
-    def columns(self) -> Matrix:
-        """Columns of the Cartan matrix: column i holds <coroot_j, root_i> over j."""
-        return tuple(zip(*self.cartan))
-
-    @functools.cached_property
-    def cartan_adjugate(self) -> tuple[Matrix, int]:
-        adj, det = linalg.adjugate(self.cartan)
-        return tuple(map(tuple, adj)), det
-
-    @functools.cached_property
-    def coordinates(self) -> tuple[Matrix, Matrix, int]:
-        """(F, adj F, det F), F the simple coroots stacked over the torus-quotient matrix.
-
-        F x lists the pairings of x with the simple coroots, then its
-        torus-quotient coordinates.
-        """
-        f = self.datum.simple_coroots + quotient_matrix(self.datum)
-        adj, det = linalg.adjugate(f)
-        return f, tuple(map(tuple, adj)), det
-
-    def weight_at(self, y: Vec) -> Vec | None:
-        """The weight x with F x = y, F the coordinate matrix, or None when there is none.
-
-        x is adj(F) y / det(F), a weight exactly when det(F) divides every entry.
-        """
-        _, adj, det = self.coordinates
-        x = linalg.mat_vec(adj, y)
-        if any(c % det for c in x):
-            return None
-        return tuple(c // det for c in x)
-
-    def root_numerators(self, v: Vec) -> Vec | None:
-        """det(Cartan) times v's coefficients over the simple roots, or None off their span.
-
-        v lies in the span when the torus rows of the coordinate matrix vanish
-        on it; its pairings are then the Cartan matrix applied to the
-        coefficients, so the integer adjugate inverts them.  det(Cartan) is
-        positive for a datum of finite type.
-        """
-        if any(dot(row, v) for row in self.coordinates[0][self.datum.semisimple_rank :]):
-            return None
-        p = self.datum.pairing(v)
-        return tuple(dot(row, p) for row in self.cartan_adjugate[0])
-
-    def root_coefficients(self, v: Vec) -> Vec | None:
-        """Integer coefficients of v over the simple roots, or None off the root lattice."""
-        scaled = self.root_numerators(v)
-        det = self.cartan_adjugate[1]
-        if scaled is None or any(c % det for c in scaled):
-            return None
-        return tuple(c // det for c in scaled)
-
-
-def weyl_context(d: RootDatum) -> WeylContext:
-    """The shared context of a datum's coordinates.
-
-    The first call on a datum looks it up in the bounded memo, keyed on the
-    coordinates; the datum then keeps it, so later calls hash nothing.
-    """
-    return d._context
-
-
-@functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def _weyl_context(
-    rank: int, simple_roots: tuple[Vec, ...], simple_coroots: tuple[Vec, ...]
-) -> WeylContext:
-    cartan = tuple(tuple(dot(c, a) for a in simple_roots) for c in simple_coroots)
-    return WeylContext(RootDatum(rank, simple_roots, simple_coroots), cartan)
+    return d.positive_roots
 
 
 def quotient_matrix(d: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -372,11 +352,11 @@ def root_data_isomorphic(d1: RootDatum, d2: RootDatum) -> Matrix | None:
     if d1.rank != d2.rank or d1.semisimple_rank != d2.semisimple_rank:
         return None
     n, k = d1.rank, d1.semisimple_rank
-    f1, _, det1 = weyl_context(d1).coordinates
-    f2, adj2, det2 = weyl_context(d2).coordinates
+    f1, _, det1 = d1.coordinates
+    f2, adj2, det2 = d2.coordinates
     if abs(det1) != abs(det2):
         return None
-    a1, a2 = cartan_matrix(d1), cartan_matrix(d2)
+    a1, a2 = d1.cartan, d2.cartan
     lifts = _unimodular_lifts(n - k, abs(det2))
     for sigma in itertools.permutations(range(k)):
         if any(a1[i][j] != a2[sigma[i]][sigma[j]] for i in range(k) for j in range(k)):

@@ -1,11 +1,14 @@
 import hashlib
+import importlib
 import itertools
+import pkgutil
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semiroot
 from semiroot import char_engine, linalg, oracle, root_datum
 from semiroot.root_datum import RootDatum
 
@@ -58,7 +61,7 @@ def test_dimension_g2_fundamentals():
 def test_memoized_dimension_still_checks_its_weight():
     sl3 = root_datum.fixture("sl3")
     assert char_engine.dimension(sl3, (2, 1)) == 15
-    memo = root_datum.weyl_context(sl3).dimensions
+    memo = sl3.dimensions
     assert memo[(2, 1)] == 15
     assert char_engine.dimension(sl3, [2, 1]) == 15
     for bad in [(-1, 2), (2,), (2, 1, 0)]:
@@ -398,17 +401,23 @@ def test_monoid_generators_generate():
 
 
 def test_no_module_level_dict_caches():
-    dicts = [
-        name
-        for name, value in vars(char_engine).items()
-        if isinstance(value, dict) and not name.startswith("__")
+    # a module-level dict or functools cache would be a memo shared by every datum
+    caches = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(semiroot.__path__)
+        for name, value in vars(importlib.import_module(f"semiroot.{info.name}")).items()
+        if not name.startswith("__") and (isinstance(value, dict) or hasattr(value, "cache_info"))
     ]
-    assert dicts == []
+    assert caches == []
 
 
-def test_memos_live_in_the_shared_context():
+def test_memos_live_on_the_datum():
     sl3 = root_datum.fixture("sl3")
     renamed = root_datum.RootDatum(sl3.rank, sl3.simple_roots, sl3.simple_coroots, "recovered")
     mults = char_engine.dominant_weight_multiplicities(sl3, (3, 2))
-    assert char_engine.dominant_weight_multiplicities(renamed, (3, 2)) is mults
-    assert root_datum.weyl_context(renamed).dominant_mults[(3, 2)] is mults
+    assert sl3.dominant_mults[(3, 2)] is mults
+    assert char_engine.dominant_weight_multiplicities(sl3, (3, 2)) is mults
+    # an equal copy builds its own memo, with the same values
+    again = char_engine.dominant_weight_multiplicities(renamed, (3, 2))
+    assert again == mults and again is not mults
+    assert renamed.dominant_mults[(3, 2)] is again

@@ -43,7 +43,7 @@ def _dominance_leq_rational(d, mu, lam):
     The Kostant reference for the hull inequalities: a point x lies in the
     hull of the orbit of a dominant lam exactly when this holds for dom(x).
     """
-    scaled = root_datum.weyl_context(d).root_numerators(vec_sub(lam, mu))
+    scaled = d.root_numerators(vec_sub(lam, mu))
     return scaled is not None and all(c >= 0 for c in scaled)
 
 

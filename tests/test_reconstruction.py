@@ -196,6 +196,25 @@ def test_lattice_completion(sl2_oracle):
         assert left == embedding[z]
 
 
+@pytest.mark.parametrize("seed", [7, 1])
+@pytest.mark.parametrize(
+    "name,bound", [(name, bound) for name in root_datum.fixture_names() for bound in (2, 3, 4)]
+)
+def test_lattice_completion_keeps_every_identity(name, bound, seed):
+    # recover_lattice does not re-check its output: elimination by unit pivots
+    # and the zero rows of the Smith form satisfy every relation by construction
+    t, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=seed)
+    monoid = reconstruction.recover_addition(t)
+    rank, embedding = reconstruction.recover_lattice(monoid)
+    checked = 0
+    for (x, y), z in monoid.add.items():
+        if x in embedding and y in embedding and z in embedding:
+            left = tuple(a + b for a, b in zip(embedding[x], embedding[y]))
+            assert left == embedding[z], (x, y, z)
+            checked += 1
+    assert checked and all(len(v) == rank for v in embedding.values())
+
+
 def test_lattice_rank_torus():
     d = root_datum.fixture("torus2")
     t, _ = oracle.materialize_oracle(d, 1, seed=4)
@@ -217,7 +236,7 @@ def test_lattice_torsion_fails():
     # e + e = e and a + a = e: eliminating e = 2a leaves the relation 2a,
     # which has no unit coefficient and reaches the residual Smith form
     monoid = reconstruction.RecoveredMonoid(
-        labels=("a", "e"), zero="e", add={("a", "a"): "e", ("e", "e"): "e"}, undefined=()
+        zero="e", add={("a", "a"): "e", ("e", "e"): "e"}, undefined=()
     )
     with pytest.raises(StageFailure) as e:
         reconstruction.recover_lattice(monoid)

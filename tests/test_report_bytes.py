@@ -46,12 +46,20 @@ REPORT_SHA256 = [
     ("gl2", 4, "24b42d2c014239d459f5f0a117db47674e41a68dc54f7e8b8569e23bf83b9c50"),
     ("torus1", 4, "b3fd94a91d3593384ba4e90e623f7df84f8d4c7b1d67c415b8e522e45875c00c"),
     ("sl2xT2", 2, "21f42f8c0444f8ad2674ea8136b293981b740130ed1120f56f151ba97db2e722"),
+    ("sp6", 1, "0d544e3faf7fff2dcd4e5f2051587fef7f53812b563fa5d6a897f9c8a675526e"),
+    ("torus3", 2, "51e0f0115d22bc868a60d241599ac4d3f2334636af86db5f4f82b474d2e91cd5"),
+    ("gl2xT1", 2, "b3b7deaa48d6dc24dc09b5970fd25217db711051a1e95b8aa4ec73adca8a30b3"),
 ]
 
 # data the fixtures do not ship, handed to --datum as a JSON file
 DATUM_FILES = {
     "sl2xT2": '{"rank": 3, "simple_roots": [[2,0,0]], "simple_coroots": [[1,0,0]], '
     '"name": "sl2xT2"}\n',
+    "sp6": '{"rank": 3, "simple_roots": [[2,-1,0],[-1,2,-1],[0,-2,2]], '
+    '"simple_coroots": [[1,0,0],[0,1,0],[0,0,1]], "name": "sp6"}\n',
+    "torus3": '{"rank": 3, "simple_roots": [], "simple_coroots": [], "name": "torus3"}\n',
+    "gl2xT1": '{"rank": 3, "simple_roots": [[1,-1,0]], "simple_coroots": [[1,-1,0]], '
+    '"name": "gl2xT1"}\n',
 }
 
 CHECK_PROPS_SHA256 = [

@@ -275,19 +275,16 @@ def test_rank3_positive_root_counts(name):
     assert len(root_datum.positive_roots(d)) == count
 
 
-def test_renamed_datum_shares_context():
+def test_derived_data_are_kept_on_the_datum():
     sl3 = root_datum.fixture("sl3")
     renamed = RootDatum(sl3.rank, sl3.simple_roots, sl3.simple_coroots, name="recovered")
-    assert root_datum.weyl_context(sl3) is root_datum.weyl_context(renamed)
-
-
-def test_context_memo_is_bounded():
-    size = root_datum.CONTEXT_CACHE_SIZE
-    assert root_datum._weyl_context.cache_info().maxsize == size
-    for n in range(size + 3):
-        d = RootDatum(n + 1, ((2,) + (0,) * n,), ((1,) + (0,) * n,))
-        assert len(root_datum.positive_roots(d)) == 1
-        assert root_datum._weyl_context.cache_info().currsize <= size
+    roots = root_datum.positive_roots(sl3)
+    assert root_datum.positive_roots(sl3) is roots
+    # an equal copy derives its own data, and the kept data leave equality alone
+    assert root_datum.positive_roots(renamed) == roots
+    assert root_datum.positive_roots(renamed) is not roots
+    fresh = root_datum.fixture("sl3")
+    assert fresh == sl3 and hash(fresh) == hash(sl3)
 
 
 def _reference_root_coefficients(d, v):
@@ -306,17 +303,16 @@ ALL_DATA = [root_datum.fixture(n) for n in root_datum.fixture_names()] + [SL4, S
 
 @pytest.mark.parametrize("d", ALL_DATA + [GL2xT1], ids=lambda d: d.name or "A3")
 def test_root_coefficients_match_rational_solve(d):
-    ctx = root_datum.weyl_context(d)
     box = range(-3, 4) if d.rank < 3 else range(-2, 3)
     for v in itertools.product(box, repeat=d.rank):
         ref = _reference_root_coefficients(d, v)
         if ref is None:
-            assert ctx.root_numerators(v) is None and ctx.root_coefficients(v) is None
+            assert d.root_numerators(v) is None and d.root_coefficients(v) is None
             continue
-        det = ctx.cartan_adjugate[1]
-        assert ctx.root_numerators(v) == tuple(c * det for c in ref)
+        det = d.cartan_adjugate[1]
+        assert d.root_numerators(v) == tuple(c * det for c in ref)
         integral = all(c.denominator == 1 for c in ref)
-        assert ctx.root_coefficients(v) == (tuple(map(int, ref)) if integral else None)
+        assert d.root_coefficients(v) == (tuple(map(int, ref)) if integral else None)
 
 
 def _base_change(d, u):
@@ -416,7 +412,7 @@ def test_weyl_order_and_stretch_match_matrix_group(d):
     group = _reference_weyl_group(d)
     assert root_datum.weyl_order(d) == len(group)
     stretch = max((sum(map(abs, row)) for w in group for row in w), default=1)
-    assert root_datum.weyl_context(d).stretch == stretch
+    assert d.stretch == stretch
 
 
 def _reference_coweight_orbit(d, y):
@@ -437,10 +433,9 @@ def _reference_coweight_orbit(d, y):
 
 @pytest.mark.parametrize("d", WEYL_DATA, ids=WEYL_IDS)
 def test_hull_normals_are_coweight_orbits(d):
-    ctx = root_datum.weyl_context(d)
-    k, det = d.semisimple_rank, ctx.cartan_adjugate[1]
-    assert len(ctx.hull_normals) == k
-    for i, (y, images) in enumerate(ctx.hull_normals):
+    k, det = d.semisimple_rank, d.cartan_adjugate[1]
+    assert len(d.hull_normals) == k
+    for i, (y, images) in enumerate(d.hull_normals):
         # det(Cartan) times the i-th fundamental coweight, inside the coroot span
         assert [linalg.dot(y, a) for a in d.simple_roots] == [det * (i == j) for j in range(k)]
         assert linalg.solve(linalg.transpose(d.simple_coroots), y) is not None
