@@ -95,7 +95,7 @@ def _report_blob(rep: reconstruction.ReconstructionReport) -> dict:
         "rank": None,
         "simple_roots": None,
         "simple_coroots": None,
-        "weyl_order": rep.weyl_order,
+        "weyl_order": None,
         "inferred_bound": rep.inferred_bound,
         "bijection": None,
     }
@@ -103,6 +103,7 @@ def _report_blob(rep: reconstruction.ReconstructionReport) -> dict:
         blob["rank"] = rep.datum.rank
         blob["simple_roots"] = [list(r) for r in rep.datum.simple_roots]
         blob["simple_coroots"] = [list(c) for c in rep.datum.simple_coroots]
+        blob["weyl_order"] = rep.datum.weyl_order
     if rep.bijection is not None:
         blob["bijection"] = {x: list(v) for x, v in sorted(rep.bijection.items())}
     return blob

@@ -64,7 +64,6 @@ class RecoveredOrder:
 
 @dataclass
 class RecoveredMonoid:
-    zero: str
     add: dict[tuple[str, str], str]
     undefined: tuple[tuple[str, str], ...]
 
@@ -79,8 +78,6 @@ class ReconstructionReport:
     lattice_rank: int | None = None
     embedding: dict[str, Vec] | None = None
     simple_roots: tuple[Vec, ...] = ()
-    simple_coroots: tuple[Vec, ...] = ()
-    weyl_order: int | None = None
     datum: RootDatum | None = None
     bijection: dict[str, Vec] | None = None
     inferred_bound: int | None = None
@@ -408,7 +405,7 @@ def recover_addition(t: OracleTable) -> RecoveredMonoid:
             add[key] = cands[0]
         else:
             undefined.append(key)
-    return RecoveredMonoid(zero=t.unit, add=add, undefined=tuple(undefined))
+    return RecoveredMonoid(add=add, undefined=tuple(undefined))
 
 
 def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
@@ -428,9 +425,15 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
     the Smith transform that give the coordinates vanish on the residual
     relations.  Returns (rank, embedding).
     """
-    relations: list[dict[str, int]] = []
+    if not m.add:
+        raise StageFailure("lattice", "no addition identities to complete")
+    # expr holds each eliminated label over the free labels only, so a newly
+    # eliminated label is substituted into every expression in one scan
+    expr: dict[str, dict[str, int]] = {}
+    residual: list[dict[str, int]] = []
+    constrained: set[str] = set()
     for (x, y), z in sorted(m.add.items()):
-        # the coefficients sum to 1, so no relation vanishes
+        # the coefficients sum to 1, so no relation vanishes before substitution
         rel = {x: 1}
         rel[y] = rel.get(y, 0) + 1
         c = rel.get(z, 0) - 1
@@ -438,16 +441,7 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
             rel[z] = c
         else:
             del rel[z]
-        relations.append(rel)
-    constrained = sorted({lbl for rel in relations for lbl in rel})
-    if not constrained:
-        raise StageFailure("lattice", "no addition identities to complete")
-    # expr holds each eliminated label over the free labels only; users
-    # indexes, for each free label, the expressions it appears in
-    expr: dict[str, dict[str, int]] = {}
-    users: dict[str, set[str]] = {}
-    residual: list[dict[str, int]] = []
-    for rel in relations:
+        constrained.update(rel)
         rel = _substitute(rel, expr)
         if not rel:
             continue
@@ -458,21 +452,18 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
         pivot = min(units)  # a fixed rule: the completion is the same in every run
         c = rel.pop(pivot)
         solved = {lbl: -c * v for lbl, v in rel.items()}
-        for user in users.pop(pivot, ()):
-            e = expr[user]
-            k = e.pop(pivot)
-            for lbl, v in solved.items():
-                total = e.get(lbl, 0) + k * v
-                if total:
-                    e[lbl] = total
-                    users.setdefault(lbl, set()).add(user)
-                else:
-                    del e[lbl]
-                    users[lbl].discard(user)
+        for e in expr.values():
+            if pivot in e:
+                k = e.pop(pivot)
+                for lbl, v in solved.items():
+                    total = e.get(lbl, 0) + k * v
+                    if total:
+                        e[lbl] = total
+                    else:
+                        del e[lbl]
         expr[pivot] = solved
-        for lbl in solved:
-            users.setdefault(lbl, set()).add(pivot)
-    free = [lbl for lbl in constrained if lbl not in expr]
+    labels = sorted(constrained)
+    free = [lbl for lbl in labels if lbl not in expr]
     residual = [rel for rel in (_substitute(r, expr) for r in residual) if rel]
     row = {lbl: i for i, lbl in enumerate(free)}
     mat = [[0] * len(residual) for _ in free]
@@ -493,7 +484,7 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
             sum(c * basis[f][i] for f, c in expr.get(lbl, {lbl: 1}).items())
             for i in range(rank)
         )
-        for lbl in constrained
+        for lbl in labels
     }
     return rank, embedding
 
@@ -572,12 +563,11 @@ def recover_simple_coroots(
     # scans near the window ceiling can stop a step early when the weight
     # above fell out of the embedding, so interior labels (large profiles)
     # are trusted first and ceiling equations get dropped on inconsistency
-    profile_size = {x: sum(cell is not None for cell in t.rows[x].values()) for x in t.labels}
-    usable: list[tuple[int, str, Vec]] = []
-    for mu, mv in sorted(embedding.items()):
-        if t.product(mu, mu) is not None:
-            usable.append((-profile_size[mu], mu, mv))
-    usable.sort()
+    usable = sorted(
+        (-sum(cell is not None for cell in t.rows[mu].values()), mu, mv)
+        for mu, mv in embedding.items()
+        if t.product(mu, mu) is not None
+    )
     out: list[Vec] = []
     for a in roots:
         eqs: list[tuple[Vec, int]] = []
@@ -633,7 +623,6 @@ def recover_datum(t: OracleTable) -> ReconstructionReport:
             report.embedding = embedding
         report.simple_roots = roots
         coroots = recover_simple_coroots(t, embedding, roots)
-        report.simple_coroots = coroots
         datum = RootDatum(
             rank=rank, simple_roots=roots, simple_coroots=coroots, name="recovered"
         )
@@ -642,7 +631,6 @@ def recover_datum(t: OracleTable) -> ReconstructionReport:
         except root_datum.RootDatumError as e:
             raise StageFailure("assembly", str(e)) from None
         report.datum = datum
-        report.weyl_order = root_datum.weyl_order(datum)
         bound, bijection = _certify(t, datum, embedding)
         report.inferred_bound = bound
         report.bijection = bijection
@@ -695,23 +683,18 @@ def _certify(
     """Re-materialize the window from the recovered datum and match the table.
 
     Window size grows with the bound, so scanning upward finds the unique
-    size that fits the label count (plateaus repeat the same window and are
-    skipped).  The table of that window is built once, and the embedding is
-    extended over the unembedded labels one label at a time.  Every partial
-    bijection must agree with the window's table on the unit, on the dual
-    pairs it names and on the product cells it names in full, so a complete
-    one reproduces the table cell by cell.  There is no other way to
-    certify: a certified report always names its bound.
+    size that fits the label count.  The table of that window is built once,
+    and the embedding is extended over the unembedded labels one label at a
+    time.  Every partial bijection must agree with the window's table on the
+    unit, on the dual pairs it names and on the product cells it names in
+    full, so a complete one reproduces the table cell by cell.  There is no
+    other way to certify: a certified report always names its bound.
     """
     values = set(embedding.values())
     if len(values) != len(embedding):
         raise StageFailure("certification", "embedding is not injective")
-    last_size = -1
     for bound in range(1, 201):
         window = oracle.window_weights(datum, bound)
-        if len(window) == last_size:
-            continue
-        last_size = len(window)
         if len(window) >= len(t.labels):
             break
     if len(window) == len(t.labels) and values <= set(window):

@@ -112,7 +112,6 @@ def test_addition_cartan_rule(sl2_oracle):
     _, t, prov = sl2_oracle
     inv = invert(prov)
     monoid = reconstruction.recover_addition(t)
-    assert monoid.zero == t.unit
     assert monoid.add[oracle.OracleTable.pair_key(inv[(1,)], inv[(1,)])] == inv[(2,)]
     for x in t.labels:
         assert monoid.add[oracle.OracleTable.pair_key(x, t.unit)] == x
@@ -139,6 +138,12 @@ def standard_coroots(roots):
 
 
 WIDE_DATA = {
+    "sl5": standard_coroots(
+        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    ),
+    "spin8": standard_coroots(
+        ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+    ),
     "sl4": standard_coroots(((2, -1, 0), (-1, 2, -1), (0, -1, 2))),
     "sp6": standard_coroots(((2, -1, 0), (-1, 2, -1), (0, -2, 2))),
     "spin7": standard_coroots(((2, -1, 0), (-1, 2, -2), (0, -1, 2))),
@@ -236,7 +241,7 @@ def test_lattice_torsion_fails():
     # e + e = e and a + a = e: eliminating e = 2a leaves the relation 2a,
     # which has no unit coefficient and reaches the residual Smith form
     monoid = reconstruction.RecoveredMonoid(
-        zero="e", add={("a", "a"): "e", ("e", "e"): "e"}, undefined=()
+        add={("a", "a"): "e", ("e", "e"): "e"}, undefined=()
     )
     with pytest.raises(StageFailure) as e:
         reconstruction.recover_lattice(monoid)
@@ -253,7 +258,7 @@ def test_lattice_g2_bound4_entries_stay_small():
     assert len(monoid.add) == 159
     rank, embedding = reconstruction.recover_lattice(monoid)
     assert rank == 2
-    assert embedding[monoid.zero] == (0, 0)
+    assert embedding[t.unit] == (0, 0)
     for (x, y), z in monoid.add.items():
         if {x, y, z} <= embedding.keys():  # a label only in x + 0 = x is not embedded
             assert tuple(a + b for a, b in zip(embedding[x], embedding[y])) == embedding[z]
@@ -333,7 +338,7 @@ def test_round_trip(name, bound):
     report = reconstruction.recover_datum(t)
     assert report.certified, (report.stage, report.reason)
     assert root_datum.root_data_isomorphic(report.datum, d) is not None
-    assert report.weyl_order == root_datum.weyl_order(d)
+    assert report.datum.weyl_order == root_datum.weyl_order(d)
 
 
 def test_round_trip_report_fields(sl2_oracle):
@@ -467,6 +472,36 @@ def test_roots_stage_rank4_spin8():
         all(cartan[p[i]][p[j]] == D4[i][j] for i in range(4) for j in range(4))
         for p in itertools.permutations(range(4))
     )
+
+
+@pytest.fixture
+def without_order_search(monkeypatch):
+    # no stage reads the order, and the search takes minutes on rank-4 tables
+    monkeypatch.setattr(reconstruction, "recover_order", lambda *args, **kwargs: None)
+
+
+@pytest.mark.parametrize(
+    "name,bound,seed",
+    [(name, 1, s) for name in ("sl5", "spin8", "sp8") for s in (7, 1)]
+    + [("sl5", 2, 7), ("spin8", 2, 7), ("spin7", 2, 7), ("spin7", 2, 1)],
+)
+def test_round_trip_rank4(name, bound, seed, without_order_search):
+    # sl5@2 and spin8@2 also drop inconsistent ceiling equations in the coroot scans
+    d = WIDE_DATA[name]
+    t, _ = oracle.materialize_oracle(d, bound, seed=seed)
+    report = reconstruction.recover_datum(t)
+    assert report.certified, (report.stage, report.reason)
+    assert report.inferred_bound == bound
+    assert root_datum.root_data_isomorphic(report.datum, d) is not None
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+def test_spin9_bound1_never_certifies(seed, without_order_search):
+    # the completion has rank 5 for this rank-4 datum, and the report fails
+    # at a later stage (coroots, at both seeds) instead of certifying
+    t, _ = oracle.materialize_oracle(WIDE_DATA["spin9"], 1, seed=seed)
+    report = reconstruction.recover_datum(t)
+    assert not report.certified
 
 
 def test_hexagon_of_torus_weights_fails_certification():

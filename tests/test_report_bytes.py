@@ -45,6 +45,8 @@ REPORT_SHA256 = [
     ("torus2", 4, "de63fec9a5feff5f284665b6e5e5d5c289558e3915a5b5efde9c008b94be0114"),
     ("gl2", 4, "24b42d2c014239d459f5f0a117db47674e41a68dc54f7e8b8569e23bf83b9c50"),
     ("torus1", 4, "b3fd94a91d3593384ba4e90e623f7df84f8d4c7b1d67c415b8e522e45875c00c"),
+    ("sl3", 4, "c3fc1c93d2d71fea9cac58997f0931abd1633eae394b1a889b3beddeec17d013"),
+    ("sp4", 4, "1af3220d39b4b7dbaa52163e0e93065026c0a80cfe7e5963eaaa1f76166d3d4f"),
     ("sl2xT2", 2, "21f42f8c0444f8ad2674ea8136b293981b740130ed1120f56f151ba97db2e722"),
     ("sp6", 1, "0d544e3faf7fff2dcd4e5f2051587fef7f53812b563fa5d6a897f9c8a675526e"),
     ("torus3", 2, "51e0f0115d22bc868a60d241599ac4d3f2334636af86db5f4f82b474d2e91cd5"),
