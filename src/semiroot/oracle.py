@@ -14,6 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from operator import add, sub
+from typing import Iterable
 
 from . import char_engine, root_datum
 from .linalg import Vec
@@ -57,8 +58,64 @@ class OracleTable:
             rows.setdefault(y, {})[x] = val
         return rows
 
-    def product(self, x: str, y: str) -> dict[str, int] | None:
-        return self.rows[x][y]
+
+def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | None:
+    """A bijection from t's labels onto u's that extends `partial` and carries
+    t's unit, duals and cells onto u's, or None.  None too when the label
+    counts differ or `partial` is not injective into u's labels.
+
+    Free labels are placed in sorted order, each trying u's unused labels in
+    u's order.  A cell is compared once both of its factors are placed: it is
+    in window exactly when its image is, has as many components, and gives
+    each placed component its multiplicity.  So a complete map carries every
+    cell onto u's, and a placed cell's components go into its image's.
+    """
+    bij, used = dict(partial), set(partial.values())
+    if len(t.labels) != len(u.labels) or len(used) != len(bij) or not used <= set(u.labels):
+        return None
+
+    def agrees(placed: Iterable, cells: Iterable[tuple[tuple, dict | None]]) -> bool:
+        for x in placed:
+            if (x == t.unit) != (bij[x] == u.unit):
+                return False
+            if t.dual[x] in bij and bij[t.dual[x]] != u.dual[bij[x]]:
+                return False
+        for (x, y), val in cells:
+            if x not in bij or y not in bij:
+                continue
+            image = u.rows[bij[x]][bij[y]]
+            if val is None or image is None or len(val) != len(image):
+                if val is not image:  # only two out-of-window cells pass
+                    return False
+                continue
+            for z, m in val.items():
+                if z in bij and image.get(bij[z]) != m:
+                    return False
+        return True
+
+    if not agrees(partial, t.products.items()):
+        return None
+    free = sorted(set(t.labels) - bij.keys())
+    if not free:
+        return bij
+    cells: dict = {x: [] for x in free}
+    for key, val in t.products.items():
+        for x in cells.keys() & {*key, *(val or ())}:
+            cells[x].append((key, val))
+
+    def assign(i: int) -> bool:
+        if i == len(free):
+            return True
+        x = free[i]
+        for w in [w for w in u.labels if w not in used]:
+            bij[x] = w
+            used.add(w)
+            if agrees((x,), cells[x]) and assign(i + 1):
+                return True
+            used.discard(bij.pop(x))
+        return False
+
+    return bij if assign(0) else None
 
 
 def window_weights(d: RootDatum, bound: int) -> tuple[Vec, ...]:

@@ -513,7 +513,7 @@ def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec
     """
     cands: set[Vec] = set()
     for lam, lv in embedding.items():
-        val = t.product(lam, lam)
+        val = t.rows[lam][lam]
         if val is None:
             continue
         double = linalg.vec_scale(2, lv)
@@ -566,7 +566,7 @@ def recover_simple_coroots(
     usable = sorted(
         (-sum(cell is not None for cell in t.rows[mu].values()), mu, mv)
         for mu, mv in embedding.items()
-        if t.product(mu, mu) is not None
+        if t.rows[mu][mu] is not None
     )
     out: list[Vec] = []
     for a in roots:
@@ -683,78 +683,20 @@ def _certify(
     """Re-materialize the window from the recovered datum and match the table.
 
     Window size grows with the bound, so scanning upward finds the unique
-    size that fits the label count.  The table of that window is built once,
-    and the embedding is extended over the unembedded labels one label at a
-    time.  Every partial bijection must agree with the window's table on the
-    unit, on the dual pairs it names and on the product cells it names in
-    full, so a complete one reproduces the table cell by cell.  There is no
-    other way to certify: a certified report always names its bound.
+    size that fits the label count; `oracle.table_isomorphism` then extends
+    the embedding to a bijection onto that window's table.  There is no other
+    way to certify: a certified report always names its bound.
     """
-    values = set(embedding.values())
-    if len(values) != len(embedding):
+    if len(set(embedding.values())) != len(embedding):
         raise StageFailure("certification", "embedding is not injective")
     for bound in range(1, 201):
         window = oracle.window_weights(datum, bound)
         if len(window) >= len(t.labels):
             break
-    if len(window) == len(t.labels) and values <= set(window):
-        bijection = _extend_bijection(t, oracle.window_table(datum, window), embedding)
+    if len(window) == len(t.labels):
+        bijection = oracle.table_isomorphism(t, oracle.window_table(datum, window), embedding)
         if bijection is not None:
             return bound, bijection
     raise StageFailure(
         "certification", "no window of the recovered datum reproduces the table"
     )
-
-
-def _extend_bijection(
-    t: OracleTable, window: OracleTable, embedding: dict[str, Vec]
-) -> dict[str, Vec] | None:
-    """A bijection from the labels onto the window's weights that extends the
-    embedding and carries the table onto the window's table, or None."""
-    bij = dict(embedding)
-    rows = window.rows
-
-    def agrees(placed: Iterable[str], keys: Iterable[tuple[str, str]]) -> bool:
-        """Whether bij matches the window on the placed labels' unit and dual
-        pairs and on those of the given cells that name only placed labels."""
-        for x in placed:
-            if (x == t.unit) != (bij[x] == window.unit):
-                return False
-            if t.dual[x] in bij and bij[t.dual[x]] != window.dual[bij[x]]:
-                return False
-        all_placed = len(bij) == len(t.labels)  # then every cell names only placed labels
-        for key in keys:
-            val = t.products[key]
-            if not all_placed and any(z not in bij for z in (*key, *(val or ()))):
-                continue
-            image = None if val is None else {bij[z]: m for z, m in val.items()}
-            if image != rows[bij[key[0]]][bij[key[1]]]:
-                return False
-        return True
-
-    if not agrees(embedding, t.products):
-        return None
-    free = sorted(set(t.labels) - set(bij))
-    if not free:
-        return bij
-    spare = sorted(set(window.labels) - set(bij.values()), reverse=True)
-    cells: dict[str, list[tuple[str, str]]] = {x: [] for x in free}
-    for key, val in t.products.items():
-        for x in cells.keys() & {*key, *(val or ())}:
-            cells[x].append(key)
-
-    def assign(i: int) -> dict[str, Vec] | None:
-        if i == len(free):
-            return dict(bij)
-        for w in spare:
-            if w in bij.values():
-                continue
-            bij[free[i]] = w
-            if agrees((free[i],), cells[free[i]]):
-                got = assign(i + 1)
-                if got is not None:
-                    return got
-            del bij[free[i]]
-        return None
-
-    return assign(0)

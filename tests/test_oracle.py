@@ -112,8 +112,8 @@ def test_materialize_matches_tensor_decompose():
 def test_materialize_marks_out_of_window(sl2_oracle):
     d, t, prov = sl2_oracle
     inv = {v: k for k, v in prov.items()}
-    assert t.product(inv[(3,)], inv[(3,)]) is None
-    assert t.product(inv[(1,)], inv[(3,)]) == {inv[(4,)]: 1, inv[(2,)]: 1}
+    assert t.rows[inv[(3,)]][inv[(3,)]] is None
+    assert t.rows[inv[(1,)]][inv[(3,)]] == {inv[(4,)]: 1, inv[(2,)]: 1}
 
 
 def test_materialize_unit_and_dual(sl3_oracle):
@@ -153,8 +153,95 @@ def test_materialize_relabels_window_table(name):
     assert {prov[x]: prov[y] for x, y in t.dual.items()} == window.dual
     for (x, y), val in t.products.items():
         image = None if val is None else {prov[z]: m for z, m in val.items()}
-        assert image == window.product(prov[x], prov[y])
+        assert image == window.rows[prov[x]][prov[y]]
     assert len(t.products) == len(window.products)
+    assert oracle.table_isomorphism(t, window, prov) == prov
+
+
+def is_table_isomorphism(t, u, m):
+    """Whether m is a bijection onto u's labels carrying t's unit, duals and
+    every cell onto u's."""
+    if sorted(m) != sorted(t.labels) or sorted(m.values()) != sorted(u.labels):
+        return False
+    if m[t.unit] != u.unit or any(m[t.dual[x]] != u.dual[m[x]] for x in t.labels):
+        return False
+    for (x, y), val in t.products.items():
+        image = None if val is None else {m[z]: c for z, c in val.items()}
+        if image != u.rows[m[x]][m[y]]:
+            return False
+    return True
+
+
+RELABEL_TABLES = [(n, b) for n in root_datum.fixture_names() for b in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,bound", RELABEL_TABLES)
+def test_table_isomorphism_relabels_from_empty_map(name, bound):
+    d = root_datum.fixture(name)
+    t, _ = oracle.materialize_oracle(d, bound, seed=7)
+    u, _ = oracle.materialize_oracle(d, bound, seed=1)
+    there = oracle.table_isomorphism(t, u, {})
+    back = oracle.table_isomorphism(u, t, {})
+    assert is_table_isomorphism(t, u, there) and is_table_isomorphism(u, t, back)
+    # the composite is an automorphism of t, not always the identity: on
+    # gl2@3, pgl3@3, sl3@3 and torus2@2-3 the search picks maps that are not
+    # inverses
+    assert is_table_isomorphism(t, t, {x: back[there[x]] for x in t.labels})
+
+
+def _swap_two_cells(u):
+    """u with its first two distinct in-window cells, in key order, swapped."""
+    keys = [k for k in sorted(u.products) if u.products[k] is not None]
+    other = next(k for k in keys if u.products[k] != u.products[keys[0]])
+    products = dict(u.products)
+    products[keys[0]], products[other] = products[other], products[keys[0]]
+    return OracleTable(u.labels, u.unit, dict(u.dual), products)
+
+
+# pgl2@1 has one label, so one cell
+@pytest.mark.parametrize("name,bound", [c for c in RELABEL_TABLES if c != ("pgl2", 1)])
+def test_table_isomorphism_refuses_swapped_cells(name, bound):
+    d = root_datum.fixture(name)
+    t, prov = oracle.materialize_oracle(d, bound, seed=7)
+    swapped = _swap_two_cells(oracle.window_table(d, oracle.window_weights(d, bound)))
+    assert oracle.table_isomorphism(t, swapped, prov) is None
+    # a refusal from the empty map searches every bijection the cell rule
+    # leaves: torus2@3 takes about 1.8 s and sp4@3 0.2 s, so only bounds 1-2 run it
+    if bound <= 2:
+        assert oracle.table_isomorphism(t, swapped, {}) is None
+
+
+def test_table_isomorphism_preconditions_give_none(sl3_oracle):
+    _, t, _ = sl3_oracle
+    u, _ = oracle.materialize_oracle(root_datum.fixture("sl3"), 2, seed=1)
+    small, _ = oracle.materialize_oracle(root_datum.fixture("sl3"), 1, seed=1)
+    assert oracle.table_isomorphism(t, small, {}) is None
+    a, b = t.labels[:2]
+    assert oracle.table_isomorphism(t, u, {a: u.labels[0], b: u.labels[0]}) is None
+    assert oracle.table_isomorphism(t, u, {t.labels[0]: "zzzzzz"}) is None
+    assert is_table_isomorphism(t, u, oracle.table_isomorphism(t, u, {}))
+
+
+# each of these windows is the unit and one self-dual label whose square
+# leaves the window, so their tables are pairwise isomorphic
+ISOMORPHIC_WINDOWS = {"pgl2@2", "pgl2@3", "pgl3@1", "sl2@1", "sl2xpgl2@1", "so5@1"}
+
+
+def test_same_size_fixture_windows_isomorphic_exactly_as_pinned():
+    tables = {
+        f"{n}@{b}": oracle.materialize_oracle(root_datum.fixture(n), b, seed=7)[0]
+        for n, b in RELABEL_TABLES
+    }
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(tables, 2)
+        if len(tables[a].labels) == len(tables[b].labels)
+    ]
+    assert len(pairs) == 32
+    for a, b in pairs:
+        found = oracle.table_isomorphism(tables[a], tables[b], {})
+        assert (found is not None) == ({a, b} <= ISOMORPHIC_WINDOWS), (a, b)
+        assert found is None or is_table_isomorphism(tables[a], tables[b], found)
 
 
 def test_window_table_rejects_nondominant_weight():
