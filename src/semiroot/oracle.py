@@ -64,11 +64,12 @@ def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | N
     t's unit, duals and cells onto u's, or None.  None too when the label
     counts differ or `partial` is not injective into u's labels.
 
-    Free labels are placed in sorted order, each trying u's unused labels in
-    u's order.  A cell is compared once both of its factors are placed: it is
-    in window exactly when its image is, has as many components, and gives
-    each placed component its multiplicity.  So a complete map carries every
-    cell onto u's, and a placed cell's components go into its image's.
+    Free labels are placed in sorted order, each trying, in u's order, the
+    unused labels of u whose rows hold as many in-window cells.  A cell is
+    compared once both of its factors are placed: it is in window exactly
+    when its image is, has as many components, and gives each placed
+    component its multiplicity.  So a complete map carries every cell onto
+    u's, and a placed cell's components go into its image's.
     """
     bij, used = dict(partial), set(partial.values())
     if len(t.labels) != len(u.labels) or len(used) != len(bij) or not used <= set(u.labels):
@@ -103,11 +104,21 @@ def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | N
         for x in cells.keys() & {*key, *(val or ())}:
             cells[x].append((key, val))
 
+    def in_window(table: OracleTable, x: str) -> int:
+        return sum(cell is not None for cell in table.rows[x].values())
+
+    # a bijection that carries every cell keeps each row's count of in-window
+    # cells, so x only tries the images with its count, still in u's order
+    images: dict[int, list] = {}
+    for w in u.labels:
+        images.setdefault(in_window(u, w), []).append(w)
+    counts = {x: in_window(t, x) for x in free}
+
     def assign(i: int) -> bool:
         if i == len(free):
             return True
         x = free[i]
-        for w in [w for w in u.labels if w not in used]:
+        for w in [w for w in images.get(counts[x], ()) if w not in used]:
             bij[x] = w
             used.add(w)
             if agrees((x,), cells[x]) and assign(i + 1):

@@ -232,13 +232,22 @@ def recover_order(
     cannot be comparable).  Everything else stays unknown.  Accepted pairs are
     pruned for antisymmetry and cycles before the transitive closure is built,
     so the result is always a partial order.  The candidate certificates theta
-    are single labels, pairs of labels and the table's product expansions.
+    are single labels, pairs of labels and the table's product expansions,
+    tried in that order until one is accepted.
+
+    Only candidates that can pass are built, lazily and in that order.  The
+    certificate's horizon gate reads the pair alone, so it is tested once per
+    pair.  At level 1 the obligation is mu and the target sums, with positive
+    coefficients, the known cells of lam with theta's labels; so theta passes
+    level 1 exactly when it holds a hit, a label x whose cell with lam
+    contains mu.
     """
     if not validated:
         oracle.validate_oracle(t)
     classes = _co_occurrence_classes(t)
     powers = _PowerCache(t, n_max)
     labels = t.labels
+    ordered = sorted(labels)
 
     expansions: list[Sem] = []
     seen_exp: set[tuple] = set()
@@ -249,36 +258,45 @@ def recover_order(
             if sig not in seen_exp:
                 seen_exp.add(sig)
                 expansions.append(val)
+    containing: dict[str, list[int]] = {}
+    for i, val in enumerate(expansions):
+        for z in val:
+            containing.setdefault(z, []).append(i)
+
+    def candidates(hits: list[str]) -> Iterable[Sem]:
+        hit_set = set(hits)
+        for x in hits:
+            yield {x: 1}
+        # the pairs x <= y of sorted labels that touch a hit
+        for i, x in enumerate(ordered):
+            partners = ordered[i:] if x in hit_set else [y for y in hits if y > x]
+            for y in partners:
+                yield {x: 1, y: 1} if x != y else {x: 2}
+        for i in sorted({i for x in hits for i in containing.get(x, ())}):
+            yield expansions[i]
 
     decided: dict[tuple[str, str], OrderCertificate] = {}
     for mu in labels:
         for lam in labels:
             if mu == lam or classes[mu] != classes[lam]:
                 continue
-            # level-1 screen: theta can only work if some constituent already
-            # reaches mu next to lam, or escapes the window
-            hits: set[str] = set()
-            open_edge: set[str] = set()
-            row = t.rows[lam]
-            for x in labels:
-                cell = row[x]
-                if cell is None:
-                    open_edge.add(x)
-                elif mu in cell:
-                    hits.add(x)
-            candidates: list[Sem] = [{x: 1} for x in sorted(hits | open_edge)]
-            for x, y in itertools.combinations_with_replacement(sorted(labels), 2):
-                if x in hits or y in hits or x in open_edge or y in open_edge:
-                    candidates.append({x: 1, y: 1} if x != y else {x: 2})
-            for val in expansions:
-                if any(z in hits or z in open_edge for z in val):
-                    candidates.append(val)
-            for theta in candidates:
+            horizon = powers.known_depth(mu)
+            if horizon < min(2, n_max) or horizon < powers.known_depth(lam):
+                continue  # check_certificate's horizon gate, whatever theta is
+            hits = sorted(x for x, cell in t.rows[lam].items() if cell is not None and mu in cell)
+            for theta in candidates(hits):
                 cert = check_certificate(t, mu, lam, theta, n_max, powers)
                 if cert is not None:
                     decided[(mu, lam)] = cert
                     break
+    return _partial_order(t, classes, decided)
 
+
+def _partial_order(
+    t: OracleTable, classes: dict[str, int], decided: dict[tuple[str, str], OrderCertificate]
+) -> RecoveredOrder:
+    """The order from the accepted pairs: pruned for antisymmetry and cycles, then closed."""
+    labels = t.labels
     # antisymmetry and duality consistency, then cycle removal
     for mu, lam in list(decided):
         if (lam, mu) in decided and (mu, lam) in decided:

@@ -206,9 +206,8 @@ def test_table_isomorphism_refuses_swapped_cells(name, bound):
     swapped = _swap_two_cells(oracle.window_table(d, oracle.window_weights(d, bound)))
     assert oracle.table_isomorphism(t, swapped, prov) is None
     # a refusal from the empty map searches every bijection the cell rule
-    # leaves: torus2@3 takes about 1.8 s and sp4@3 0.2 s, so only bounds 1-2 run it
-    if bound <= 2:
-        assert oracle.table_isomorphism(t, swapped, {}) is None
+    # leaves among labels with as many in-window cells; torus2@3 takes 15 ms
+    assert oracle.table_isomorphism(t, swapped, {}) is None
 
 
 def test_table_isomorphism_preconditions_give_none(sl3_oracle):
