@@ -7,6 +7,7 @@ Matrices are lists of row lists, vectors are sequences of numbers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -54,19 +55,24 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)] if m else []
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction; returns (matrix, pivot columns)."""
+def _gauss_jordan(rows: Sequence[Sequence]) -> tuple[list, list[int], list[Fraction], int]:
+    """The one rational elimination, Gauss-Jordan: (reduced matrix, pivot columns, pivot
+    values before scaling, sign of the row swaps); only det and adjugate multiply them."""
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
-        return [], []
+        return [], [], [], 1
     nrows, ncols = len(m), len(m[0])
     pivots: list[int] = []
-    r = 0
+    values: list[Fraction] = []
+    sign, r = 1, 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pivot is None:
             continue
+        if pivot != r:
+            sign = -sign
         m[r], m[pivot] = m[pivot], m[r]
+        values.append(m[r][c])
         inv = 1 / m[r][c]
         m[r] = [inv * x for x in m[r]]
         for i in range(nrows):
@@ -77,7 +83,12 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return m, pivots, values, sign
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction; returns (matrix, pivot columns)."""
+    return _gauss_jordan(rows)[:2]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -100,40 +111,29 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | Non
 
 
 def det(m: Sequence[Sequence]) -> Fraction:
+    """The determinant of a square matrix, read off its elimination."""
+    _, pivots, values, sign = _gauss_jordan(m)
+    return prod(values, start=Fraction(sign)) if len(pivots) == len(m) else Fraction(0)
+
+
+def _invert(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], Fraction]:
+    """(inverse, det) of a square matrix from one elimination of [m | I]."""
     n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
+    aug = [list(row) + identity(n)[i] for i, row in enumerate(m)]
+    red, pivots, values, sign = _gauss_jordan(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red], prod(values, start=Fraction(sign))
 
 
 def invert(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [list(row) + identity(n)[i] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return _invert(m)[0]
 
 
 def adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(adj, det) of a nonsingular integer matrix: adj @ m = det * identity."""
-    det_m = int(det(m))
-    return [[int(x * det_m) for x in row] for row in invert(m)], det_m
+    """(adj, det) of a nonsingular integer matrix, one elimination: adj @ m = det * identity."""
+    inv, det_m = _invert(m)
+    return [[int(x * det_m) for x in row] for row in inv], int(det_m)
 
 
 def smith_normal_form(

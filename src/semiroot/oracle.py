@@ -35,9 +35,9 @@ class OracleTable:
 
     `products` is the canonical field, keyed by `pair_key`; a cell is None
     when the pair is out of window.  `format_oracle` and table equality read
-    it.  Every other read goes through `rows`, the symmetric row index built
-    from `products` on first read.  A table is not mutated after
-    construction, so the index never goes stale.
+    it.  Every other read goes through two indexes built on first read: `rows`,
+    the symmetric row index, and `partners`, each label's in-window partners.
+    A table is not mutated after construction, so neither index goes stale.
     """
 
     labels: tuple[str, ...]
@@ -58,21 +58,29 @@ class OracleTable:
             rows.setdefault(y, {})[x] = val
         return rows
 
+    @functools.cached_property
+    def partners(self) -> dict[str, frozenset[str]]:
+        """partners[x] is the set of labels whose cell with x is in window."""
+        rows = self.rows
+        return {x: frozenset(y for y, cell in rows[x].items() if cell is not None) for x in rows}
+
 
 def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | None:
     """A bijection from t's labels onto u's that extends `partial` and carries
     t's unit, duals and cells onto u's, or None.  None too when the label
-    counts differ or `partial` is not injective into u's labels.
+    counts differ or `partial` is not an injective map from t's labels into u's.
 
     Free labels are placed in sorted order, each trying, in u's order, the
-    unused labels of u whose rows hold as many in-window cells.  A cell is
+    unused labels of u with as many in-window partners.  A cell is
     compared once both of its factors are placed: it is in window exactly
     when its image is, has as many components, and gives each placed
     component its multiplicity.  So a complete map carries every cell onto
     u's, and a placed cell's components go into its image's.
     """
     bij, used = dict(partial), set(partial.values())
-    if len(t.labels) != len(u.labels) or len(used) != len(bij) or not used <= set(u.labels):
+    if len(t.labels) != len(u.labels) or len(used) != len(bij):
+        return None
+    if not bij.keys() <= set(t.labels) or not used <= set(u.labels):
         return None
 
     def agrees(placed: Iterable, cells: Iterable[tuple[tuple, dict | None]]) -> bool:
@@ -104,21 +112,17 @@ def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | N
         for x in cells.keys() & {*key, *(val or ())}:
             cells[x].append((key, val))
 
-    def in_window(table: OracleTable, x: str) -> int:
-        return sum(cell is not None for cell in table.rows[x].values())
-
-    # a bijection that carries every cell keeps each row's count of in-window
-    # cells, so x only tries the images with its count, still in u's order
+    # a bijection that carries every cell keeps each label's number of
+    # in-window partners, so x only tries the images with its number, in u's order
     images: dict[int, list] = {}
     for w in u.labels:
-        images.setdefault(in_window(u, w), []).append(w)
-    counts = {x: in_window(t, x) for x in free}
+        images.setdefault(len(u.partners[w]), []).append(w)
 
     def assign(i: int) -> bool:
         if i == len(free):
             return True
         x = free[i]
-        for w in [w for w in images.get(counts[x], ()) if w not in used]:
+        for w in [w for w in images.get(len(t.partners[x]), ()) if w not in used]:
             bij[x] = w
             used.add(w)
             if agrees((x,), cells[x]) and assign(i + 1):

@@ -395,15 +395,13 @@ def recover_addition(t: OracleTable) -> RecoveredMonoid:
 
     The top factor is found by comparing how labels compose with the rest of
     the window: adding a strictly larger weight leaves the window no later,
-    so the Cartan component has a minimal composability profile among the
-    factors.  Multiplicity one is required.  Cells with several such factors
-    (at the window ceiling the profiles flatten out) are recorded as undefined
-    rather than guessed; reconstruction fails later if it truly needs one of
-    them.
+    so the Cartan component's in-window partners (`t.partners`) are a subset
+    of every other factor's.  Multiplicity one is required.  Cells with
+    several such factors (at the window ceiling the partner sets flatten out)
+    are recorded as undefined rather than guessed; reconstruction fails later
+    if it truly needs one of them.
     """
-    profile: dict[str, frozenset[str]] = {
-        x: frozenset(y for y, cell in t.rows[x].items() if cell is not None) for x in t.labels
-    }
+    partners = t.partners
     add: dict[tuple[str, str], str] = {}
     undefined: list[tuple[str, str]] = []
     for key in sorted(t.products):
@@ -417,7 +415,7 @@ def recover_addition(t: OracleTable) -> RecoveredMonoid:
             cands = [
                 nu
                 for nu, m in val.items()
-                if m == 1 and all(profile[nu] <= profile[other] for other in val)
+                if m == 1 and all(partners[nu] <= partners[other] for other in val)
             ]
         if len(cands) == 1:
             add[key] = cands[0]
@@ -579,10 +577,10 @@ def recover_simple_coroots(
     values = set(embedding.values())
     rank = len(next(iter(values)))
     # scans near the window ceiling can stop a step early when the weight
-    # above fell out of the embedding, so interior labels (large profiles)
-    # are trusted first and ceiling equations get dropped on inconsistency
+    # above fell out of the embedding, so interior labels (the most in-window
+    # partners) are trusted first and ceiling equations get dropped on inconsistency
     usable = sorted(
-        (-sum(cell is not None for cell in t.rows[mu].values()), mu, mv)
+        (-len(t.partners[mu]), mu, mv)
         for mu, mv in embedding.items()
         if t.rows[mu][mu] is not None
     )

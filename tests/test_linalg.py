@@ -41,6 +41,37 @@ def test_det_and_invert():
     assert linalg.adjugate([[2, 1], [1, 3]]) == ([[3, -1], [-1, 2]], 5)
 
 
+square_matrix = st.integers(0, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+def cofactor_det(m):
+    """The determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0])
+    )
+
+
+@given(square_matrix)
+def test_det_and_adjugate_match_cofactor_expansion(m):
+    expected = cofactor_det(m)
+    assert linalg.det(m) == expected
+    if expected == 0:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.adjugate(m)
+        return
+    adj, det = linalg.adjugate(m)
+    assert det == expected
+    n = len(m)
+    assert linalg.mat_mul(adj, m) == [[det * int(i == j) for j in range(n)] for i in range(n)]
+
+
 def reference_smith_normal_form(mat):
     """The three-matrix Smith normal form the library used to compute: row
     storage, the right transform v formed, the fixup scan after every pivot."""

@@ -218,6 +218,7 @@ def test_table_isomorphism_preconditions_give_none(sl3_oracle):
     a, b = t.labels[:2]
     assert oracle.table_isomorphism(t, u, {a: u.labels[0], b: u.labels[0]}) is None
     assert oracle.table_isomorphism(t, u, {t.labels[0]: "zzzzzz"}) is None
+    assert oracle.table_isomorphism(t, u, {"zzz": u.labels[0]}) is None
     assert is_table_isomorphism(t, u, oracle.table_isomorphism(t, u, {}))
 
 
@@ -259,6 +260,8 @@ def test_rows_index_every_pair_in_both_orders(name, bound):
     for x in t.labels:
         for y in t.labels:
             assert t.rows[x][y] is t.products[OracleTable.pair_key(x, y)]
+        assert t.partners[x] == {y for y in t.labels if t.rows[x][y] is not None}
+        assert all(x in t.partners[y] for y in t.partners[x])
 
 
 def reference_associativity(t):
