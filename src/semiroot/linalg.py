@@ -7,7 +7,6 @@ Matrices are lists of row lists, vectors are sequences of numbers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -55,85 +54,73 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)] if m else []
 
 
-def _gauss_jordan(rows: Sequence[Sequence]) -> tuple[list, list[int], list[Fraction], int]:
-    """The one rational elimination, Gauss-Jordan: (reduced matrix, pivot columns, pivot
-    values before scaling, sign of the row swaps); only det and adjugate multiply them."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], [], [], 1
-    nrows, ncols = len(m), len(m[0])
+def eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
+
+    Returns (matrix, pivot columns, last pivot p, sign of the row swaps).  Each
+    step keeps the pivot row and turns every other row r into
+    (p r - u_r pivot row) / previous pivot, u_r being r's entry in the pivot
+    column; by Sylvester's identity the division is exact, so every entry
+    stays an integer.  The result is p times the reduced row echelon form,
+    and p is the determinant of the pivot rows and columns after the swaps.
+    """
+    m = [list(row) for row in rows]
     pivots: list[int] = []
-    values: list[Fraction] = []
-    sign, r = 1, 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+    sign, prev, r = 1, 1, 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
         if pivot != r:
             sign = -sign
-        m[r], m[pivot] = m[pivot], m[r]
-        values.append(m[r][c])
-        inv = 1 / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                u = row[c]
+                m[i] = [(p * x - u * y) // prev for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        prev, r = p, r + 1
+        if r == len(m):
             break
-    return m, pivots, values, sign
+    return m, pivots, prev, sign
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction; returns (matrix, pivot columns)."""
-    return _gauss_jordan(rows)[:2]
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(eliminate(rows)[1])
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
+def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...] | None:
     """One exact solution of A x = b with free variables set to 0, or None."""
     if not rows:
         return () if all(x == 0 for x in rhs) else None
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
-    m, pivots = rref(aug)
+    m, pivots, p, _ = eliminate([[*row, b] for row, b in zip(rows, rhs, strict=True)])
     if ncols in pivots:  # pivot in the constant column: inconsistent
         return None
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        x[c] = m[r][ncols]
+        x[c] = Fraction(m[r][ncols], p)
     return tuple(x)
 
 
-def det(m: Sequence[Sequence]) -> Fraction:
-    """The determinant of a square matrix, read off its elimination."""
-    _, pivots, values, sign = _gauss_jordan(m)
-    return prod(values, start=Fraction(sign)) if len(pivots) == len(m) else Fraction(0)
-
-
-def _invert(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], Fraction]:
-    """(inverse, det) of a square matrix from one elimination of [m | I]."""
-    n = len(m)
-    aug = [list(row) + identity(n)[i] for i, row in enumerate(m)]
-    red, pivots, values, sign = _gauss_jordan(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red], prod(values, start=Fraction(sign))
-
-
-def invert(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    return _invert(m)[0]
+def det(m: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix, read off its elimination."""
+    _, pivots, p, sign = eliminate(m)
+    return sign * p if len(pivots) == len(m) else 0
 
 
 def adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(adj, det) of a nonsingular integer matrix, one elimination: adj @ m = det * identity."""
-    inv, det_m = _invert(m)
-    return [[int(x * det_m) for x in row] for row in inv], int(det_m)
+    """(adj, det) of a nonsingular integer matrix, one elimination: adj @ m = det * identity.
+
+    Eliminating [m | I] leaves [p I | p m^-1] with det(m) = sign * p.
+    """
+    n = len(m)
+    red, pivots, p, sign = eliminate([list(row) + e for row, e in zip(m, identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[sign * x for x in row[n:]] for row in red], sign * p
 
 
 def smith_normal_form(

@@ -12,7 +12,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg, root_datum
 from .linalg import Vec, dot, vec_add, vec_sub
@@ -28,7 +27,8 @@ def positive_functional(vectors) -> tuple[int, ...] | None:
     Farkas' lemma phi exists exactly when A y = e, y >= 0 has no solution,
     where A is the rays as columns over a row of ones and e is the last unit
     vector.  Phase I of the revised simplex method with Bland's rule decides
-    that system on its n + 1 rows.  At a positive optimum the simplex
+    that system on its n + 1 rows, in integers: the basis inverse is kept
+    over one denominator and updated by fraction-free (Bareiss) steps.  At a positive optimum the simplex
     multipliers pi, scaled to integers, satisfy pi.A_j <= 0 < pi.e = pi[n], so
     phi = -pi[:n] gives phi.p >= pi[n] >= 1 on every ray p.
     """
@@ -42,15 +42,18 @@ def positive_functional(vectors) -> tuple[int, ...] | None:
         return None
     cols = [(*p, 1) for p in sorted(rays)]
     k, n = len(cols), len(cols[0]) - 1
-    # the inverse of the basis matrix; artificial variable i is number k + i
-    binv = [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+    # the inverse of the basis matrix is binv / den, all integers: den is the
+    # basis determinant, positive as each pivot is; artificial variable i is
+    # number k + i
+    binv = linalg.identity(n + 1)
+    den = 1
     basis = list(range(k, k + n + 1))
     while True:
-        # multipliers of the sum of the artificials, scaled to integers;
-        # pi.e = pi[n] is that sum at the current basis
+        # multipliers of the sum of the artificials, over the least denominator
+        # that makes them integers; pi.e = pi[n] is that sum at the current basis
         pi = [sum(r[m] for r, b in zip(binv, basis) if b >= k) for m in range(n + 1)]
-        scale = math.lcm(*(x.denominator for x in pi))
-        pi = [int(x * scale) for x in pi]
+        g = math.gcd(den, *pi)
+        pi = [x // g for x in pi]
         if pi[n] == 0:
             return None
         # Bland: the first column with reduced cost -pi.A_j < 0 enters
@@ -58,15 +61,18 @@ def positive_functional(vectors) -> tuple[int, ...] | None:
         if j is None:
             return tuple(-x for x in pi[:n])
         u = [dot(r, cols[j]) for r in binv]
-        # ratio test on x_B = binv e, ties to the lowest-numbered variable
-        i = min(
-            (i for i in range(n + 1) if u[i] > 0),
-            key=lambda i: (binv[i][n] / u[i], basis[i]),
-        )
-        binv[i] = [x / u[i] for x in binv[i]]
-        for r in range(n + 1):
-            if r != i and u[r] != 0:
-                binv[r] = [x - u[r] * y for x, y in zip(binv[r], binv[i])]
+        # ratio test on x_B = binv e / den over a common multiple of the u[i],
+        # ties to the lowest-numbered variable
+        rows = [i for i in range(n + 1) if u[i] > 0]
+        scale = math.lcm(*(u[i] for i in rows))
+        i = min(rows, key=lambda i: (binv[i][n] * (scale // u[i]), basis[i]))
+        # the Bareiss step: keep the pivot row, and the pivot is the new determinant
+        top = binv[i]
+        binv = [
+            r if s == i else [(u[i] * x - u[s] * y) // den for x, y in zip(r, top)]
+            for s, r in enumerate(binv)
+        ]
+        den = u[i]
         basis[i] = j
 
 

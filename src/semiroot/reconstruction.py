@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import linalg, oracle, polytope, root_datum
 from .linalg import Vec, dot, vec_sub
@@ -87,60 +87,60 @@ class ReconstructionReport:
         return self.verdict == "certified"
 
 
-def _expand_known(
-    t: OracleTable, sem: Sem, factor: str
-) -> tuple[Sem, bool]:
-    """Product of a formal sum with one label, keeping only in-window terms.
-
-    Returns (known part, hit_unknown).  The known part is a subset of the true
-    expansion; when hit_unknown is False it is exact.
-    """
-    acc: Sem = {}
-    unknown = False
-    row = t.rows[factor]
-    for nu, c in sem.items():
-        cell = row[nu]
-        if cell is None:
-            unknown = True
-            continue
-        for w, m in cell.items():
-            acc[w] = acc.get(w, 0) + c * m
-    return acc, unknown
-
-
-def _expand_known_sem(t: OracleTable, sem: Sem, other: Sem) -> tuple[Sem, bool]:
-    acc: Sem = {}
-    unknown = False
-    for x, cx in sem.items():
-        row = t.rows[x]
-        for y, cy in other.items():
-            cell = row[y]
-            if cell is None:
-                unknown = True
-                continue
-            for w, m in cell.items():
-                acc[w] = acc.get(w, 0) + cx * cy * m
-    return acc, unknown
-
-
 class _PowerCache:
-    """Bounded powers of single labels with unknown-horizon flags."""
+    """Supports of bounded label powers and of their products, as int bitmasks.
+
+    Bit i stands for label i of the table.  A product's known part sums its
+    in-window cells with positive coefficients, so the labels it holds are
+    the union of those cells' labels: the supports of the factors fix it.
+    Every mask is built on first use, for one table.
+    """
 
     def __init__(self, t: OracleTable, n_max: int):
         self.t = t
         self.n_max = n_max
-        self._cache: dict[str, list[tuple[Sem, bool]]] = {}
+        self.bits = {x: 1 << i for i, x in enumerate(t.labels)}
+        self._powers: dict[str, list[tuple[int, bool]]] = {}
         self._depth: dict[str, int] = {}
+        self._reach: dict[tuple[str, int], _Reach] = {}
 
-    def powers(self, x: str) -> list[tuple[Sem, bool]]:
-        got = self._cache.get(x)
+    def _union(self, cells: list[dict[str, int] | None]) -> tuple[int, bool]:
+        """The labels of the in-window cells, and whether a cell is out of window."""
+        bits, out = self.bits, 0
+        for cell in cells:
+            if cell is not None:
+                for w in cell:
+                    out |= bits[w]
+        return out, None in cells
+
+    def _members(self, mask: int) -> list[str]:
+        out = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(self.t.labels[low.bit_length() - 1])
+        return out
+
+    def powers(self, x: str) -> list[tuple[int, bool]]:
+        """(support of x^n, whether any of x^1 .. x^n left the window) for n = 1 .. n_max."""
+        got = self._powers.get(x)
         if got is None:
-            out: list[tuple[Sem, bool]] = [({x: 1}, False)]
+            row = self.t.rows[x]
+            got = [(self.bits[x], False)]
             for _ in range(self.n_max - 1):
-                sem, unk = out[-1]
-                nxt, unk2 = _expand_known(self.t, sem, x)
-                out.append((nxt, unk or unk2))
-            got = self._cache[x] = out
+                mask, unknown = got[-1]
+                step, left = self._union([row[y] for y in self._members(mask)])
+                got.append((step, unknown or left))
+            self._powers[x] = got
+        return got
+
+    def reach(self, lam: str, n: int) -> dict[str, tuple[int, bool]]:
+        """For each label y, the support of the known part of lam^n * y and
+        whether a cell of it left the window; each y is filled on first lookup."""
+        got = self._reach.get((lam, n))
+        if got is None:
+            rows = [self.t.rows[x] for x in self._members(self.powers(lam)[n - 1][0])]
+            got = self._reach[(lam, n)] = _Reach(self._union, rows)
         return got
 
     def known_depth(self, x: str) -> int:
@@ -148,8 +148,20 @@ class _PowerCache:
         got = self._depth.get(x)
         if got is None:
             pows = self.powers(x)
-            got = next((n for n in range(self.n_max) if pows[n][1]), self.n_max)
-            self._depth[x] = got
+            got = self._depth[x] = next((n for n in range(self.n_max) if pows[n][1]), self.n_max)
+        return got
+
+
+class _Reach(dict):
+    """y -> union(the cells of y with each of rows), computed on first lookup."""
+
+    def __init__(self, union: Callable[[list], tuple[int, bool]], rows: list[dict]):
+        super().__init__()
+        self.union = union
+        self.rows = rows
+
+    def __missing__(self, y: str) -> tuple[int, bool]:
+        got = self[y] = self.union([row[y] for row in self.rows])
         return got
 
 
@@ -168,15 +180,12 @@ def check_certificate(
     part undercounts when the expansion hit the window edge, so such levels
     are only recorded as lenient rather than strict; but a missing factor
     rejects the certificate either way, otherwise clipped expansions would
-    vouch for arbitrary pairs.  Returns the certificate on acceptance, None
-    on a miss.
+    vouch for arbitrary pairs.  Every coefficient is positive, so the test
+    reads supports only: the labels of lam^n * theta are the union over
+    theta's labels y of those of lam^n * y.  Returns the certificate on
+    acceptance, None on a miss.
     """
     powers = powers or _PowerCache(t, n_max)
-    mu_pows = powers.powers(mu)
-    lam_pows = powers.powers(lam)
-    strict: list[int] = []
-    lenient: list[int] = []
-
     horizon = powers.known_depth(mu)
     if horizon < min(2, n_max):
         return None  # too little of mu's powers visible to commit
@@ -184,12 +193,17 @@ def check_certificate(
     # as deep as lam's, so a shallower mu is disqualified outright
     if horizon < powers.known_depth(lam):
         return None
+    mu_pows, lam_pows = powers.powers(mu), powers.powers(lam)
+    strict: list[int] = []
+    lenient: list[int] = []
     for n in range(1, horizon + 1):
-        oblig = mu_pows[n - 1][0]
-        lam_sem, lam_unk = lam_pows[n - 1]
-        target, t_unk = _expand_known_sem(t, lam_sem, theta)
-        fuzzy = lam_unk or t_unk
-        if any(nu not in target for nu in oblig):
+        reach = powers.reach(lam, n)
+        target, fuzzy = 0, lam_pows[n - 1][1]
+        for y in theta:
+            mask, unknown = reach[y]
+            target |= mask
+            fuzzy = fuzzy or unknown
+        if mu_pows[n - 1][0] & ~target:
             return None
         (lenient if fuzzy else strict).append(n)
     if not strict and not lenient:
@@ -593,23 +607,22 @@ def recover_simple_coroots(
             while vec_sub(v, linalg.vec_scale(m + 1, a)) in values:
                 m += 1
             eqs.append((mv, m))
-        sol = None
-        keep = len(eqs)
-        while keep >= 1:
-            rows = [list(mv) for mv, _ in eqs[:keep]] + [list(a)]
-            if linalg.rank(rows) < rank:
+        # one elimination of [scans; root | pairings; 2] gives both the rank of
+        # the scans, its pivots left of the last column, and their consistency
+        for keep in range(len(eqs), 0, -1):
+            red, pivots, p, _ = linalg.eliminate([[*mv, k] for mv, k in eqs[:keep]] + [[*a, 2]])
+            if len(pivots) - (rank in pivots) < rank:
                 raise StageFailure(
                     "coroots", f"window too small to pin down the coroot for root {a}"
                 )
-            sol = linalg.solve(rows, [m for _, m in eqs[:keep]] + [2])
-            if sol is not None:
+            if rank not in pivots:
                 break
-            keep -= 1
-        if sol is None:
+        else:
             raise StageFailure("coroots", f"inconsistent dominance scans for root {a}")
-        if any(c.denominator != 1 for c in sol):
+        # the form is unique, so pivot row i reads p x_i = red[i][rank]
+        if any(row[rank] % p for row in red[:rank]):
             raise StageFailure("coroots", f"non-integral coroot for root {a}")
-        cov = tuple(int(c) for c in sol)
+        cov = tuple(row[rank] // p for row in red[:rank])
         bad = next((v for v in values if dot(cov, v) < 0), None)
         if bad is not None:
             raise StageFailure(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -13,10 +14,67 @@ small_matrix = st.integers(1, 4).flatmap(
 )
 
 
+def reference_gauss_jordan(rows):
+    """The rational Gauss-Jordan elimination the library used before its
+    fraction-free one: (reduced matrix, pivot columns, pivot values before
+    scaling, sign of the row swaps)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], [], [], 1
+    nrows, ncols = len(m), len(m[0])
+    pivots, values = [], []
+    sign, r = 1, 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            sign = -sign
+        m[r], m[pivot] = m[pivot], m[r]
+        values.append(m[r][c])
+        inv = 1 / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots, values, sign
+
+
+def reference_solve(rows, rhs):
+    if not rows:
+        return () if all(x == 0 for x in rhs) else None
+    ncols = len(rows[0])
+    m, pivots, _, _ = reference_gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][ncols]
+    return tuple(x)
+
+
+def reference_inverse(m):
+    """(inverse, det) of a square matrix from one rational elimination of [m | I],
+    or None when m is singular."""
+    n = len(m)
+    aug = [list(row) + linalg.identity(n)[i] for i, row in enumerate(m)]
+    red, pivots, values, sign = reference_gauss_jordan(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red], prod(values, start=Fraction(sign))
+
+
 def test_rref_pivots():
-    m, pivots = linalg.rref([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    m, pivots, p, _ = linalg.eliminate(rows)
     assert pivots == [0, 1]
-    assert linalg.rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
+    assert m == [[p * x for x in row] for row in reference_gauss_jordan(rows)[0]]
+    assert linalg.rank(rows) == 2
 
 
 def test_solve_unique():
@@ -36,9 +94,49 @@ def test_solve_underdetermined_picks_particular():
 def test_det_and_invert():
     m = [[2, 1], [1, 1]]
     assert linalg.det(m) == 1
-    inv = linalg.invert(m)
-    assert linalg.mat_mul(m, inv) == [[1, 0], [0, 1]]
+    adj, det = linalg.adjugate(m)
+    assert det == 1 and linalg.mat_mul(m, adj) == [[1, 0], [0, 1]]
     assert linalg.adjugate([[2, 1], [1, 3]]) == ([[3, -1], [-1, 2]], 5)
+
+
+@st.composite
+def integer_systems(draw):
+    """(A, b): A from 0x0 to 5x6 with small entries, some rows sums of
+    others so that singular matrices are common; b is A x for an integer x
+    (consistent) or drawn freely (often inconsistent when A is tall)."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    entries = st.integers(-4, 4)
+    a = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(2, nrows):
+        if draw(st.booleans()):
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a[i] = [x + y for x, y in zip(a[j], a[k])]
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        b = [linalg.dot(row, x) for row in a]
+    else:
+        b = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    return a, b
+
+
+@given(integer_systems())
+def test_integer_kernels_match_rational_gauss_jordan(system):
+    a, b = system
+    _, pivots, _, _ = reference_gauss_jordan(a)
+    assert linalg.rank(a) == len(pivots)
+    assert linalg.solve(a, b) == reference_solve(a, b)
+    # the square matrix on the leading rows and columns
+    n = min(len(a), len(a[0]) if a else 0)
+    square = [row[:n] for row in a[:n]]
+    ref = reference_inverse(square)
+    if ref is None:
+        assert linalg.det(square) == 0
+        with pytest.raises(ValueError, match="singular"):
+            linalg.adjugate(square)
+        return
+    inverse, det = ref
+    assert linalg.det(square) == det
+    assert linalg.adjugate(square) == ([[x * det for x in row] for row in inverse], det)
 
 
 square_matrix = st.integers(0, 4).flatmap(
@@ -258,7 +356,7 @@ def test_lattice_matches_dense_reference(name, bound):
 
 @given(small_matrix)
 def test_rank_matches_rref(rows):
-    m, pivots = linalg.rref(rows)
+    _, pivots, _, _ = reference_gauss_jordan(rows)
     assert linalg.rank(rows) == len(pivots)
 
 

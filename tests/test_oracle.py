@@ -50,8 +50,8 @@ def reference_window_box(d, bound):
     """The coordinate-box definition: every x with |x_i| <= bound * sum |F^-1 row i|,
     filtered by its pairings and torus-quotient coordinates."""
     q = root_datum.quotient_matrix(d)
-    finv = linalg.invert([list(c) for c in d.simple_coroots] + [list(row) for row in q])
-    coord_bound = [int(bound * sum(abs(x) for x in row)) for row in finv]
+    adj, det = linalg.adjugate([list(c) for c in d.simple_coroots] + [list(row) for row in q])
+    coord_bound = [bound * sum(abs(x) for x in row) // abs(det) for row in adj]
     box = []
     for x in itertools.product(*(range(-c, c + 1) for c in coord_bound)):
         if any(p < 0 or p > bound for p in d.pairing(x)):

@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
@@ -74,6 +76,61 @@ def test_positive_functional_matches_fourier_motzkin(vectors):
     assert (phi is not None) == exists
     if phi is not None:
         assert all(dot(phi, v) >= 1 for v in vectors)
+
+
+def reference_positive_functional(vectors):
+    """Phase I as the library ran it before its integer basis inverse: the
+    same rays, Bland pivots and scaling, with the inverse kept in Fractions."""
+    rays = set()
+    for v in vectors:
+        g = math.gcd(*v)
+        if g == 0:
+            return None
+        rays.add(tuple(x // g for x in v))
+    if not rays:
+        return None
+    cols = [(*p, 1) for p in sorted(rays)]
+    k, n = len(cols), len(cols[0]) - 1
+    binv = [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+    basis = list(range(k, k + n + 1))
+    while True:
+        pi = [sum(r[m] for r, b in zip(binv, basis) if b >= k) for m in range(n + 1)]
+        scale = math.lcm(*(x.denominator for x in pi))
+        pi = [int(x * scale) for x in pi]
+        if pi[n] == 0:
+            return None
+        j = next((j for j, c in enumerate(cols) if dot(pi, c) > 0), None)
+        if j is None:
+            return tuple(-x for x in pi[:n])
+        u = [dot(r, cols[j]) for r in binv]
+        i = min(
+            (i for i in range(n + 1) if u[i] > 0),
+            key=lambda i: (binv[i][n] / u[i], basis[i]),
+        )
+        binv[i] = [x / u[i] for x in binv[i]]
+        for r in range(n + 1):
+            if r != i and u[r] != 0:
+                binv[r] = [x - u[r] * y for x, y in zip(binv[r], binv[i])]
+        basis[i] = j
+
+
+@st.composite
+def vector_sets(draw):
+    """Up to 8 small vectors of length 1 to 4, sometimes with a zero vector,
+    sometimes with a negated member so that 0 lies in their hull."""
+    n = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=8))
+    if vecs and draw(st.booleans()):
+        vecs.append(tuple(-x for x in draw(st.sampled_from(vecs))))
+    if draw(st.integers(0, 4)) == 0:
+        vecs.insert(draw(st.integers(0, len(vecs))), (0,) * n)
+    return vecs
+
+
+@given(vector_sets())
+@settings(max_examples=300, deadline=None)
+def test_positive_functional_matches_rational_phase_one(vectors):
+    assert polytope.positive_functional(vectors) == reference_positive_functional(vectors)
 
 
 def test_positive_functional_rank4_f4_cone():

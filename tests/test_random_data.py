@@ -57,7 +57,8 @@ def build_datum(types, torus, weight, ops):
     g = linalg.identity(n)
     for i, j, c in ops:
         g[i] = [-x for x in g[i]] if i == j else linalg.vec_add(g[i], linalg.vec_scale(c, g[j]))
-    g_dual = linalg.transpose(linalg.invert(g))
+    adj, det = linalg.adjugate(g)  # det(g) = +-1, so g^-1 = det * adj
+    g_dual = linalg.transpose([[det * x for x in row] for row in adj])
     return root_datum.RootDatum(
         n,
         tuple(tuple(int(x) for x in linalg.mat_vec(g, r)) for r in roots),

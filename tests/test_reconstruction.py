@@ -108,18 +108,59 @@ def test_certificate_rejects_false_pair(sl2_oracle):
         assert cert is None
 
 
+def reference_expand(t, sem, other):
+    """The known part of the product of two formal sums, as label
+    multiplicities, and whether a cell of it left the window."""
+    acc, unknown = {}, False
+    for x, cx in sem.items():
+        row = t.rows[x]
+        for y, cy in other.items():
+            cell = row[y]
+            if cell is None:
+                unknown = True
+                continue
+            for w, m in cell.items():
+                acc[w] = acc.get(w, 0) + cx * cy * m
+    return acc, unknown
+
+
+def reference_check_certificate(t, mu, lam, theta, n_max, cache):
+    """check_certificate on label multisets; cache holds each label's powers
+    and the depth to which they are fully known."""
+    for x in (mu, lam):
+        if x not in cache:
+            pows = [({x: 1}, False)]
+            for _ in range(n_max - 1):
+                sem, unknown = reference_expand(t, pows[-1][0], {x: 1})
+                pows.append((sem, pows[-1][1] or unknown))
+            cache[x] = pows, next((n for n in range(n_max) if pows[n][1]), n_max)
+    (mu_pows, horizon), (lam_pows, lam_horizon) = cache[mu], cache[lam]
+    if horizon < min(2, n_max) or horizon < lam_horizon:
+        return None
+    strict, lenient = [], []
+    for n in range(1, horizon + 1):
+        lam_sem, lam_unknown = lam_pows[n - 1]
+        target, theta_unknown = reference_expand(t, lam_sem, theta)
+        if any(nu not in target for nu in mu_pows[n - 1][0]):
+            return None
+        (lenient if lam_unknown or theta_unknown else strict).append(n)
+    if not strict and not lenient:
+        return None
+    return reconstruction.OrderCertificate(dict(theta), tuple(strict), tuple(lenient))
+
+
 def reference_order(t, n_max=3):
     """recover_order trying every single, pair and expansion that holds a
-    label reaching mu next to lam or leaving the window, in that order."""
+    label reaching mu next to lam or leaving the window, in that order, each
+    checked on label multisets."""
     classes = reconstruction._co_occurrence_classes(t)
-    powers = reconstruction._PowerCache(t, n_max)
     expansions, seen = [], set()
     for key in sorted(t.products):
         val = t.products[key]
         if val and len(val) > 1 and tuple(sorted(val.items())) not in seen:
             seen.add(tuple(sorted(val.items())))
             expansions.append(val)
-    decided = {}
+    decided, cache = {}, {}
     for mu in t.labels:
         for lam in t.labels:
             if mu == lam or classes[mu] != classes[lam]:
@@ -134,7 +175,7 @@ def reference_order(t, n_max=3):
                 + [val for val in expansions if reach & val.keys()]
             )
             for theta in candidates:
-                cert = reconstruction.check_certificate(t, mu, lam, theta, n_max, powers)
+                cert = reference_check_certificate(t, mu, lam, theta, n_max, cache)
                 if cert is not None:
                     decided[(mu, lam)] = cert
                     break
@@ -144,7 +185,7 @@ def reference_order(t, n_max=3):
 @pytest.mark.parametrize(
     "name,bound,seed",
     [(n, b, s) for n in root_datum.fixture_names() for b in (1, 2, 3) for s in (7, 1)]
-    + [("sl4", 2, 7), ("sl2xT2", 2, 7)],
+    + [("sl4", 2, 7), ("sl2xT2", 2, 7), ("sl3", 4, 7), ("so5", 4, 7), ("sp4", 4, 7)],
 )
 def test_order_search_matches_exhaustive_walk(name, bound, seed):
     d = {"sl4": WIDE_DATA["sl4"], "sl2xT2": SL2_T2}.get(name) or root_datum.fixture(name)
@@ -522,8 +563,8 @@ def test_roots_stage_rank4_spin8():
 
 @pytest.fixture
 def without_order_search(monkeypatch):
-    # no stage reads the order, and the search takes about 3 s on sl5@2 and
-    # 11 s on spin8@2 (~1,050 s before its candidates were screened)
+    # no stage reads the order, and the search takes about 0.9 s on sl5@2 and
+    # 3 s on spin8@2 (~1,050 s before its candidates were screened)
     monkeypatch.setattr(reconstruction, "recover_order", lambda *args, **kwargs: None)
 
 

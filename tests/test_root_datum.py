@@ -317,9 +317,9 @@ def test_root_coefficients_match_rational_solve(d):
 
 def _base_change(d, u):
     """The datum d in the basis u: roots map by u, coroots by u^-T."""
-    inv = linalg.invert(u)
-    assert all(x.denominator == 1 for row in inv for x in row)
-    inv_t = [[int(x) for x in col] for col in zip(*inv)]
+    adj, det = linalg.adjugate(u)
+    assert abs(det) == 1  # so u^-1 = det * adj is integral
+    inv_t = [[det * x for x in col] for col in zip(*adj)]
     return RootDatum(
         d.rank,
         tuple(linalg.mat_vec(u, a) for a in d.simple_roots),
