@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable
 
 from . import linalg, polytope, root_datum
@@ -88,26 +88,28 @@ def _dominant_mults(d: RootDatum, lam: Vec) -> dict[Vec, int]:
 
     def full(x: Vec) -> list[int]:
         """<x, b^v> over the positive roots b; B(x, y) is dot(full(x), full(y))."""
-        return [dot(cov, x) for cov in coroots]
+        return [sum(map(mul, cov, x)) for cov in coroots]
 
-    roots = [(d.pairing(a), full(a), dot(full(a), full(a))) for a, _ in d.positive_roots]
+    fas = [full(a) for a, _ in d.positive_roots]
+    roots = [(d.pairing(a), fa, sum(map(mul, fa, fa))) for (a, _), fa in zip(d.positive_roots, fas)]
     shift = full(d.rho2)
 
     def squares(fx: list[int]) -> int:
         return sum((2 * p + r) ** 2 for p, r in zip(fx, shift))
 
-    t_squares = squares(full(lam))
+    fulls = {mu: full(mu) for mu in dominant_closure(d, [lam])}
+    t_squares = squares(fulls[lam])
     found: dict[Vec, int] = {}  # pairings -> multiplicity
     mults: dict[Vec, int] = {}
-    for mu in sorted(dominant_closure(d, [lam]), key=lambda w: -sum(full(w))):
+    for mu in sorted(fulls, key=lambda w: -sum(fulls[w])):
         pmu = d.pairing(mu)
         if mu == lam:
             found[pmu] = mults[mu] = 1
             continue
-        fmu = full(mu)
+        fmu = fulls[mu]
         num = 0
         for pa, fa, baa in roots:
-            b = dot(fmu, fa) + baa  # B(mu + k a, a) at k = 1
+            b = sum(map(mul, fmu, fa)) + baa  # B(mu + k a, a) at k = 1
             q = tuple(map(add, pmu, pa))
             while True:
                 dom, i = q, 0
@@ -219,9 +221,9 @@ def decompose_checked(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
 
 
 def dual_label(d: RootDatum, lam: Vec) -> Vec:
-    """Highest weight of the dual irreducible."""
+    """Highest weight of the dual irreducible, -w0 lam."""
     lam = _require_dominant(d, lam, "highest weight")
-    return root_datum.dominant_representative(d, tuple(-x for x in lam))
+    return tuple([sum(map(mul, row, lam)) for row in d.minus_w0])
 
 
 def prv_components(d: RootDatum, lam: Vec, mu: Vec) -> tuple[Vec, ...]:

@@ -34,9 +34,10 @@ class OracleTable:
     """Labels, the unit, the duality and the product cell of every unordered pair.
 
     `products` is the canonical field, keyed by `pair_key`; a cell is None
-    when the pair is out of window.  `format_oracle` and table equality read
-    it.  Every other read goes through two indexes built on first read: `rows`,
-    the symmetric row index, and `partners`, each label's in-window partners.
+    when the pair is out of window.  `format_oracle`, table equality and
+    `table_isomorphism`, for the table it maps into, read it.  Every other
+    read goes through two indexes built on first read: `rows`, the symmetric
+    row index, and `partners`, each label's in-window partners.
     A table is not mutated after construction, so neither index goes stale.
     """
 
@@ -75,7 +76,9 @@ def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | N
     compared once both of its factors are placed: it is in window exactly
     when its image is, has as many components, and gives each placed
     component its multiplicity.  So a complete map carries every cell onto
-    u's, and a placed cell's components go into its image's.
+    u's, and a placed cell's components go into its image's.  Image cells
+    are read from `u.products`, so when `partial` places every label no
+    index of u is built.
     """
     bij, used = dict(partial), set(partial.values())
     if len(t.labels) != len(u.labels) or len(used) != len(bij):
@@ -92,7 +95,8 @@ def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | N
         for (x, y), val in cells:
             if x not in bij or y not in bij:
                 continue
-            image = u.rows[bij[x]][bij[y]]
+            a, b = bij[x], bij[y]
+            image = u.products[(a, b) if a <= b else (b, a)]
             if val is None or image is None or len(val) != len(image):
                 if val is not image:  # only two out-of-window cells pass
                     return False
@@ -178,36 +182,57 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
     window is closed downward, so every component of its product is one too.
     Raises ValueError on a weight that is not dominant.
 
-    Each product is decomposed once per pairing shape.  The factors of
-    V(w1) x V(w2), written as offsets from w1 + w2, and their multiplicities
-    depend only on the pairing vectors <w1, a_i^> and <w2, a_i^>: the
-    expansion runs on pairings, and the choice of the smaller factor compares
-    dimensions, which are pairings too.  So the first in-window pair of a
-    shape is decomposed, and every later pair of that shape gets its cell
-    shifted by its own w1 + w2 less the first pair's.  On a semisimple datum
-    the pairings determine the weight and no shape repeats; on a torus the
-    shape of every pair is the same.  The memo lives for this call only.
+    Each product is decomposed once per PRV shape.  With mu the factor of
+    smaller dimension (the one `decompose_checked` expands) and lam the
+    other, the PRV theorem (Parthasarathy, Ranga Rao and Varadarajan; Kumar)
+    counts V(lam + b) in V(lam) x V(mu) as the v in V(mu)_b with
+    e_i^(<lam, a_i^> + 1) v = 0 for every i.  As e_i^k vanishes on V(mu) for
+    k above c_i(mu), the largest <w mu, a_i^> over W, the factors written as
+    offsets from lam + mu depend only on the shape: mu's pairings (a central
+    shift of mu only shifts them) and min(<lam, a_i^>, c_i(mu)).  The first
+    in-window pair of a shape is decomposed, and every later one gets that
+    cell shifted.  Pairs are looked up first by both pairing vectors, which
+    on a torus never change.  The memos live for this call only.
     """
     # dual_label checks each weight, so the products and sums skip the checks per pair
     dual = {w: char_engine.dual_label(d, w) for w in weights}
     wset = set(weights)
-    pairing = {w: d.pairing(w) for w in weights}
-    by_shape: dict[tuple[Vec, Vec], tuple[Vec, dict[Vec, int]]] = {}
+    ids: dict[Vec, int] = {}  # pairing vector -> its id
+    pid = [ids.setdefault(d.pairing(w), len(ids)) for w in weights]
+    pairings = list(ids)
+    ceiling: dict[int, Vec] = {}
+    by_shape: dict[tuple[int, Vec], tuple[Vec, dict[Vec, int]]] = {}
+
+    def first_of_shape(w1: Vec, p1: int, w2: Vec, p2: int, top: Vec) -> tuple[Vec, dict]:
+        """The first pair of the shape of w1 and w2 (pairing ids p1, p2): its top and cell."""
+        (lam, a), (mu, b) = (w1, p1), (w2, p2)
+        if char_engine.dimension(d, mu) > char_engine.dimension(d, lam):
+            (lam, a), (mu, b) = (mu, b), (lam, a)
+        c = ceiling.get(b)
+        if c is None:
+            c = ceiling[b] = tuple(map(max, zip(*d.paired_orbit(mu)[1])))
+        shape = (b, tuple(map(min, pairings[a], c)))
+        got = by_shape.get(shape)
+        if got is None:
+            got = by_shape[shape] = (top, char_engine.decompose_checked(d, lam, mu))
+        return got
+
+    by_pair: dict[tuple[int, int], tuple[Vec, dict[Vec, int]]] = {}
     products: dict[tuple[Vec, Vec], dict[Vec, int] | None] = {}
-    for i, w1 in enumerate(weights):
-        for w2 in weights[i:]:
+    for i, (w1, p1) in enumerate(zip(weights, pid)):
+        for w2, p2 in zip(weights[i:], pid[i:]):
             top = tuple(map(add, w1, w2))
             cell = None
             if top in wset:
-                shape = (pairing[w1], pairing[w2])
-                seen = by_shape.get(shape)
+                seen = by_pair.get((p1, p2))
                 if seen is None:
-                    cell = char_engine.decompose_checked(d, w1, w2)
-                    by_shape[shape] = (top, cell)
+                    seen = by_pair[(p1, p2)] = first_of_shape(w1, p1, w2, p2, top)
+                if len(seen[1]) == 1:
+                    cell = {top: 1}  # a lone factor is the Cartan component
                 else:
                     shift = tuple(map(sub, top, seen[0]))
                     cell = {tuple(map(add, nu, shift)): m for nu, m in seen[1].items()}
-            products[OracleTable.pair_key(w1, w2)] = cell
+            products[(w1, w2) if w1 <= w2 else (w2, w1)] = cell
     return OracleTable(labels=weights, unit=(0,) * d.rank, dual=dual, products=products)
 
 
@@ -224,8 +249,10 @@ def materialize_oracle(
     label_of = dict(zip(window.labels, _fresh_labels(len(window.labels), random.Random(seed))))
     products: dict[tuple[str, str], dict[str, int] | None] = {}
     for (x, y), val in window.products.items():
-        cell = None if val is None else {label_of[nu]: m for nu, m in val.items()}
-        products[OracleTable.pair_key(label_of[x], label_of[y])] = cell
+        a, b = label_of[x], label_of[y]
+        products[(a, b) if a <= b else (b, a)] = (
+            None if val is None else {label_of[nu]: m for nu, m in val.items()}
+        )
     dual = {label_of[w]: label_of[v] for w, v in window.dual.items()}
     table = OracleTable(tuple(sorted(label_of.values())), label_of[window.unit], dual, products)
     return table, {x: w for w, x in label_of.items()}

@@ -18,8 +18,10 @@ coordinates only appear after the group completion invents them.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Callable, Iterable
 
 from . import linalg, oracle, polytope, root_datum
@@ -520,7 +522,11 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
 
 
 def _substitute(rel: dict[str, int], expr: dict[str, dict[str, int]]) -> dict[str, int]:
-    """The relation with every eliminated label replaced by its expression."""
+    """The relation with every eliminated label replaced by its expression.
+
+    Most relations vanish, and that is decided before the nonzero
+    coefficients are collected.
+    """
     out: dict[str, int] = {}
     for lbl, c in rel.items():
         e = expr.get(lbl)
@@ -529,6 +535,8 @@ def _substitute(rel: dict[str, int], expr: dict[str, dict[str, int]]) -> dict[st
             continue
         for f, v in e.items():
             out[f] = out.get(f, 0) + c * v
+    if not any(out.values()):
+        return {}
     return {f: v for f, v in out.items() if v != 0}
 
 
@@ -687,11 +695,10 @@ def _box_coordinates(
     _, u = linalg.smith_normal_form([[a[r] for a in roots] for r in range(rank)])
     moved = {x: linalg.mat_vec(u, v) for x, v in embedding.items()}
     points = sorted({v[k:] for v in moved.values()})
-    shared: dict[Vec, int] = {}
-    for p, q in itertools.combinations(points, 2):
-        # points are sorted, so each difference has a positive leading entry
-        diff = vec_sub(q, p)
-        shared[diff] = shared.get(diff, 0) + 1
+    # points are sorted, so each difference has a positive leading entry
+    shared = collections.Counter(
+        tuple(map(sub, q, p)) for p, q in itertools.combinations(points, 2)
+    )
     m = rank - k
     # most shared first, ties in descending order, so an aligned box keeps its basis
     ranked = sorted(shared, key=lambda v: (-shared[v], linalg.vec_scale(-1, v)))

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from operator import mul
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -56,7 +57,9 @@ class RootDatum:
 
     def pairing(self, x: Vec) -> Vec:
         """Pairings of x against every simple coroot."""
-        return tuple(dot(c, x) for c in self.simple_coroots)
+        if len(x) != self.rank:
+            raise ValueError(f"length mismatch: {len(x)} and {self.rank}")
+        return tuple([sum(map(mul, c, x)) for c in self.simple_coroots])
 
     @functools.cached_property
     def cartan(self) -> Matrix:
@@ -119,11 +122,30 @@ class RootDatum:
         return {}
 
     def paired_orbit(self, x: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """W-orbit of x, descending, and the simple-coroot pairings of each weight."""
+        """W-orbit of x, descending, and the simple-coroot pairings of each weight.
+
+        The only walk of W.  It carries the pairings: s_i moves a weight by
+        -c times root i and its pairings by -c times column i of the Cartan
+        matrix, c its pairing with coroot i, so no pairing is recomputed.
+        """
         got = self.orbits.get(x)
         if got is None:
-            orb = orbit(self, x)
-            got = self.orbits[x] = (orb, tuple(self.pairing(w) for w in orb))
+            roots, columns = self.simple_roots, self.columns
+            seen = {x: self.pairing(x)}
+            frontier = [x]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    p = seen[v]
+                    for i, c in enumerate(p):
+                        if c:
+                            r = tuple([a - c * b for a, b in zip(v, roots[i])])
+                            if r not in seen:
+                                seen[r] = tuple([a - c * b for a, b in zip(p, columns[i])])
+                                nxt.append(r)
+                frontier = nxt
+            orb = tuple(sorted(seen, reverse=True))
+            got = self.orbits[x] = (orb, tuple([seen[w] for w in orb]))
         return got
 
     @functools.cached_property
@@ -169,6 +191,24 @@ class RootDatum:
         for a, _ in self.positive_roots:
             total = linalg.vec_add(total, a)
         return total
+
+    @functools.cached_property
+    def minus_w0(self) -> Matrix:
+        """The matrix of -w0 on weights, w0 the longest element of W.
+
+        -w0 takes each dominant weight to the highest weight of the dual
+        irreducible.  w0 is the element taking -rho2 to rho2, so the
+        reflections that carry -rho2 into the dominant chamber, applied to
+        minus each unit vector, give the columns.
+        """
+        n = self.rank
+        cols = [tuple(-int(a == b) for b in range(n)) for a in range(n)]
+        p = tuple(-c for c in self.pairing(self.rho2))
+        while (i := next((i for i, c in enumerate(p) if c < 0), None)) is not None:
+            p = vec_sub(p, linalg.vec_scale(p[i], self.columns[i]))
+            root, coroot = self.simple_roots[i], self.simple_coroots[i]
+            cols = [vec_sub(v, linalg.vec_scale(dot(coroot, v), root)) for v in cols]
+        return tuple(zip(*cols))
 
     @functools.cached_property
     def columns(self) -> Matrix:
@@ -269,11 +309,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def reflect(d: RootDatum, i: int, x: Vec) -> Vec:
-    c = dot(d.simple_coroots[i], x)
-    return tuple(xa - c * aa for xa, aa in zip(x, d.simple_roots[i]))
-
-
 def weyl_order(d: RootDatum) -> int:
     """|W| of a valid datum."""
     return d.weyl_order
@@ -282,21 +317,9 @@ def weyl_order(d: RootDatum) -> int:
 def orbit(d: RootDatum, x: Vec) -> tuple[Vec, ...]:
     """W-orbit of a weight, as a sorted tuple (descending).
 
-    The only walk of W: a coweight orbit is the orbit in the dual datum.
+    A coweight orbit is the orbit in the dual datum.
     """
-    x = tuple(x)
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(d.semisimple_rank):
-                r = reflect(d, i, v)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return tuple(sorted(seen, reverse=True))
+    return d.paired_orbit(tuple(x))[0]
 
 
 def is_dominant(d: RootDatum, x: Vec) -> bool:
@@ -304,16 +327,21 @@ def is_dominant(d: RootDatum, x: Vec) -> bool:
 
 
 def dominant_representative(d: RootDatum, x: Vec) -> Vec:
-    """The unique dominant weight in the W-orbit of x."""
+    """The unique dominant weight in the W-orbit of x.
+
+    Reflects at the first negative pairing until there is none, carrying the
+    pairings as `RootDatum.paired_orbit` does.
+    """
     x = tuple(x)
+    p = d.pairing(x)
+    roots, columns = d.simple_roots, d.columns
     for _ in range(10**6):
-        i = next(
-            (i for i, c in enumerate(d.simple_coroots) if dot(c, x) < 0),
-            None,
-        )
+        i = next((i for i, c in enumerate(p) if c < 0), None)
         if i is None:
             return x
-        x = reflect(d, i, x)
+        c = p[i]
+        x = tuple([a - c * b for a, b in zip(x, roots[i])])
+        p = tuple([a - c * b for a, b in zip(p, columns[i])])
     raise RootDatumError("dominant representative did not stabilize")
 
 

@@ -323,6 +323,15 @@ def test_dual_label():
     assert char_engine.dual_label(gl2, (3, 1)) == (-1, -3)
 
 
+@pytest.mark.parametrize("name", root_datum.fixture_names())
+def test_dual_label_is_dominant_representative_of_negative(name):
+    # the bound-4 window holds the windows of bounds 1-3
+    d = root_datum.fixture(name)
+    for lam in oracle.window_weights(d, 4):
+        negative = tuple(-x for x in lam)
+        assert char_engine.dual_label(d, lam) == root_datum.dominant_representative(d, negative)
+
+
 @pytest.mark.parametrize("name", ["sl3", "g2", "gl2"])
 def test_dual_pairs_against_unit(name):
     d = root_datum.fixture(name)

@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from test_random_data import build_datum, reductive_cases
 
 from semiroot import char_engine, linalg, oracle, reconstruction, root_datum
 from semiroot.oracle import OracleError, OracleFormatError, OracleTable
@@ -95,7 +97,7 @@ def test_window_is_relative_to_datum_basis():
 
 
 def test_materialize_matches_tensor_decompose():
-    # window_table decomposes one pair per pairing shape and shifts the rest;
+    # window_table decomposes one pair per PRV shape and shifts the rest;
     # the mixed data in skewed bases give shifted cells with nonzero pairings
     cases = [(root_datum.fixture(n), b) for n in root_datum.fixture_names() for b in range(1, 5)]
     cases += [(SL2XT2_SKEWED, 1), (SL2XT2_SKEWED, 2), (GL2XT1_CHANGED, 2)]
@@ -107,6 +109,72 @@ def test_materialize_matches_tensor_decompose():
                 continue
             true = char_engine.tensor_decompose(d, prov[x], prov[y])
             assert {inv[nu]: m for nu, m in true.items()} == val, (d, bound, prov[x], prov[y])
+
+
+def reference_window_table(d, weights):
+    """The window table with one tensor_decompose per in-window pair."""
+    wset = set(weights)
+    products = {}
+    for w1, w2 in itertools.combinations_with_replacement(weights, 2):
+        in_window = linalg.vec_add(w1, w2) in wset
+        products[OracleTable.pair_key(w1, w2)] = (
+            char_engine.tensor_decompose(d, w1, w2) if in_window else None
+        )
+    dual = {w: root_datum.dominant_representative(d, tuple(-x for x in w)) for w in weights}
+    return OracleTable(weights, (0,) * d.rank, dual, products)
+
+
+_STD3 = tuple(map(tuple, linalg.identity(3)))
+_STD4 = tuple(map(tuple, linalg.identity(4)))
+WIDE_WINDOWS = {
+    "sl4@2": (root_datum.RootDatum(3, ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), _STD3), 2),
+    "sp6@2": (root_datum.RootDatum(3, ((2, -1, 0), (-1, 2, -1), (0, -2, 2)), _STD3), 2),
+    "spin7@2": (root_datum.RootDatum(3, ((2, -1, 0), (-1, 2, -2), (0, -1, 2)), _STD3), 2),
+    "spin8@1": (
+        root_datum.RootDatum(
+            4, ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)), _STD4
+        ),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_WINDOWS))
+def test_window_table_matches_per_pair_reference(case):
+    d, bound = WIDE_WINDOWS[case]
+    weights = oracle.window_weights(d, bound)
+    fresh = root_datum.RootDatum(d.rank, d.simple_roots, d.simple_coroots)
+    assert oracle.window_table(d, weights) == reference_window_table(fresh, weights)
+
+
+@given(case=reductive_cases())
+def test_window_table_matches_per_pair_reference_on_random_data(case):
+    types, torus, weight, ops, bound, _ = case
+    d = build_datum(types, torus, weight, ops)
+    weights = oracle.window_weights(d, min(bound, 2))
+    fresh = root_datum.RootDatum(d.rank, d.simple_roots, d.simple_coroots)
+    assert oracle.window_table(d, weights) == reference_window_table(fresh, weights)
+
+
+def test_window_table_decomposes_once_per_prv_shape(monkeypatch):
+    calls = []
+    decompose = char_engine.decompose_checked
+
+    def counted(d, lam, mu):
+        calls.append((lam, mu))
+        return decompose(d, lam, mu)
+
+    monkeypatch.setattr(char_engine, "decompose_checked", counted)
+    # on semisimple data the pairings determine the weight, so a memo keyed by
+    # both factors' pairings would decompose every one of the 68 in-window cells
+    sl3 = root_datum.fixture("sl3")
+    t = oracle.window_table(sl3, oracle.window_weights(sl3, 3))
+    assert (len(calls), sum(v is not None for v in t.products.values())) == (25, 68)
+    # on a torus every pair has the same pairings
+    calls.clear()
+    torus2 = root_datum.fixture("torus2")
+    t = oracle.window_table(torus2, oracle.window_weights(torus2, 4))
+    assert (len(calls), sum(v is not None for v in t.products.values())) == (1, 1873)
 
 
 def test_materialize_marks_out_of_window(sl2_oracle):

@@ -233,6 +233,11 @@ RANK3 = {
 }
 
 
+def _reflect(d, i, x):
+    c = linalg.dot(d.simple_coroots[i], x)
+    return tuple(xa - c * aa for xa, aa in zip(x, d.simple_roots[i]))
+
+
 def _coreflect(d, i, y):
     c = linalg.dot(y, d.simple_roots[i])
     return tuple(ya - c * ca for ya, ca in zip(y, d.simple_coroots[i]))
@@ -246,7 +251,7 @@ def _reference_positive_roots(d):
         nxt = []
         for a, c in frontier:
             for j in range(d.semisimple_rank):
-                ra, rc = root_datum.reflect(d, j, a), _coreflect(d, j, c)
+                ra, rc = _reflect(d, j, a), _coreflect(d, j, c)
                 if ra not in seen:
                     seen[ra] = rc
                     nxt.append((ra, rc))
