@@ -8,9 +8,7 @@ recovered datum and demands an exact match against the input table.  When the
 roots leave two or more coordinates to the torus quotient, the completion is
 rebased before the coroot scans so that the labels' torus coordinates fill a
 box, as those of a window do.  Certification has that one path: a certified
-report names the bound of the window that reproduces the table.  A bounded
-certificate search for the dominance order on labels still runs after
-validation and is kept on the report, but no later stage reads it.
+report names the bound of the window that reproduces the table.
 
 Everything downstream of the table treats labels as opaque strings; weight
 coordinates only appear after the group completion invents them.
@@ -20,16 +18,13 @@ from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import sub
-from typing import Callable, Iterable
 
 from . import linalg, oracle, polytope, root_datum
 from .linalg import Vec, dot, vec_sub
 from .oracle import OracleTable
 from .root_datum import RootDatum
-
-Sem = dict[str, int]
 
 
 class StageFailure(Exception):
@@ -37,31 +32,6 @@ class StageFailure(Exception):
         super().__init__(f"{stage}: {reason}")
         self.stage = stage
         self.reason = reason
-
-
-@dataclass
-class OrderCertificate:
-    theta: Sem
-    strict_ns: tuple[int, ...]
-    lenient_ns: tuple[int, ...]
-
-
-@dataclass
-class RecoveredOrder:
-    labels: tuple[str, ...]
-    classes: dict[str, int]
-    decided: dict[tuple[str, str], OrderCertificate]
-    closure: set[tuple[str, str]] = field(repr=False, default_factory=set)
-
-    def leq(self, x: str, y: str) -> bool | None:
-        """True/False when decidable, None when the window cannot tell."""
-        if x == y:
-            return True
-        if (x, y) in self.closure:
-            return True
-        if self.classes[x] != self.classes[y]:
-            return False
-        return None
 
 
 @dataclass
@@ -75,7 +45,7 @@ class ReconstructionReport:
     verdict: str
     stage: str | None = None
     reason: str | None = None
-    order: RecoveredOrder | None = None
+    order: None = None  # read by perfbench/worker.py:150 only; ROADMAP.md item 1 drops it
     monoid: RecoveredMonoid | None = None
     lattice_rank: int | None = None
     embedding: dict[str, Vec] | None = None
@@ -89,325 +59,13 @@ class ReconstructionReport:
         return self.verdict == "certified"
 
 
-class _PowerCache:
-    """Supports of bounded label powers and of their products, as int bitmasks.
-
-    Bit i stands for label i of the table.  A product's known part sums its
-    in-window cells with positive coefficients, so the labels it holds are
-    the union of those cells' labels: the supports of the factors fix it.
-    Every mask is built on first use, for one table.
-    """
-
-    def __init__(self, t: OracleTable, n_max: int):
-        self.t = t
-        self.n_max = n_max
-        self.bits = {x: 1 << i for i, x in enumerate(t.labels)}
-        self._powers: dict[str, list[tuple[int, bool]]] = {}
-        self._depth: dict[str, int] = {}
-        self._reach: dict[tuple[str, int], _Reach] = {}
-
-    def _union(self, cells: list[dict[str, int] | None]) -> tuple[int, bool]:
-        """The labels of the in-window cells, and whether a cell is out of window."""
-        bits, out = self.bits, 0
-        for cell in cells:
-            if cell is not None:
-                for w in cell:
-                    out |= bits[w]
-        return out, None in cells
-
-    def _members(self, mask: int) -> list[str]:
-        out = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out.append(self.t.labels[low.bit_length() - 1])
-        return out
-
-    def powers(self, x: str) -> list[tuple[int, bool]]:
-        """(support of x^n, whether any of x^1 .. x^n left the window) for n = 1 .. n_max."""
-        got = self._powers.get(x)
-        if got is None:
-            row = self.t.rows[x]
-            got = [(self.bits[x], False)]
-            for _ in range(self.n_max - 1):
-                mask, unknown = got[-1]
-                step, left = self._union([row[y] for y in self._members(mask)])
-                got.append((step, unknown or left))
-            self._powers[x] = got
-        return got
-
-    def reach(self, lam: str, n: int) -> dict[str, tuple[int, bool]]:
-        """For each label y, the support of the known part of lam^n * y and
-        whether a cell of it left the window; each y is filled on first lookup."""
-        got = self._reach.get((lam, n))
-        if got is None:
-            rows = [self.t.rows[x] for x in self._members(self.powers(lam)[n - 1][0])]
-            got = self._reach[(lam, n)] = _Reach(self._union, rows)
-        return got
-
-    def known_depth(self, x: str) -> int:
-        """The largest n such that x^1 .. x^n are all fully known."""
-        got = self._depth.get(x)
-        if got is None:
-            pows = self.powers(x)
-            got = self._depth[x] = next((n for n in range(self.n_max) if pows[n][1]), self.n_max)
-        return got
-
-
-class _Reach(dict):
-    """y -> union(the cells of y with each of rows), computed on first lookup."""
-
-    def __init__(self, union: Callable[[list], tuple[int, bool]], rows: list[dict]):
-        super().__init__()
-        self.union = union
-        self.rows = rows
-
-    def __missing__(self, y: str) -> tuple[int, bool]:
-        got = self[y] = self.union([row[y] for row in self.rows])
-        return got
-
-
-def check_certificate(
-    t: OracleTable,
-    mu: str,
-    lam: str,
-    theta: Sem,
-    n_max: int,
-    powers: _PowerCache | None = None,
-) -> OrderCertificate | None:
-    """Try one certificate for mu <= lam over the window.
-
-    For each n up to the horizon where the powers of mu are fully known, every
-    factor of mu^n must appear in the known part of lam^n * theta.  The known
-    part undercounts when the expansion hit the window edge, so such levels
-    are only recorded as lenient rather than strict; but a missing factor
-    rejects the certificate either way, otherwise clipped expansions would
-    vouch for arbitrary pairs.  Every coefficient is positive, so the test
-    reads supports only: the labels of lam^n * theta are the union over
-    theta's labels y of those of lam^n * y.  Returns the certificate on
-    acceptance, None on a miss.
-    """
-    powers = powers or _PowerCache(t, n_max)
-    horizon = powers.known_depth(mu)
-    if horizon < min(2, n_max):
-        return None  # too little of mu's powers visible to commit
-    # when mu <= lam holds, saturation keeps mu's powers computable at least
-    # as deep as lam's, so a shallower mu is disqualified outright
-    if horizon < powers.known_depth(lam):
-        return None
-    mu_pows, lam_pows = powers.powers(mu), powers.powers(lam)
-    strict: list[int] = []
-    lenient: list[int] = []
-    for n in range(1, horizon + 1):
-        reach = powers.reach(lam, n)
-        target, fuzzy = 0, lam_pows[n - 1][1]
-        for y in theta:
-            mask, unknown = reach[y]
-            target |= mask
-            fuzzy = fuzzy or unknown
-        if mu_pows[n - 1][0] & ~target:
-            return None
-        (lenient if fuzzy else strict).append(n)
-    if not strict and not lenient:
-        return None
-    return OrderCertificate(theta=dict(theta), strict_ns=tuple(strict), lenient_ns=tuple(lenient))
-
-
-def _co_occurrence_classes(t: OracleTable) -> dict[str, int]:
-    parent = {x: x for x in t.labels}
-
-    def find(a: str) -> str:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for val in t.products.values():
-        if not val:
-            continue
-        comps = list(val)
-        for other in comps[1:]:
-            union(comps[0], other)
-    roots_sorted = sorted({find(x) for x in t.labels})
-    index = {r: i for i, r in enumerate(roots_sorted)}
-    return {x: index[find(x)] for x in t.labels}
-
-
-def recover_order(
-    t: OracleTable, n_max: int = 3, validated: bool = False
-) -> RecoveredOrder:
-    """Step 1: bounded certificate search for the dominance order on labels.
-
-    Positive decisions carry checked certificates; negative decisions come
-    only from the congruence classes (labels never mixing in any product
-    cannot be comparable).  Everything else stays unknown.  Accepted pairs are
-    pruned for antisymmetry and cycles before the transitive closure is built,
-    so the result is always a partial order.  The candidate certificates theta
-    are single labels, pairs of labels and the table's product expansions,
-    tried in that order until one is accepted.
-
-    Only candidates that can pass are built, lazily and in that order.  The
-    certificate's horizon gate reads the pair alone, so it is tested once per
-    pair.  At level 1 the obligation is mu and the target sums, with positive
-    coefficients, the known cells of lam with theta's labels; so theta passes
-    level 1 exactly when it holds a hit, a label x whose cell with lam
-    contains mu.
-    """
-    if not validated:
-        oracle.validate_oracle(t)
-    classes = _co_occurrence_classes(t)
-    powers = _PowerCache(t, n_max)
-    labels = t.labels
-    ordered = sorted(labels)
-
-    expansions: list[Sem] = []
-    seen_exp: set[tuple] = set()
-    for key in sorted(t.products):
-        val = t.products[key]
-        if val and len(val) > 1:
-            sig = tuple(sorted(val.items()))
-            if sig not in seen_exp:
-                seen_exp.add(sig)
-                expansions.append(val)
-    containing: dict[str, list[int]] = {}
-    for i, val in enumerate(expansions):
-        for z in val:
-            containing.setdefault(z, []).append(i)
-
-    def candidates(hits: list[str]) -> Iterable[Sem]:
-        hit_set = set(hits)
-        for x in hits:
-            yield {x: 1}
-        # the pairs x <= y of sorted labels that touch a hit
-        for i, x in enumerate(ordered):
-            partners = ordered[i:] if x in hit_set else [y for y in hits if y > x]
-            for y in partners:
-                yield {x: 1, y: 1} if x != y else {x: 2}
-        for i in sorted({i for x in hits for i in containing.get(x, ())}):
-            yield expansions[i]
-
-    decided: dict[tuple[str, str], OrderCertificate] = {}
-    for mu in labels:
-        for lam in labels:
-            if mu == lam or classes[mu] != classes[lam]:
-                continue
-            horizon = powers.known_depth(mu)
-            if horizon < min(2, n_max) or horizon < powers.known_depth(lam):
-                continue  # check_certificate's horizon gate, whatever theta is
-            hits = sorted(x for x, cell in t.rows[lam].items() if cell is not None and mu in cell)
-            for theta in candidates(hits):
-                cert = check_certificate(t, mu, lam, theta, n_max, powers)
-                if cert is not None:
-                    decided[(mu, lam)] = cert
-                    break
-    return _partial_order(t, classes, decided)
-
-
-def _partial_order(
-    t: OracleTable, classes: dict[str, int], decided: dict[tuple[str, str], OrderCertificate]
-) -> RecoveredOrder:
-    """The order from the accepted pairs: pruned for antisymmetry and cycles, then closed."""
-    labels = t.labels
-    # antisymmetry and duality consistency, then cycle removal
-    for mu, lam in list(decided):
-        if (lam, mu) in decided and (mu, lam) in decided:
-            del decided[(mu, lam)]
-            del decided[(lam, mu)]
-    for mu, lam in list(decided):
-        rev_dual = (t.dual[lam], t.dual[mu])
-        if rev_dual in decided and (mu, lam) in decided:
-            del decided[(mu, lam)]
-            if rev_dual != (mu, lam) and rev_dual in decided:
-                del decided[rev_dual]
-
-    adj: dict[str, set[str]] = {x: set() for x in labels}
-    for mu, lam in decided:
-        adj[mu].add(lam)
-    cycle_edges = _edges_in_cycles(labels, adj)
-    for edge in cycle_edges:
-        decided.pop(edge, None)
-        adj[edge[0]].discard(edge[1])
-
-    closure: set[tuple[str, str]] = set()
-    for start in labels:
-        stack = list(adj[start])
-        seen: set[str] = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            closure.add((start, cur))
-            stack.extend(adj[cur])
-    return RecoveredOrder(labels=labels, classes=classes, decided=decided, closure=closure)
-
-
-def _edges_in_cycles(
-    labels: Iterable[str], adj: dict[str, set[str]]
-) -> set[tuple[str, str]]:
-    """Edges inside strongly connected components (conservatively dropped)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    comp: dict[str, int] = {}
-    counter = itertools.count()
-    comp_counter = itertools.count()
-
-    def strongconnect(v: str) -> None:
-        work = [(v, iter(sorted(adj[v])))]
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                cid = next(comp_counter)
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = cid
-                    if w == node:
-                        break
-
-    for v in sorted(adj):
-        if v not in index:
-            strongconnect(v)
-    sizes: dict[int, int] = {}
-    for cid in comp.values():
-        sizes[cid] = sizes.get(cid, 0) + 1
-    return {
-        (a, b)
-        for a, outs in adj.items()
-        for b in outs
-        if comp[a] == comp[b] and sizes[comp[a]] > 1
-    }
+# wrapped by perfbench/spans.py:76 only, and nothing calls it; ROADMAP.md item 1 drops it
+def recover_order(*args, **kwargs) -> None:
+    return None
 
 
 def recover_addition(t: OracleTable) -> RecoveredMonoid:
-    """Step 2: the Cartan component of each in-window product.
+    """Step 1: the Cartan component of each in-window product.
 
     The top factor is found by comparing how labels compose with the rest of
     the window: adding a strictly larger weight leaves the window no later,
@@ -441,7 +99,7 @@ def recover_addition(t: OracleTable) -> RecoveredMonoid:
 
 
 def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
-    """Step 3: group completion of the partial monoid.
+    """Step 2: group completion of the partial monoid.
 
     Every addition identity x + y = z is a relation x + y - z on the labels.
     The relations are eliminated in sorted order (Tietze elimination, as in
@@ -541,7 +199,7 @@ def _substitute(rel: dict[str, int], expr: dict[str, dict[str, int]]) -> dict[st
 
 
 def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec, ...]:
-    """Step 4: minimal nonzero differences 2*lam - kappa over squares.
+    """Step 3: minimal nonzero differences 2*lam - kappa over squares.
 
     Candidates come from every embedded square cell; those that are a sum of
     two or more candidates are dropped, and the rest must be linearly
@@ -586,7 +244,7 @@ def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec
 def recover_simple_coroots(
     t: OracleTable, embedding: dict[str, Vec], roots: tuple[Vec, ...]
 ) -> tuple[Vec, ...]:
-    """Step 5: each coroot as the integer form measured by dominance scans.
+    """Step 4: each coroot as the integer form measured by dominance scans.
 
     For an embedded label mu whose square is in the window, walking
     2*mu - k*root through the embedded weights counts exactly the pairing of
@@ -649,7 +307,6 @@ def recover_datum(t: OracleTable) -> ReconstructionReport:
         report.stage, report.reason = "validate", str(e)
         return report
     try:
-        report.order = recover_order(t, validated=True)
         monoid = recover_addition(t)
         report.monoid = monoid
         rank, embedding = recover_lattice(monoid)

@@ -11,190 +11,6 @@ def invert(provenance):
     return {v: k for k, v in provenance.items()}
 
 
-def test_order_decides_known_pairs(sl2_oracle):
-    _, t, prov = sl2_oracle
-    inv = invert(prov)
-    order = reconstruction.recover_order(t)
-    assert order.leq(inv[(0,)], inv[(2,)]) is True
-    assert order.leq(inv[(0,)], inv[(3,)]) is False
-    assert order.leq(inv[(2,)], inv[(1,)]) is False
-    # every theta needs the clipped product row of (3,); not decidable here
-    assert order.leq(inv[(1,)], inv[(3,)]) is None
-
-
-def test_order_certifies_odd_chain_in_wider_window():
-    sl2 = root_datum.fixture("sl2")
-    t, prov = oracle.materialize_oracle(sl2, 6, seed=7)
-    inv = invert(prov)
-    order = reconstruction.recover_order(t)
-    assert order.leq(inv[(1,)], inv[(3,)]) is True
-    cert = order.decided[(inv[(1,)], inv[(3,)])]
-    assert inv[(2,)] in cert.theta
-
-
-def test_order_reflexive(sl2_oracle):
-    _, t, _ = sl2_oracle
-    order = reconstruction.recover_order(t)
-    for x in t.labels:
-        assert order.leq(x, x) is True
-
-
-def test_order_never_wrong(sl2_oracle):
-    d, t, prov = sl2_oracle
-    order = reconstruction.recover_order(t)
-    for x in t.labels:
-        for y in t.labels:
-            got = order.leq(x, y)
-            if got is None:
-                continue
-            assert got == root_datum.dominance_leq(d, prov[x], prov[y])
-
-
-@pytest.mark.parametrize("name,bound", [("sl3", 2), ("sp4", 2), ("gl2", 3)])
-def test_order_soundness(name, bound):
-    d = root_datum.fixture(name)
-    t, prov = oracle.materialize_oracle(d, bound, seed=3)
-    order = reconstruction.recover_order(t)
-    decided = 0
-    for x in t.labels:
-        for y in t.labels:
-            got = order.leq(x, y)
-            if got is None:
-                continue
-            decided += 1
-            assert got == root_datum.dominance_leq(d, prov[x], prov[y])
-    assert decided > len(t.labels)
-
-
-def test_order_antisymmetric(sl3_oracle):
-    _, t, _ = sl3_oracle
-    order = reconstruction.recover_order(t)
-    for x in t.labels:
-        for y in t.labels:
-            if x != y:
-                assert not (order.leq(x, y) is True and order.leq(y, x) is True)
-
-
-def test_order_incomparable_fundamentals(sl3_oracle):
-    _, t, prov = sl3_oracle
-    inv = invert(prov)
-    order = reconstruction.recover_order(t)
-    assert order.leq(inv[(1, 0)], inv[(0, 1)]) is not True
-    assert order.leq(inv[(0, 1)], inv[(1, 0)]) is not True
-
-
-def test_ball_certificate_accepted():
-    # the certificate the containment proof constructs: every irreducible in
-    # the ball around the larger orbit, summed with multiplicity one
-    sl2 = root_datum.fixture("sl2")
-    t, prov = oracle.materialize_oracle(sl2, 21, seed=3)
-    inv = invert(prov)
-    theta = {inv[(k,)]: 1 for k in range(13)}
-    cert = reconstruction.check_certificate(t, inv[(1,)], inv[(3,)], theta, n_max=3)
-    assert cert is not None
-    assert cert.strict_ns == (1, 2, 3)
-    assert cert.lenient_ns == ()
-
-
-def test_certificate_rejects_false_pair(sl2_oracle):
-    _, t, prov = sl2_oracle
-    inv = invert(prov)
-    # no theta can witness 2 <= 1 inside this window without missing
-    # obligations
-    for theta_label in t.labels:
-        cert = reconstruction.check_certificate(
-            t, inv[(2,)], inv[(1,)], {theta_label: 1}, n_max=3
-        )
-        assert cert is None
-
-
-def reference_expand(t, sem, other):
-    """The known part of the product of two formal sums, as label
-    multiplicities, and whether a cell of it left the window."""
-    acc, unknown = {}, False
-    for x, cx in sem.items():
-        row = t.rows[x]
-        for y, cy in other.items():
-            cell = row[y]
-            if cell is None:
-                unknown = True
-                continue
-            for w, m in cell.items():
-                acc[w] = acc.get(w, 0) + cx * cy * m
-    return acc, unknown
-
-
-def reference_check_certificate(t, mu, lam, theta, n_max, cache):
-    """check_certificate on label multisets; cache holds each label's powers
-    and the depth to which they are fully known."""
-    for x in (mu, lam):
-        if x not in cache:
-            pows = [({x: 1}, False)]
-            for _ in range(n_max - 1):
-                sem, unknown = reference_expand(t, pows[-1][0], {x: 1})
-                pows.append((sem, pows[-1][1] or unknown))
-            cache[x] = pows, next((n for n in range(n_max) if pows[n][1]), n_max)
-    (mu_pows, horizon), (lam_pows, lam_horizon) = cache[mu], cache[lam]
-    if horizon < min(2, n_max) or horizon < lam_horizon:
-        return None
-    strict, lenient = [], []
-    for n in range(1, horizon + 1):
-        lam_sem, lam_unknown = lam_pows[n - 1]
-        target, theta_unknown = reference_expand(t, lam_sem, theta)
-        if any(nu not in target for nu in mu_pows[n - 1][0]):
-            return None
-        (lenient if lam_unknown or theta_unknown else strict).append(n)
-    if not strict and not lenient:
-        return None
-    return reconstruction.OrderCertificate(dict(theta), tuple(strict), tuple(lenient))
-
-
-def reference_order(t, n_max=3):
-    """recover_order trying every single, pair and expansion that holds a
-    label reaching mu next to lam or leaving the window, in that order, each
-    checked on label multisets."""
-    classes = reconstruction._co_occurrence_classes(t)
-    expansions, seen = [], set()
-    for key in sorted(t.products):
-        val = t.products[key]
-        if val and len(val) > 1 and tuple(sorted(val.items())) not in seen:
-            seen.add(tuple(sorted(val.items())))
-            expansions.append(val)
-    decided, cache = {}, {}
-    for mu in t.labels:
-        for lam in t.labels:
-            if mu == lam or classes[mu] != classes[lam]:
-                continue
-            # a constituent of theta must reach mu next to lam, or leave the window
-            row = t.rows[lam]
-            reach = {x for x in t.labels if row[x] is None or mu in row[x]}
-            pairs = itertools.combinations_with_replacement(sorted(t.labels), 2)
-            candidates = (
-                [{x: 1} for x in sorted(reach)]
-                + [{x: 1, y: 1} if x != y else {x: 2} for x, y in pairs if reach & {x, y}]
-                + [val for val in expansions if reach & val.keys()]
-            )
-            for theta in candidates:
-                cert = reference_check_certificate(t, mu, lam, theta, n_max, cache)
-                if cert is not None:
-                    decided[(mu, lam)] = cert
-                    break
-    return reconstruction._partial_order(t, classes, decided)
-
-
-@pytest.mark.parametrize(
-    "name,bound,seed",
-    [(n, b, s) for n in root_datum.fixture_names() for b in (1, 2, 3) for s in (7, 1)]
-    + [("sl4", 2, 7), ("sl2xT2", 2, 7), ("sl3", 4, 7), ("so5", 4, 7), ("sp4", 4, 7)],
-)
-def test_order_search_matches_exhaustive_walk(name, bound, seed):
-    d = {"sl4": WIDE_DATA["sl4"], "sl2xT2": SL2_T2}.get(name) or root_datum.fixture(name)
-    t, _ = oracle.materialize_oracle(d, bound, seed=seed)
-    got, want = reconstruction.recover_order(t), reference_order(t)
-    assert list(got.decided.items()) == list(want.decided.items())
-    assert got.closure == want.closure
-
-
 def test_addition_cartan_rule(sl2_oracle):
     _, t, prov = sl2_oracle
     inv = invert(prov)
@@ -561,22 +377,13 @@ def test_roots_stage_rank4_spin8():
     )
 
 
-@pytest.fixture
-def without_order_search(monkeypatch):
-    # no stage reads the order, and the search takes about 0.9 s on sl5@2 and
-    # 3 s on spin8@2 (~1,050 s before its candidates were screened)
-    monkeypatch.setattr(reconstruction, "recover_order", lambda *args, **kwargs: None)
-
-
 @pytest.mark.parametrize(
     "name,bound,seed",
     [(name, 1, s) for name in ("sl5", "spin8", "sp8") for s in (7, 1)]
     + [("sl5", 2, 7), ("spin8", 2, 7), ("spin7", 2, 7), ("spin7", 2, 1)],
 )
-def test_round_trip_rank4(name, bound, seed, request):
+def test_round_trip_rank4(name, bound, seed):
     # sl5@2 and spin8@2 also drop inconsistent ceiling equations in the coroot scans
-    if (name, bound) in {("sl5", 2), ("spin8", 2)}:
-        request.getfixturevalue("without_order_search")
     d = WIDE_DATA[name]
     t, _ = oracle.materialize_oracle(d, bound, seed=seed)
     report = reconstruction.recover_datum(t)
