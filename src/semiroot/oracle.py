@@ -33,12 +33,10 @@ class OracleFormatError(ValueError):
 class OracleTable:
     """Labels, the unit, the duality and the product cell of every unordered pair.
 
-    `products` is the canonical field, keyed by `pair_key`; a cell is None
-    when the pair is out of window.  `format_oracle`, table equality and
-    `table_isomorphism`, for the table it maps into, read it.  Every other
-    read goes through two indexes built on first read: `rows`, the symmetric
-    row index, and `partners`, each label's in-window partners.
-    A table is not mutated after construction, so neither index goes stale.
+    `products` is the one cell store, keyed by `pair_key`; a cell is None
+    when the pair is out of window.  `partners`, each label's in-window
+    partners, is the one index, built from it on first read; a table is not
+    mutated after construction, so it does not go stale.
     """
 
     labels: tuple[str, ...]
@@ -51,19 +49,14 @@ class OracleTable:
         return (x, y) if x <= y else (y, x)
 
     @functools.cached_property
-    def rows(self) -> dict[str, dict[str, dict[str, int] | None]]:
-        """rows[x][y] is the cell of x and y, in both orders."""
-        rows: dict[str, dict[str, dict[str, int] | None]] = {}
-        for (x, y), val in self.products.items():
-            rows.setdefault(x, {})[y] = val
-            rows.setdefault(y, {})[x] = val
-        return rows
-
-    @functools.cached_property
     def partners(self) -> dict[str, frozenset[str]]:
         """partners[x] is the set of labels whose cell with x is in window."""
-        rows = self.rows
-        return {x: frozenset(y for y, cell in rows[x].items() if cell is not None) for x in rows}
+        out: dict[str, set[str]] = {x: set() for x in self.labels}
+        for (x, y), val in self.products.items():
+            if val is not None:
+                out[x].add(y)
+                out[y].add(x)
+        return {x: frozenset(ys) for x, ys in out.items()}
 
 
 def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | None:
@@ -416,15 +409,14 @@ def check_structure(t: OracleTable) -> None:
                 raise OracleError(f"closure: unknown component {z} in {key}")
             if m < 1:
                 raise OracleError(f"closure: nonpositive multiplicity in {key}")
-    rows = t.rows
+    cells, key = t.products, t.pair_key
     for x in t.labels:
-        if rows[t.unit][x] != {x: 1}:
+        if cells[key(t.unit, x)] != {x: 1}:
             raise OracleError(f"unit: product with {x} must be that label alone")
     for x in t.labels:
-        square = rows[x][x]
-        if square == {x: 1} and x != t.unit:
+        if cells[(x, x)] == {x: 1} and x != t.unit:
             raise OracleError(f"unit: {x} behaves like a second unit")
-        pairing = rows[x][t.dual[x]]
+        pairing = cells[key(x, t.dual[x])]
         if pairing is not None and pairing.get(t.unit) != 1:
             raise OracleError(f"duality: unit multiplicity in {x} times its dual")
 
@@ -439,16 +431,15 @@ def check_associativity(t: OracleTable) -> int:
     window, up to ASSOC_BUDGET of them, in the order of
     `itertools.combinations_with_replacement(t.labels, 3)`.  Only those
     triples are walked: for each x its in-window partners y from x on, for
-    each y its in-window partners z from y on.
+    each y its in-window partners z from y on.  The walk reads whole rows, so
+    it builds its own symmetric row view of `products`.
     """
-    rows = t.rows
+    rows: dict[str, dict[str, dict[str, int] | None]] = {x: {} for x in t.labels}
+    for (x, y), val in t.products.items():
+        rows[x][y] = rows[y][x] = val
 
     def expand(left: dict[str, int], row: dict) -> dict[str, int] | None:
         """The product of a formal sum with the label of `row`; None when it leaves the window."""
-        if len(left) == 1:
-            ((nu, c),) = left.items()
-            if c == 1:
-                return row[nu]
         acc: dict[str, int] = {}
         for nu, c in left.items():
             cell = row[nu]

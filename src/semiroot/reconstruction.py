@@ -215,7 +215,7 @@ def recover_simple_roots(t: OracleTable, embedding: dict[str, Vec]) -> tuple[Vec
     """
     cands: set[Vec] = set()
     for lam, lv in embedding.items():
-        val = t.rows[lam][lam]
+        val = t.products[(lam, lam)]
         if val is None:
             continue
         double = linalg.vec_scale(2, lv)
@@ -268,7 +268,7 @@ def recover_simple_coroots(
     usable = sorted(
         (-len(t.partners[mu]), mu, mv)
         for mu, mv in embedding.items()
-        if t.rows[mu][mu] is not None
+        if t.products[(mu, mu)] is not None
     )
     out: list[Vec] = []
     for a in roots:

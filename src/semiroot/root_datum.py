@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -374,7 +375,9 @@ def root_data_isomorphic(d1: RootDatum, d2: RootDatum) -> Matrix | None:
     data's coordinate matrices these maps are exactly the integral
     M = F2^-1 diag(P_sigma, h) F1, sigma matching the Cartan matrices and h in
     GL_(rank-k)(Z) acting on the torus quotient.  Integral M needs
-    |det F1| = |det F2| = N, is then unimodular, and depends on h mod N only.
+    |det F1| = |det F2|, and is then unimodular.  It is integral exactly when
+    diag(P_sigma, h) F1 Z^n lies in F2 Z^n, which holds e Z^n for e the
+    exponent of Z^n / F2 Z^n, so h only matters mod e.
     Both data must be valid: dependent simple roots make F singular.
     """
     if d1.rank != d2.rank or d1.semisimple_rank != d2.semisimple_rank:
@@ -385,7 +388,9 @@ def root_data_isomorphic(d1: RootDatum, d2: RootDatum) -> Matrix | None:
     if abs(det1) != abs(det2):
         return None
     a1, a2 = d1.cartan, d2.cartan
-    lifts = _unimodular_lifts(n - k, abs(det2))
+    # F2's last invariant factor: the least e with e F2^-1 = e adj F2 / det F2 integral
+    exponent = abs(det2) // math.gcd(det2, *(x for row in adj2 for x in row))
+    lifts = _unimodular_lifts(n - k, exponent)
     for sigma in itertools.permutations(range(k)):
         if any(a1[i][j] != a2[sigma[i]][sigma[j]] for i in range(k) for j in range(k)):
             continue

@@ -396,9 +396,68 @@ def test_isogeny_partners_stay_apart_under_base_change(data):
     assert root_datum.root_data_isomorphic(db, changed) is None
 
 
+def _product(*data):
+    """The direct product of data, as a block-diagonal datum."""
+    rank = sum(d.rank for d in data)
+    roots, coroots, offset = [], [], 0
+    for d in data:
+        before, after = (0,) * offset, (0,) * (rank - offset - d.rank)
+        roots += [before + a + after for a in d.simple_roots]
+        coroots += [before + c + after for c in d.simple_coroots]
+        offset += d.rank
+    return RootDatum(rank, tuple(roots), tuple(coroots))
+
+
+GL2 = root_datum.fixture("gl2")
+GL2_CUBED = _product(GL2, GL2, GL2)
+# PGL2 x T1 has |det F| = 2, as GL2 has, so the pair has |det F| = 8 on both sides
+GL2_SQUARED_PGL2_T1 = _product(GL2, GL2, root_datum.fixture("pgl2"), root_datum.fixture("torus1"))
+
+
+def test_torus_rank_three_searches_mod_the_exponent():
+    # |det F| = 8, but Z^6 / F Z^6 = (Z/2)^3 has exponent 2: the search runs
+    # over the 168 classes of GL_3(Z/2), not the 44,040,192 of GL_3(Z/8)
+    assert abs(GL2_CUBED.coordinates[2]) == abs(GL2_SQUARED_PGL2_T1.coordinates[2]) == 8
+    changed = _base_change(
+        GL2_CUBED,
+        [
+            [1, 0, 2, 0, 0, 1],
+            [0, 1, 0, 0, 1, 0],
+            [1, 1, 3, 0, 1, 1],
+            [0, 0, 0, 1, 0, 1],
+            [2, 0, 4, 1, 1, 3],
+            [0, 0, 0, 0, 0, 1],
+        ],
+    )
+    _assert_isomorphism(root_datum.root_data_isomorphic(GL2_CUBED, GL2_CUBED), GL2_CUBED, GL2_CUBED)
+    _assert_isomorphism(root_datum.root_data_isomorphic(GL2_CUBED, changed), GL2_CUBED, changed)
+    _assert_isomorphism(root_datum.root_data_isomorphic(changed, GL2_CUBED), changed, GL2_CUBED)
+    assert root_datum.root_data_isomorphic(GL2_CUBED, GL2_SQUARED_PGL2_T1) is None
+    assert root_datum.root_data_isomorphic(GL2_SQUARED_PGL2_T1, GL2_CUBED) is None
+
+
+SO4 = RootDatum(2, ((1, 1), (1, -1)), ((1, 1), (1, -1)), name="so4")
+SP6 = RootDatum(3, ((2, -1, 0), (-1, 2, -1), (0, -2, 2)), linalg.identity(3), name="sp6")
+SPIN7 = RootDatum(3, ((2, -1, 0), (-1, 2, -2), (0, -1, 2)), linalg.identity(3), name="spin7")
+
+
+@pytest.mark.parametrize(
+    "d1,d2", [(SO4, root_datum.fixture("sl2xpgl2")), (SP6, SPIN7)], ids=["so4-sl2xpgl2", "sp6-spin7"]
+)
+def test_search_refuses_pairs_that_pass_rank_and_det(d1, d2):
+    # equal ranks and |det F|, so neither is refused before the search over sigma and h
+    assert (d1.rank, d1.semisimple_rank) == (d2.rank, d2.semisimple_rank)
+    assert abs(d1.coordinates[2]) == abs(d2.coordinates[2])
+    assert root_datum.root_data_isomorphic(d1, d2) is None
+    assert root_datum.root_data_isomorphic(d2, d1) is None
+
+
 @pytest.mark.parametrize(
     "r,modulus,count",
-    [(0, 5, 1), (1, 1, 1), (1, 2, 1), (1, 3, 2), (2, 1, 1), (2, 2, 6), (2, 3, 48), (3, 1, 1)],
+    [
+        (0, 5, 1), (1, 1, 1), (1, 2, 1), (1, 3, 2), (2, 1, 1), (2, 2, 6), (2, 3, 48), (3, 1, 1),
+        (3, 2, 168),
+    ],
 )
 def test_unimodular_lifts_one_per_class(r, modulus, count):
     lifts = root_datum._unimodular_lifts(r, modulus)
