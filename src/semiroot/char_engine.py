@@ -1,4 +1,4 @@
-"""Characters, dimensions, and tensor product decompositions.
+"""Characters, dimensions, and the decomposition of tensor products.
 
 Weight multiplicities come from the Freudenthal recursion, tensor products
 from the reflection-based expansion over the weights of the smaller factor.

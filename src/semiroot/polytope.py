@@ -152,8 +152,6 @@ class CriteriaTriple:
     hull: bool
     tensor: bool
     tensor_witness: int | None
-    radius_sq: int
-    decompositions: tuple[tuple[Vec, ...], ...]
 
     def __iter__(self):
         return iter((self.dominance, self.hull, self.tensor))
@@ -167,53 +165,38 @@ def tensor_radius_sq(d: RootDatum, lam: Vec) -> int:
     return 4 * m * m * top
 
 
-# the tensor powers n <= POWER_HORIZON that get an explicit decomposition
-POWER_HORIZON = 3
-
-
 def order_criteria_agree(d: RootDatum, mu: Vec, lam: Vec) -> CriteriaTriple:
     """Evaluate the three faces of the containment order on a same-coset pair.
 
     Dominance is read off the root coefficients of lam - mu, hull containment
     off the inequalities of the hull of the orbit of lam.  The tensor face is
     decided with certificates valid for every power, not just the probed ones:
-    positively by exhibiting, for each n <= POWER_HORIZON, an orbit-sum
-    decomposition n*mu = sum of orbit points of lam plus a remainder inside
-    the certificate ball (such a factor exists in the n-fold product against
-    the ball certificate); negatively by a witness power at which n*mu
-    escapes the Minkowski sum of the dilated hull with a box certainly
-    containing the certificate's weights.  A sharp bounded probe alone would claim
-    containment for pairs that only separate at higher powers.
+    negatively by a witness power at which n*mu escapes the Minkowski sum of
+    the dilated hull with a box certainly containing the certificate's
+    weights, positively when there is none.  A sharp bounded probe alone
+    would claim containment for pairs that only separate at higher powers.
+
+    The witness is None exactly when mu lies in the hull, and then every
+    power has its positive certificate, an orbit-sum decomposition
+    n*mu = sum of n orbit points of lam plus a remainder inside the ball of
+    radius R = 2mM (such a factor exists in the n-fold product against the
+    ball certificate), where M is the largest norm on the orbit and m its
+    size.  Norms are convex, so |mu| <= M.  For n <= m, n*mu is within
+    2nM <= R of every n-fold orbit sum.  For m = 1 the hull is {lam}, so
+    mu = lam and n*mu is an orbit sum.  For m = 2 the hull is the segment
+    from lam to s lam, and n*mu lies on the segment through the n + 1 orbit
+    sums n lam + k(s lam - lam), so within |lam - s lam| / 2 <= M of one of
+    them.  That settles every n <= 3; for larger n the Shapley-Folkman lemma
+    writes n*mu as a sum of n hull points, all but at most dim hull <= m - 1
+    of them orbit points, which puts it within 2(m - 1)M of an orbit sum.
     """
     mu = tuple(mu)
     lam = tuple(lam)
-    a_dom = root_datum.dominance_leq(d, mu, lam)
     hull = orbit_hull(d, lam)
-    b_hull = hull.contains(mu)
-    r2 = tensor_radius_sq(d, lam)
-
-    witness = _escape_witness(d, mu, hull, r2)
-    if witness is not None:
-        return CriteriaTriple(a_dom, b_hull, False, witness, r2, ())
-
-    decomps: list[tuple[Vec, ...]] = []
-    greedy = sorted(hull.vertices, key=lambda v: -dot(v, mu))
-    for n in range(1, POWER_HORIZON + 1):
-        target = linalg.vec_scale(n, mu)
-        found = None
-        for combo in itertools.combinations_with_replacement(greedy, n):
-            y = target
-            for v in combo:
-                y = vec_sub(y, v)
-            if norm_sq(y) <= r2:
-                found = combo + (tuple(y),)
-                break
-        if found is None:
-            raise ArithmeticError(
-                f"tensor face undecided for {mu} vs {lam}: no decomposition at n={n}"
-            )
-        decomps.append(found)
-    return CriteriaTriple(a_dom, b_hull, True, None, r2, tuple(decomps))
+    witness = _escape_witness(d, mu, hull, tensor_radius_sq(d, lam))
+    return CriteriaTriple(
+        root_datum.dominance_leq(d, mu, lam), hull.contains(mu), witness is None, witness
+    )
 
 
 def _escape_witness(d: RootDatum, mu: Vec, hull: OrbitHull, r2: int) -> int | None:

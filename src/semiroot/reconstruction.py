@@ -14,7 +14,8 @@ Validation is split around the stages: the table's structure is checked
 before them, and the associativity walk runs only on a table that does not
 certify.  A certified table matches a genuine window cell by cell, and a
 genuine window passes the walk, so every report is the one it would be with
-the walk first.
+the walk first.  A table that fails validation is reported with the verdict
+`rejected` at stage `validation`.
 
 Everything downstream of the table treats labels as opaque strings; weight
 coordinates only appear after the group completion invents them.
@@ -307,14 +308,14 @@ def recover_simple_coroots(
 def recover_datum(t: OracleTable) -> ReconstructionReport:
     """Run the full pipeline and certify by reproducing the table exactly.
 
-    The table's structure (`oracle.check_structure`) is checked first, and
-    a table that fails it is reported at stage `validate`.  The
-    associativity walk runs only when the stages end without a certificate,
-    by a `StageFailure` or any other exception: then the whole
-    `oracle.validate_oracle` runs, and a table it rejects is reported at
-    `validate` with nothing else filled, as though no stage had run;
-    otherwise the stage's report is returned or its exception re-raised.
-    So every table gets the report it would get with the walk first.
+    The table's structure (`oracle.check_structure`) is checked before the
+    stages.  The associativity walk runs only when they end without a
+    certificate, by a failed structure check, a `StageFailure` or any other
+    exception: then the whole `oracle.validate_oracle` runs, and a table it
+    rejects gets the verdict `rejected` at stage `validation` with nothing
+    else filled, as though no stage had run; otherwise the stage's report
+    is returned or its exception re-raised.  So every table gets the report
+    it would get with the whole validation first.
 
     A certified table needs no walk.  Certification matches every cell of
     the table, in window or not, exactly with the window table of the
@@ -325,10 +326,6 @@ def recover_datum(t: OracleTable) -> ReconstructionReport:
     report = ReconstructionReport(verdict="failed")
     try:
         oracle.check_structure(t)
-    except oracle.OracleError as e:
-        report.stage, report.reason = "validate", str(e)
-        return report
-    try:
         monoid = recover_addition(t)
         report.monoid = monoid
         rank, embedding = recover_lattice(monoid)
@@ -353,12 +350,12 @@ def recover_datum(t: OracleTable) -> ReconstructionReport:
         report.verdict = "certified"
         return report
     except Exception as e:
-        # the structure passed already; the whole validation runs, not the walk
-        # alone, so that a traced run shows it on every table that does not certify
+        # the whole validation runs, not the walk alone: it raises a failed structure
+        # check's message again, and a traced run shows it on every table that does not certify
         try:
             oracle.validate_oracle(t)
         except oracle.OracleError as bad:
-            return ReconstructionReport(verdict="failed", stage="validate", reason=str(bad))
+            return ReconstructionReport(verdict="rejected", stage="validation", reason=str(bad))
         if not isinstance(e, StageFailure):
             raise
         report.stage, report.reason = e.stage, e.reason

@@ -295,3 +295,55 @@ def test_report_json_sorted(tmp_path, capsys):
     assert json.dumps(blob, indent=2, sort_keys=True) + "\n" == text
     assert blob["rank"] == 1
     assert blob["inferred_bound"] == 4
+
+
+def test_gen_oracle_writes_stdout(capsys):
+    code, out, err = run(capsys, "gen-oracle", "--datum", "sl2", "--bound", "2", "--seed", "7")
+    table, _ = oracle.materialize_oracle(root_datum.fixture("sl2"), 2, seed=7)
+    assert (code, out, err) == (0, oracle.format_oracle(table), "")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("{", "{path}: line 1 column 2: "),
+        ("[]", "{path}: not a root datum file ("),
+        ('{"rank": 1}', "{path}: not a root datum file ("),
+    ],
+    ids=["not-json", "list", "no-roots"],
+)
+def test_bad_datum_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "datum.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "gen-oracle", "--datum", str(path), "--bound", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=path))
+
+
+@pytest.mark.parametrize(
+    "weight,message",
+    [
+        ("1,x", "bad weight '1,x': want comma-separated integers"),
+        ("1", "bad weight '1': datum has rank 2"),
+    ],
+)
+def test_tensor_bad_weight_exits_2(capsys, weight, message):
+    code, out, err = run(capsys, "tensor", "--datum", "sl3", "--left", weight, "--right", "0,1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("{", "{path}: line 1 column 2: "),
+        ('{"stage": null}', "{path}: not a reconstruction report\n"),
+        ('{"verdict": "certified"}', "report: not a reconstruction report ('rank')\n"),
+    ],
+    ids=["not-json", "no-verdict", "certified-without-datum"],
+)
+def test_bad_report_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--datum", "sl2", "--report", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=path))

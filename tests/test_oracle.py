@@ -581,7 +581,7 @@ def test_validate_names_unknown_labels(sl3_oracle, line, stray):
     t = oracle.parse_oracle(text)
     with pytest.raises(OracleError, match=stray):
         oracle.validate_oracle(t)
-    assert reconstruction.recover_datum(t).stage == "validate"
+    assert reconstruction.recover_datum(t).stage == "validation"
 
 
 def _closure_case(table, case):
@@ -617,3 +617,70 @@ def test_validate_closure_messages(sl3_oracle, case):
     with pytest.raises(OracleError) as err:
         oracle.validate_oracle(t)
     assert str(err.value) == message
+
+
+def _structure_case(case):
+    """A small table built in code that breaks one structure axiom, with its message."""
+    labels, unit = ("e", "u"), "e"
+    dual = {"e": "e", "u": "u"}
+    products = {("e", "e"): {"e": 1}, ("e", "u"): {"u": 1}, ("u", "u"): {"e": 1}}
+    if case == "duplicated":
+        labels = ("e", "e")
+        message = "labels: empty or duplicated"
+    elif case == "empty":
+        labels, products = (), {}
+        message = "labels: empty or duplicated"
+    elif case == "unit":
+        unit = "x"
+        message = "unit: not a label"
+    elif case == "involution":
+        labels = ("e", "a", "b")
+        dual = {"e": "e", "a": "b", "b": "b"}
+        message = "duality: not an involution at a"
+    elif case == "unit-dual":
+        dual = {"e": "u", "u": "e"}
+        message = "duality: unit must be self-dual"
+    else:
+        products[("u", "u")] = {"e": 1, "u": 0}
+        message = "closure: nonpositive multiplicity in ('u', 'u')"
+    return OracleTable(labels, unit, dual, products), message
+
+
+@pytest.mark.parametrize(
+    "case", ["duplicated", "empty", "unit", "involution", "unit-dual", "multiplicity"]
+)
+def test_check_structure_messages(case):
+    t, message = _structure_case(case)
+    with pytest.raises(OracleError) as err:
+        oracle.check_structure(t)
+    assert str(err.value) == message
+
+
+def test_parse_skips_blank_lines():
+    spaced = "\nlabels: a\n\nunit: a\n  \ndual: a a\nprod a a : a*1\n\n"
+    assert oracle.parse_oracle(spaced) == oracle.parse_oracle(
+        "labels: a\nunit: a\ndual: a a\nprod a a : a*1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("prod a a a*1", "missing ':'"),
+        ("prod a : a*1", "prod wants two labels"),
+        ("prod a a : a*x", "bad component 'a*x'"),
+        ("prod a a :", "empty product"),
+        ("unit: a a", "unit wants one label"),
+        ("dual: a", "dual wants two labels"),
+    ],
+)
+def test_parse_error_messages(line, message):
+    with pytest.raises(OracleFormatError) as err:
+        oracle.parse_oracle(f"labels: a\n{line}\nunit: a\ndual: a a\n")
+    assert str(err.value) == f"line 2: {message}"
+
+
+def test_window_box_rejects_bound_zero():
+    with pytest.raises(ValueError) as err:
+        oracle.window_box(root_datum.fixture("sl2"), 0)
+    assert str(err.value) == "bound must be at least 1"

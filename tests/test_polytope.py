@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as iter_product
 
 import pytest
@@ -290,11 +291,44 @@ def test_criteria_shallow_containment_refuted():
     assert crit.tensor_witness == 7
 
 
-def test_criteria_records_decompositions():
-    sl2 = root_datum.fixture("sl2")
-    crit = polytope.order_criteria_agree(sl2, (1,), (3,))
-    assert crit.tensor
-    assert len(crit.decompositions) == 3
+def _orbit_sum_decomposition(d, mu, lam, n):
+    """n orbit points of lam whose sum is within the certificate radius of n*mu, or None.
+
+    The reference search for the positive tensor certificate: combinations
+    of orbit points, greedy in their pairing with mu.
+    """
+    r2 = polytope.tensor_radius_sq(d, lam)
+    target = tuple(n * x for x in mu)
+    greedy = sorted(root_datum.orbit(d, lam), key=lambda v: -dot(v, mu))
+    for combo in combinations_with_replacement(greedy, n):
+        y = target
+        for v in combo:
+            y = vec_sub(y, v)
+        if polytope.norm_sq(y) <= r2:
+            return combo
+    return None
+
+
+def test_hull_points_have_orbit_sum_decompositions():
+    # the tensor face is read off the escape witness alone, which relies on this
+    sizes = set()
+    box = range(-4, 5)
+    for name in ["torus1", "sl2", "gl2", "sl2xpgl2", "sl3", "g2"]:
+        d = root_datum.fixture(name)
+        dominant = [v for v in iter_product(box, repeat=d.rank) if root_datum.is_dominant(d, v)]
+        for mu in dominant:
+            for lam in dominant:
+                if not same_root_coset(d, mu, lam):
+                    continue
+                crit = polytope.order_criteria_agree(d, mu, lam)
+                assert crit.tensor == crit.hull == (crit.tensor_witness is None)
+                if not crit.hull:
+                    continue
+                sizes.add(len(root_datum.orbit(d, lam)))
+                for n in (1, 2, 3):
+                    assert _orbit_sum_decomposition(d, mu, lam, n) is not None, (name, mu, lam, n)
+    # orbits of one and two points are the cases in which n = 3 exceeds the orbit size
+    assert {1, 2} <= sizes
 
 
 def test_tensor_radius():

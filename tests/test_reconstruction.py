@@ -358,6 +358,29 @@ def test_coroot_not_pinned_down_fails_at_coroots(seed, root):
     assert report.reason == f"window too small to pin down the coroot for root {root}"
 
 
+def _table(labels, products):
+    """A table of self-dual labels, the first of them the unit."""
+    return oracle.OracleTable(labels, labels[0], {x: x for x in labels}, products)
+
+
+def test_coroot_with_a_fractional_solution_fails_at_coroots():
+    # the one scan of u pins the coroot's pairing with (3,) to 2, so the form is 2/3
+    t = _table(("u",), {("u", "u"): {"u": 1}})
+    with pytest.raises(StageFailure) as err:
+        reconstruction.recover_simple_coroots(t, {"u": (0,)}, ((3,),))
+    assert (err.value.stage, err.value.reason) == ("coroots", "non-integral coroot for root (3,)")
+
+
+def test_coroot_negative_on_a_label_fails_at_coroots():
+    # only e's square is in window; its scan gives the form x -> x, which is -1 on a
+    t = _table(("e", "a"), {("e", "e"): {"e": 1}, ("a", "e"): {"a": 1}, ("a", "a"): None})
+    with pytest.raises(StageFailure) as err:
+        reconstruction.recover_simple_coroots(t, {"e": (0,), "a": (-1,)}, ((2,),))
+    assert (err.value.stage, err.value.reason) == (
+        "coroots", "recovered form for root (2,) is negative on (-1,)"
+    )
+
+
 D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
 SPIN8 = root_datum.RootDatum(4, D4, tuple(map(tuple, linalg.identity(4))), "spin8")
 

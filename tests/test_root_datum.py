@@ -66,6 +66,34 @@ def test_reject_bool_for_integer(bad):
         root_datum.validate_root_datum(bad)
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (RootDatum(-1, (), ()), "shape: negative rank"),
+        (RootDatum(1, ((2,),), ()), "shape: root/coroot count mismatch"),
+        (RootDatum(1, ((2,), (1,)), ((1,), (1,))), "shape: more simple roots than rank"),
+        (RootDatum(2, ((2, 0), (2, 0)), ((1, 0), (0, 1))), "shape: duplicate simple roots"),
+        (
+            RootDatum(2, ((2, 1), (1, 2)), ((1, 0), (0, 1))),
+            "Cartan sign: positive off-diagonal entry at (0,1)",
+        ),
+        (
+            RootDatum(2, ((2, 0), (-1, 2)), ((1, 0), (0, 1))),
+            "Cartan sign: zero pattern asymmetric at (0,1)",
+        ),
+        # the affine A1 Cartan matrix passes the sign checks; its coroots are opposite
+        (
+            RootDatum(2, ((2, 0), (-2, 1)), ((1, 0), (-1, 0))),
+            "independence: simple coroots are dependent",
+        ),
+    ],
+)
+def test_validate_messages(bad, message):
+    with pytest.raises(RootDatumError) as err:
+        root_datum.validate_root_datum(bad)
+    assert str(err.value) == message
+
+
 def test_is_dominant():
     sl2 = root_datum.fixture("sl2")
     assert root_datum.is_dominant(sl2, (3,))

@@ -42,7 +42,7 @@ def reference_recover(t):
     try:
         oracle.validate_oracle(t)
     except oracle.OracleError as e:
-        report.stage, report.reason = "validate", str(e)
+        report.verdict, report.stage, report.reason = "rejected", "validation", str(e)
         return report
     try:
         report.monoid = recover_addition(t)
@@ -121,7 +121,7 @@ def test_reports_match_validation_first():
                 oracle.check_structure(t)
             except oracle.OracleError:
                 continue
-            if isinstance(expected, ReconstructionReport) and expected.stage == "validate":
+            if isinstance(expected, ReconstructionReport) and expected.stage == "validation":
                 walk_failures += 1
     assert walk_failures >= 50
 
