@@ -57,14 +57,9 @@ def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
 
 
 def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
-    """Multiplicity of each dominant weight of the irreducible with highest weight lam."""
-    lam = _require_dominant(d, lam, "highest weight")
-    return _dominant_mults(d, lam)
+    """Multiplicity of each dominant weight of the irreducible with highest weight lam.
 
-
-def _dominant_mults(d: RootDatum, lam: Vec) -> dict[Vec, int]:
-    """Freudenthal's recursion on the integer invariant form, run on pairing vectors.
-
+    Freudenthal's recursion on the integer invariant form, run on pairing vectors.
     B(x, y) = sum over positive roots b of <x, b^v><y, b^v> is integral and
     W-invariant, since W permutes the coroots up to sign, and Freudenthal's
     formula holds for any invariant form.  With t_b = <2 lam + 2 rho, b^v>
@@ -78,10 +73,16 @@ def _dominant_mults(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     pairings and reflections to the dominant chamber never touch weight
     coordinates.  A pairing vector reaches the chamber by reflecting at its
     first negative entry until there is none.
+
+    The datum's memo is read before lam is checked.  This function is the
+    memo's only writer, and it writes only checked weights, so a hit needs no
+    check and every weight of the wrong length or not dominant misses.
     """
+    lam = tuple(lam)
     cached = d.dominant_mults.get(lam)
     if cached is not None:
         return cached
+    _require_dominant(d, lam, "highest weight")
     columns = d.columns
     n = d.semisimple_rank
     coroots = [cov for _, cov in d.positive_roots]
@@ -136,9 +137,8 @@ def _dominant_mults(d: RootDatum, lam: Vec) -> dict[Vec, int]:
 
 def irreducible_character(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     """Full weight multiset of the irreducible, as weight -> multiplicity."""
-    lam = _require_dominant(d, lam, "highest weight")
     out: dict[Vec, int] = {}
-    for mu, m in _dominant_mults(d, lam).items():
+    for mu, m in dominant_weight_multiplicities(d, lam).items():
         for w in d.paired_orbit(mu)[0]:
             out[w] = m
     return out
@@ -147,22 +147,14 @@ def irreducible_character(d: RootDatum, lam: Vec) -> dict[Vec, int]:
 def dimension(d: RootDatum, lam: Vec) -> int:
     """Dimension of the irreducible with highest weight lam, by Weyl's formula.
 
-    The datum's memo is read before lam is checked.  That is sound because
-    the memo only ever holds dominant weights of full length: every caller of
-    `_dimension` checked its weight on entry.  So a hit needs no check, and
-    every weight of the wrong length or not dominant misses and is checked.
+    The datum's memo is read before lam is checked, on the same rule as
+    `dominant_weight_multiplicities`: this function is its only writer.
     """
     lam = tuple(lam)
-    value = d.dimensions.get(lam)
-    if value is None:
-        value = _dimension(d, _require_dominant(d, lam, "highest weight"))
-    return value
-
-
-def _dimension(d: RootDatum, lam: Vec) -> int:
     cached = d.dimensions.get(lam)
     if cached is not None:
         return cached
+    _require_dominant(d, lam, "highest weight")
     r2 = d.rho2
     num = den = 1
     for _, cov in d.positive_roots:
@@ -179,28 +171,23 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
 
     Iterates over the weights w of the smaller factor and moves lam + w to
     the dominant chamber by the rho-shifted action, with the sign of the
-    word; terms whose shift by rho lies on a wall drop out.
+    word; terms whose shift by rho lies on a wall drop out.  Each lam + w is
+    reflected at the first simple root whose rho-shifted pairing is
+    negative, and the scan starts over, until every pairing is positive or
+    one is zero.
+
+    The first step compares the factors' `dimension`s, which raises
+    ValueError on either weight if it is not dominant or has the wrong
+    length.  The checked lengths let the sums skip the length checks.
     """
-    lam = _require_dominant(d, lam, "left weight")
-    mu = _require_dominant(d, mu, "right weight")
-    return decompose_checked(d, lam, mu)
-
-
-def decompose_checked(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
-    """`tensor_decompose` on weights the caller has checked: dominant tuples of full length.
-
-    Each lam + w is reflected at the first simple root whose rho-shifted
-    pairing is negative, and the scan starts over, until every pairing is
-    positive or one is zero.  The checked lengths let the sums skip the
-    length checks.
-    """
-    if _dimension(d, mu) > _dimension(d, lam):
+    lam, mu = tuple(lam), tuple(mu)
+    if dimension(d, mu) > dimension(d, lam):
         lam, mu = mu, lam
     columns, roots = d.columns, d.simple_roots
     n = d.semisimple_rank
     shifted = tuple(x + 1 for x in d.pairing(lam))  # pairings of lam + rho
     acc: dict[Vec, int] = {}
-    for delta, m in _dominant_mults(d, mu).items():
+    for delta, m in dominant_weight_multiplicities(d, mu).items():
         for w, pw in zip(*d.paired_orbit(delta)):
             y, q, sign, i = tuple(map(add, lam, w)), tuple(map(add, shifted, pw)), m, 0
             while i < n:

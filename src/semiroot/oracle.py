@@ -176,7 +176,7 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
     Raises ValueError on a weight that is not dominant.
 
     Each product is decomposed once per PRV shape.  With mu the factor of
-    smaller dimension (the one `decompose_checked` expands) and lam the
+    smaller dimension (the one `tensor_decompose` expands) and lam the
     other, the PRV theorem (Parthasarathy, Ranga Rao and Varadarajan; Kumar)
     counts V(lam + b) in V(lam) x V(mu) as the v in V(mu)_b with
     e_i^(<lam, a_i^> + 1) v = 0 for every i.  As e_i^k vanishes on V(mu) for
@@ -187,7 +187,6 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
     cell shifted.  Pairs are looked up first by both pairing vectors, which
     on a torus never change.  The memos live for this call only.
     """
-    # dual_label checks each weight, so the dimensions, products and sums skip the checks
     dual = {w: char_engine.dual_label(d, w) for w in weights}
     wset = set(weights)
     ids: dict[Vec, int] = {}  # pairing vector -> its id
@@ -197,7 +196,7 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
         p = d.pairing(w)
         if p not in ids:
             ids[p] = len(ids)
-            dims.append(char_engine._dimension(d, w))
+            dims.append(char_engine.dimension(d, w))
         pid.append(ids[p])
     pairings = list(ids)
     ceiling: dict[int, Vec] = {}
@@ -214,7 +213,7 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
         shape = (b, tuple(map(min, pairings[a], c)))
         got = by_shape.get(shape)
         if got is None:
-            got = by_shape[shape] = (top, char_engine.decompose_checked(d, lam, mu))
+            got = by_shape[shape] = (top, char_engine.tensor_decompose(d, lam, mu))
         return got
 
     by_pair: dict[tuple[int, int], tuple[Vec, dict[Vec, int]]] = {}

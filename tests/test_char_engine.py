@@ -72,6 +72,20 @@ def test_memoized_dimension_still_checks_its_weight():
         with pytest.raises(ValueError):
             char_engine.tensor_decompose(sl3, left, right)
 
+
+def test_memoized_multiplicities_still_check_their_weight():
+    sl3 = root_datum.fixture("sl3")
+    mults = char_engine.dominant_weight_multiplicities(sl3, (2, 1))
+    memo = sl3.dominant_mults
+    assert memo[(2, 1)] is mults
+    assert char_engine.dominant_weight_multiplicities(sl3, [2, 1]) is mults
+    for bad in [(-1, 2), (2,), (2, 1, 0)]:
+        with pytest.raises(ValueError):
+            char_engine.dominant_weight_multiplicities(sl3, bad)
+        with pytest.raises(ValueError):
+            char_engine.irreducible_character(sl3, bad)
+        assert bad not in memo
+
 def _cartan_columns(rows):
     """Simply connected datum of a Cartan matrix: coroots are the standard basis."""
     n = len(rows)

@@ -158,13 +158,13 @@ def test_window_table_matches_per_pair_reference_on_random_data(case):
 
 def test_window_table_decomposes_once_per_prv_shape(monkeypatch):
     calls = []
-    decompose = char_engine.decompose_checked
+    decompose = char_engine.tensor_decompose
 
     def counted(d, lam, mu):
         calls.append((lam, mu))
         return decompose(d, lam, mu)
 
-    monkeypatch.setattr(char_engine, "decompose_checked", counted)
+    monkeypatch.setattr(char_engine, "tensor_decompose", counted)
     # on semisimple data the pairings determine the weight, so a memo keyed by
     # both factors' pairings would decompose every one of the 68 in-window cells
     sl3 = root_datum.fixture("sl3")
@@ -640,6 +640,15 @@ def _structure_case(case):
     elif case == "unit-dual":
         dual = {"e": "u", "u": "e"}
         message = "duality: unit must be self-dual"
+    elif case == "unknown-dual":
+        dual = {"e": "e", "u": "u", "x": "x"}
+        message = "duality: unknown label x"
+    elif case == "unknown-component":
+        products[("u", "u")] = {"z": 1}
+        message = "closure: unknown component z in ('u', 'u')"
+    elif case == "second-unit":
+        products[("u", "u")] = {"u": 1}
+        message = "unit: u behaves like a second unit"
     else:
         products[("u", "u")] = {"e": 1, "u": 0}
         message = "closure: nonpositive multiplicity in ('u', 'u')"
@@ -647,7 +656,18 @@ def _structure_case(case):
 
 
 @pytest.mark.parametrize(
-    "case", ["duplicated", "empty", "unit", "involution", "unit-dual", "multiplicity"]
+    "case",
+    [
+        "duplicated",
+        "empty",
+        "unit",
+        "involution",
+        "unit-dual",
+        "unknown-dual",
+        "unknown-component",
+        "second-unit",
+        "multiplicity",
+    ],
 )
 def test_check_structure_messages(case):
     t, message = _structure_case(case)

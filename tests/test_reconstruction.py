@@ -449,6 +449,16 @@ def test_hexagon_of_torus_weights_fails_certification():
     report = reconstruction.recover_datum(t)
     assert not report.certified
     assert report.stage == "certification"
+    assert report.reason == "the torus coordinates of the labels form no box"
+
+
+@pytest.mark.parametrize("name", ["gl2", "g2"])
+def test_bound1_window_is_reproduced_by_no_window(name):
+    t, _ = oracle.materialize_oracle(root_datum.fixture(name), 1, seed=7)
+    report = reconstruction.recover_datum(t)
+    assert not report.certified
+    assert report.stage == "certification"
+    assert report.reason == "no window of the recovered datum reproduces the table"
 
 
 def test_round_trip_skewed_basis_certifies():
