@@ -12,8 +12,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import linalg, root_datum
+from . import char_engine, linalg, root_datum
 from .linalg import Vec, dot, vec_add, vec_sub
 from .root_datum import RootDatum
 
@@ -146,19 +147,14 @@ def orbit_hull(d: RootDatum, lam: Vec) -> OrbitHull:
     return OrbitHull(vertices=d.paired_orbit(lam)[0], inequalities=tuple(ineqs))
 
 
-@dataclass(frozen=True)
-class CriteriaTriple:
+class CriteriaTriple(NamedTuple):
     dominance: bool
     hull: bool
     tensor: bool
-    tensor_witness: int | None
-
-    def __iter__(self):
-        return iter((self.dominance, self.hull, self.tensor))
 
 
 def tensor_radius_sq(d: RootDatum, lam: Vec) -> int:
-    """Squared radius of the certificate ball: (2m max|x|)^2 over the orbit."""
+    """Criterion 5's covering radius squared: (2m max|x|)^2, m the orbit size."""
     orb = d.paired_orbit(tuple(lam))[0]
     m = len(orb)
     top = max(norm_sq(v) for v in orb)
@@ -166,57 +162,29 @@ def tensor_radius_sq(d: RootDatum, lam: Vec) -> int:
 
 
 def order_criteria_agree(d: RootDatum, mu: Vec, lam: Vec) -> CriteriaTriple:
-    """Evaluate the three faces of the containment order on a same-coset pair.
+    """Evaluate the three faces of the containment order on a dominant same-coset pair.
 
     Dominance is read off the root coefficients of lam - mu, hull containment
-    off the inequalities of the hull of the orbit of lam.  The tensor face is
-    decided with certificates valid for every power, not just the probed ones:
-    negatively by a witness power at which n*mu escapes the Minkowski sum of
-    the dilated hull with a box certainly containing the certificate's
-    weights, positively when there is none.  A sharp bounded probe alone
-    would claim containment for pairs that only separate at higher powers.
-
-    The witness is None exactly when mu lies in the hull, and then every
-    power has its positive certificate, an orbit-sum decomposition
-    n*mu = sum of n orbit points of lam plus a remainder inside the ball of
-    radius R = 2mM (such a factor exists in the n-fold product against the
-    ball certificate), where M is the largest norm on the orbit and m its
-    size.  Norms are convex, so |mu| <= M.  For n <= m, n*mu is within
-    2nM <= R of every n-fold orbit sum.  For m = 1 the hull is {lam}, so
-    mu = lam and n*mu is an orbit sum.  For m = 2 the hull is the segment
-    from lam to s lam, and n*mu lies on the segment through the n + 1 orbit
-    sums n lam + k(s lam - lam), so within |lam - s lam| / 2 <= M of one of
-    them.  That settles every n <= 3; for larger n the Shapley-Folkman lemma
-    writes n*mu as a sum of n hull points, all but at most dim hull <= m - 1
-    of them orbit points, which puts it within 2(m - 1)M of an orbit sum.
+    off the inequalities of the hull of the orbit of lam, and the tensor face
+    off one tensor product: whether V(mu + nu) occurs in V(lam) x V(nu) for
+    nu = c * 2rho, c = ceil(max <lam, b> / 2) over the positive coroots b
+    (0 on a torus).  This is the stable range of the Brauer-Klimyk formula.
+    nu pairs to 2c with each simple coroot a.  Every weight m of V(lam) lies
+    in the hull of W.lam, and <w lam, a> = <lam, w^-1 a> >= -2c since w^-1 a
+    is a coroot, so nu + m + rho pairs to at least 1 with each a: it is
+    regular dominant, and no term of the formula reflects or cancels.  The
+    product is the sum of V(nu + m) over the weights m of V(lam) with their
+    multiplicities, so V(nu + mu) occurs dim V(lam)_mu times, which is
+    positive exactly when mu <= lam.
     """
-    mu = tuple(mu)
-    lam = tuple(lam)
-    hull = orbit_hull(d, lam)
-    witness = _escape_witness(d, mu, hull, tensor_radius_sq(d, lam))
+    mu, lam = tuple(mu), tuple(lam)
+    c = (max((dot(cov, lam) for _, cov in d.positive_roots), default=0) + 1) // 2
+    nu = linalg.vec_scale(c, d.rho2)
     return CriteriaTriple(
-        root_datum.dominance_leq(d, mu, lam), hull.contains(mu), witness is None, witness
+        root_datum.dominance_leq(d, mu, lam),
+        orbit_hull(d, lam).contains(mu),
+        vec_add(mu, nu) in char_engine.tensor_decompose(d, lam, nu),
     )
-
-
-def _escape_witness(d: RootDatum, mu: Vec, hull: OrbitHull, r2: int) -> int | None:
-    """The least power n read off a hull inequality at which n*mu escapes.
-
-    Every weight of the n-th tensor power against the ball certificate lies
-    in n*Conv(orbit lam) + B, B the box of half-width h = box_half around
-    the origin, so a weight outside that Minkowski sum refutes containment
-    for good.  Take an inequality a.x <= b of the hull that mu breaks by the
-    margin m = a.mu - b > 0.  The sum lies inside a.x <= n*b + h*sum|a|,
-    while a.(n*mu) = n*b + n*m, so n*mu is outside it once
-    n = h*sum|a| // m + 1.
-    """
-    box_half = d.stretch * (math.isqrt(r2) + 1)
-    powers = [
-        box_half * sum(abs(x) for x in a) // margin + 1
-        for a, b in hull.inequalities
-        if (margin := dot(a, mu) - b) > 0
-    ]
-    return min(powers, default=None)
 
 
 # the most lattice points a covering check enumerates before it skips

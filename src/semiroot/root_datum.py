@@ -160,18 +160,6 @@ class RootDatum:
         return len(orbit(self, self.rho2))
 
     @functools.cached_property
-    def stretch(self) -> int:
-        """Largest sum of |entries| of a row of an element of W acting on weights.
-
-        Row a of w is the functional x -> (w x)_a, the image of the unit
-        covector e_a under the coweight action, so the rows of all of W are
-        the coweight orbits of the unit covectors.
-        """
-        n = self.rank
-        units = (tuple(int(a == b) for b in range(n)) for a in range(n))
-        return max((sum(map(abs, y)) for e in units for y in orbit(self.dual, e)), default=1)
-
-    @functools.cached_property
     def hull_normals(self) -> tuple[tuple[Vec, tuple[Vec, ...]], ...]:
         """Each Y_i = sum_j adj(Cartan)_ij coroot_j with its coweight orbit W.Y_i.
 

@@ -1,13 +1,12 @@
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiroot import polytope, root_datum
+from semiroot import char_engine, polytope, root_datum
 from semiroot.linalg import dot, vec_sub
 from semiroot.root_datum import RootDatum
 
@@ -16,10 +15,16 @@ SL4 = RootDatum(
 )
 GL2xT1 = RootDatum(3, ((1, -1, 0),), ((1, -1, 0),), name="gl2xT1")
 HULL_DATA = [root_datum.fixture(n) for n in root_datum.fixture_names()] + [SL4, GL2xT1]
+# simply connected, simple roots as the columns of the Cartan matrix
+INLINE = {
+    "sl4": SL4,
+    "b3": RootDatum(3, ((2, -1, 0), (-1, 2, -2), (0, -1, 2)), SL4.simple_coroots, name="b3"),
+    "c3": RootDatum(3, ((2, -1, 0), (-1, 2, -1), (0, -2, 2)), SL4.simple_coroots, name="c3"),
+}
 
 
 def _datum(name):
-    return SL4 if name == "sl4" else root_datum.fixture(name)
+    return INLINE.get(name) or root_datum.fixture(name)
 
 
 def _fm_feasible(constraints, nvars):
@@ -283,52 +288,18 @@ def test_criteria_equal_pair():
 
 
 def test_criteria_shallow_containment_refuted():
-    # hull containment of low powers without dominance; the escape shows up
-    # only at the seventh power
+    # 5 > 3 in the order, so V(5 + nu) is no factor of V(3) x V(nu)
     sl2 = root_datum.fixture("sl2")
     crit = polytope.order_criteria_agree(sl2, (5,), (3,))
     assert tuple(crit) == (False, False, False)
-    assert crit.tensor_witness == 7
 
 
-def _orbit_sum_decomposition(d, mu, lam, n):
-    """n orbit points of lam whose sum is within the certificate radius of n*mu, or None.
-
-    The reference search for the positive tensor certificate: combinations
-    of orbit points, greedy in their pairing with mu.
-    """
-    r2 = polytope.tensor_radius_sq(d, lam)
-    target = tuple(n * x for x in mu)
-    greedy = sorted(root_datum.orbit(d, lam), key=lambda v: -dot(v, mu))
-    for combo in combinations_with_replacement(greedy, n):
-        y = target
-        for v in combo:
-            y = vec_sub(y, v)
-        if polytope.norm_sq(y) <= r2:
-            return combo
-    return None
-
-
-def test_hull_points_have_orbit_sum_decompositions():
-    # the tensor face is read off the escape witness alone, which relies on this
-    sizes = set()
-    box = range(-4, 5)
-    for name in ["torus1", "sl2", "gl2", "sl2xpgl2", "sl3", "g2"]:
-        d = root_datum.fixture(name)
-        dominant = [v for v in iter_product(box, repeat=d.rank) if root_datum.is_dominant(d, v)]
-        for mu in dominant:
-            for lam in dominant:
-                if not same_root_coset(d, mu, lam):
-                    continue
-                crit = polytope.order_criteria_agree(d, mu, lam)
-                assert crit.tensor == crit.hull == (crit.tensor_witness is None)
-                if not crit.hull:
-                    continue
-                sizes.add(len(root_datum.orbit(d, lam)))
-                for n in (1, 2, 3):
-                    assert _orbit_sum_decomposition(d, mu, lam, n) is not None, (name, mu, lam, n)
-    # orbits of one and two points are the cases in which n = 3 exceeds the orbit size
-    assert {1, 2} <= sizes
+def test_tensor_face_needs_the_stable_range():
+    # 0 <= 6, read off V(6) x V(nu) at nu = 3 * 2rho = (6,); at nu = 2rho
+    # the Brauer-Klimyk term of weight -6 reflects and cancels V(0 + 2)
+    sl2 = root_datum.fixture("sl2")
+    assert tuple(polytope.order_criteria_agree(sl2, (0,), (6,))) == (True, True, True)
+    assert (2,) not in char_engine.tensor_decompose(sl2, (6,), sl2.rho2)
 
 
 def test_tensor_radius():
@@ -349,7 +320,7 @@ def same_root_coset(d, mu, lam):
 @pytest.mark.parametrize(
     "name,coord_max",
     [("sl2", 4), ("sl3", 2), ("sp4", 2), ("gl2", 2), ("sl2xpgl2", 2), ("torus2", 1),
-     ("sl4", 1)],
+     ("sl4", 1), ("b3", 2), ("c3", 2)],
 )
 def test_criteria_match_dominance(name, coord_max):
     d = _datum(name)

@@ -146,3 +146,18 @@ PINNED_OUTCOMES = [
 @pytest.mark.parametrize("case,expected", PINNED_OUTCOMES)
 def test_random_data_outcomes_as_pinned(case, expected):
     assert outcome(case) == expected
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+def test_bound_one_table_cannot_see_a_pgl2_factor(seed):
+    # PGL2's nonzero dominant weights pair to 2n with its coroot, so at bound 1
+    # Sp6 x PGL2 has the table of Sp6, and the certified datum is Sp6
+    source = build_datum(("C3", "A1"), 0, (1, 0, 0, 0), ())
+    sp6 = build_datum(("C3",), 0, (1, 0, 0), ())
+    t, _ = oracle.materialize_oracle(source, 1, seed=seed)
+    same = oracle.table_isomorphism(t, oracle.materialize_oracle(sp6, 1, seed=seed)[0], {})
+    assert same is not None
+    report = reconstruction.recover_datum(t)
+    assert report.certified
+    assert root_datum.root_data_isomorphic(report.datum, sp6) is not None
+    assert root_datum.root_data_isomorphic(report.datum, source) is None

@@ -503,8 +503,6 @@ WEYL_IDS = [d.name or "A3" for d in ALL_DATA] + ["B3", "C3"]
 def test_weyl_order_and_stretch_match_matrix_group(d):
     group = _reference_weyl_group(d)
     assert root_datum.weyl_order(d) == len(group)
-    stretch = max((sum(map(abs, row)) for w in group for row in w), default=1)
-    assert d.stretch == stretch
 
 
 def _reference_coweight_orbit(d, y):
