@@ -13,8 +13,8 @@ import math
 from operator import add, mul, sub
 from typing import Iterable
 
-from . import linalg, polytope, root_datum
-from .linalg import Vec, dot, vec_add
+from . import polytope, root_datum
+from .linalg import Vec, vec_add
 from .root_datum import RootDatum
 
 Decomposition = dict[Vec, int]
@@ -35,10 +35,11 @@ def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
     Breadth-first from tops, subtracting one positive root at a time; every
     dominant weight under a top is reachable this way through dominant stops.
     Pairings with the simple coroots are carried along, so the dominance test
-    is a subtraction.  The closure of a union is the union of the closures.
-    `d.pairing` checks the length of every top, so the sums skip that check.
+    is a subtraction; the roots' own pairings are the datum's `root_pairings`.
+    The closure of a union is the union of the closures.  `d.pairing` checks
+    the length of every top, so the sums skip that check.
     """
-    steps = [(a, d.pairing(a)) for a, _ in d.positive_roots]
+    steps = d.root_pairings
     seen = set(tops)
     frontier = [(v, d.pairing(v)) for v in seen]
     while frontier:
@@ -72,7 +73,9 @@ def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     which the pairings are injective, so a dominant weight is known by its
     pairings and reflections to the dominant chamber never touch weight
     coordinates.  A pairing vector reaches the chamber by reflecting at its
-    first negative entry until there is none.
+    first negative entry until there is none.  The pairings <a, b^v>, the
+    B(a, a) and the pairings of 2 rho are the datum's `form_rows` and
+    `rho2_pairings`, built once per datum.
 
     The datum's memo is read before lam is checked.  This function is the
     memo's only writer, and it writes only checked weights, so a hit needs no
@@ -83,22 +86,13 @@ def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     if cached is not None:
         return cached
     _require_dominant(d, lam, "highest weight")
-    columns = d.columns
+    columns, roots, shift = d.columns, d.form_rows, d.rho2_pairings
     n = d.semisimple_rank
-    coroots = [cov for _, cov in d.positive_roots]
 
-    def full(x: Vec) -> list[int]:
-        """<x, b^v> over the positive roots b; B(x, y) is dot(full(x), full(y))."""
-        return [sum(map(mul, cov, x)) for cov in coroots]
-
-    fas = [full(a) for a, _ in d.positive_roots]
-    roots = [(d.pairing(a), fa, sum(map(mul, fa, fa))) for (a, _), fa in zip(d.positive_roots, fas)]
-    shift = full(d.rho2)
-
-    def squares(fx: list[int]) -> int:
+    def squares(fx: Vec) -> int:
         return sum((2 * p + r) ** 2 for p, r in zip(fx, shift))
 
-    fulls = {mu: full(mu) for mu in dominant_closure(d, [lam])}
+    fulls = {mu: d.coroot_pairings(mu) for mu in dominant_closure(d, [lam])}
     t_squares = squares(fulls[lam])
     found: dict[Vec, int] = {}  # pairings -> multiplicity
     mults: dict[Vec, int] = {}
@@ -147,6 +141,9 @@ def irreducible_character(d: RootDatum, lam: Vec) -> dict[Vec, int]:
 def dimension(d: RootDatum, lam: Vec) -> int:
     """Dimension of the irreducible with highest weight lam, by Weyl's formula.
 
+    It is the product of <2 lam + 2 rho, b^v> over the positive coroots b,
+    over the datum's `weyl_denominator`, the same product at lam = 0.
+
     The datum's memo is read before lam is checked, on the same rule as
     `dominant_weight_multiplicities`: this function is its only writer.
     """
@@ -155,13 +152,9 @@ def dimension(d: RootDatum, lam: Vec) -> int:
     if cached is not None:
         return cached
     _require_dominant(d, lam, "highest weight")
-    r2 = d.rho2
-    num = den = 1
-    for _, cov in d.positive_roots:
-        num *= dot(cov, vec_add(linalg.vec_scale(2, lam), r2))
-        den *= dot(cov, r2)
-    value, rem = divmod(num, den)
-    assert rem == 0 and value > 0, (lam, num, den)
+    num = math.prod(2 * p + r for p, r in zip(d.coroot_pairings(lam), d.rho2_pairings))
+    value, rem = divmod(num, d.weyl_denominator)
+    assert rem == 0 and value > 0, (lam, num, d.weyl_denominator)
     d.dimensions[lam] = value
     return value
 

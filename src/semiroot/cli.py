@@ -197,12 +197,13 @@ def cmd_check_props(args) -> int:
         v for v in iter_product(box, repeat=d.rank) if root_datum.is_dominant(d, v)
     )
     pairs = agree_ab = agree_ac = 0
-    for mu in dominant:
-        for lam in dominant:
+    for lam in dominant:
+        faces = polytope.order_criteria(d, lam)  # one tensor product per lam
+        for mu in dominant:
             if d.root_coefficients(linalg.vec_sub(lam, mu)) is None:
                 continue
             pairs += 1
-            crit = polytope.order_criteria_agree(d, mu, lam)
+            crit = faces(mu)
             agree_ab += crit.dominance == crit.hull
             agree_ac += crit.dominance == crit.tensor
     disagree = 2 * pairs - agree_ab - agree_ac

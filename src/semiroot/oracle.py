@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable
 
 from . import char_engine, root_datum
@@ -29,20 +28,34 @@ class OracleFormatError(ValueError):
     """Malformed oracle text; the message carries the line number."""
 
 
-@dataclass
 class OracleTable:
     """Labels, the unit, the duality and the product cell of every unordered pair.
 
     `products` is the one cell store, keyed by `pair_key`; a cell is None
     when the pair is out of window.  `partners`, each label's in-window
     partners, is the one index, built from it on first read; a table is not
-    mutated after construction, so it does not go stale.
+    mutated after construction, so it does not go stale.  Tables compare
+    equal when all four fields do; the index takes no part.
     """
 
-    labels: tuple[str, ...]
-    unit: str
-    dual: dict[str, str]
-    products: dict[tuple[str, str], dict[str, int] | None] = field(repr=False)
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        unit: str,
+        dual: dict[str, str],
+        products: dict[tuple[str, str], dict[str, int] | None],
+    ):
+        self.labels, self.unit, self.dual, self.products = labels, unit, dual, products
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.unit, self.dual, self.products) == (
+            other.labels, other.unit, other.dual, other.products
+        )
+
+    def __repr__(self):
+        return f"OracleTable(labels={self.labels!r}, unit={self.unit!r}, dual={self.dual!r})"
 
     @staticmethod
     def pair_key(x: str, y: str) -> tuple[str, str]:
@@ -185,15 +198,21 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
     shift of mu only shifts them) and min(<lam, a_i^>, c_i(mu)).  The first
     in-window pair of a shape is decomposed, and every later one gets that
     cell shifted.  Pairs are looked up first by both pairing vectors, which
-    on a torus never change.  The memos live for this call only.
+    on a torus never change.  The memos live for this call only.  Each
+    weight is paired once, for the dominance check and its pairing id; its
+    dual label is -w0 applied to it.
     """
-    dual = {w: char_engine.dual_label(d, w) for w in weights}
+    minus_w0 = d.minus_w0
+    dual: dict[Vec, Vec] = {}
     wset = set(weights)
     ids: dict[Vec, int] = {}  # pairing vector -> its id
     dims: list[int] = []  # Weyl's formula reads the pairings alone, so one dimension per id
     pid = []
     for w in weights:
         p = d.pairing(w)
+        if min(p, default=0) < 0:
+            raise ValueError(f"highest weight {w} is not dominant")
+        dual[w] = tuple([sum(map(mul, row, w)) for row in minus_w0])
         if p not in ids:
             ids[p] = len(ids)
             dims.append(char_engine.dimension(d, w))

@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import char_engine, linalg, root_datum
 from .linalg import Vec, dot, vec_add, vec_sub
@@ -116,8 +115,7 @@ def norm_sq(v) -> int:
 Inequality = tuple[Vec, int]
 
 
-@dataclass(frozen=True)
-class OrbitHull:
+class OrbitHull(NamedTuple):
     vertices: tuple[Vec, ...]
     inequalities: tuple[Inequality, ...]
 
@@ -161,12 +159,13 @@ def tensor_radius_sq(d: RootDatum, lam: Vec) -> int:
     return 4 * m * m * top
 
 
-def order_criteria_agree(d: RootDatum, mu: Vec, lam: Vec) -> CriteriaTriple:
-    """Evaluate the three faces of the containment order on a dominant same-coset pair.
+def order_criteria(d: RootDatum, lam: Vec) -> Callable[[Vec], CriteriaTriple]:
+    """The three faces of the containment order below lam, as a function of mu.
 
-    Dominance is read off the root coefficients of lam - mu, hull containment
-    off the inequalities of the hull of the orbit of lam, and the tensor face
-    off one tensor product: whether V(mu + nu) occurs in V(lam) x V(nu) for
+    Each call takes a dominant mu in lam's root coset.  Dominance is read off
+    the root coefficients of lam - mu, hull containment off the inequalities
+    of the hull of the orbit of lam, and the tensor face off one tensor
+    product: whether V(mu + nu) occurs in V(lam) x V(nu) for
     nu = c * 2rho, c = ceil(max <lam, b> / 2) over the positive coroots b
     (0 on a torus).  This is the stable range of the Brauer-Klimyk formula.
     nu pairs to 2c with each simple coroot a.  Every weight m of V(lam) lies
@@ -175,24 +174,34 @@ def order_criteria_agree(d: RootDatum, mu: Vec, lam: Vec) -> CriteriaTriple:
     regular dominant, and no term of the formula reflects or cancels.  The
     product is the sum of V(nu + m) over the weights m of V(lam) with their
     multiplicities, so V(nu + mu) occurs dim V(lam)_mu times, which is
-    positive exactly when mu <= lam.
+    positive exactly when mu <= lam.  The hull and the product depend on lam
+    alone, so they are built once, here.
     """
-    mu, lam = tuple(mu), tuple(lam)
-    c = (max((dot(cov, lam) for _, cov in d.positive_roots), default=0) + 1) // 2
+    lam = tuple(lam)
+    c = (max(d.coroot_pairings(lam), default=0) + 1) // 2
     nu = linalg.vec_scale(c, d.rho2)
-    return CriteriaTriple(
-        root_datum.dominance_leq(d, mu, lam),
-        orbit_hull(d, lam).contains(mu),
-        vec_add(mu, nu) in char_engine.tensor_decompose(d, lam, nu),
-    )
+    hull = orbit_hull(d, lam)
+    product = char_engine.tensor_decompose(d, lam, nu)
+
+    def agree(mu: Vec) -> CriteriaTriple:
+        mu = tuple(mu)
+        return CriteriaTriple(
+            root_datum.dominance_leq(d, mu, lam), hull.contains(mu), vec_add(mu, nu) in product
+        )
+
+    return agree
+
+
+def order_criteria_agree(d: RootDatum, mu: Vec, lam: Vec) -> CriteriaTriple:
+    """The three faces of `order_criteria` on one dominant same-coset pair."""
+    return order_criteria(d, lam)(mu)
 
 
 # the most lattice points a covering check enumerates before it skips
 COVER_POINT_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     verdict: str  # "ok", "failed", or "skipped"
     radius_sq: int
     points_checked: int

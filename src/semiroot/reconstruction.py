@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 from . import linalg, oracle, polytope, root_datum
 from .linalg import Vec, dot, vec_sub
@@ -41,25 +41,41 @@ class StageFailure(Exception):
         self.reason = reason
 
 
-@dataclass
-class RecoveredMonoid:
+class RecoveredMonoid(NamedTuple):
     add: dict[tuple[str, str], str]
     undefined: tuple[tuple[str, str], ...]
 
 
-@dataclass
 class ReconstructionReport:
-    verdict: str
-    stage: str | None = None
-    reason: str | None = None
-    order: None = None  # read by perfbench/worker.py:150 only; ROADMAP.md item 1 drops it
-    monoid: RecoveredMonoid | None = None
-    lattice_rank: int | None = None
-    embedding: dict[str, Vec] | None = None
-    simple_roots: tuple[Vec, ...] = ()
-    datum: RootDatum | None = None
-    bijection: dict[str, Vec] | None = None
-    inferred_bound: int | None = None
+    """What `recover_datum` found, filled in stage by stage; reports compare by value."""
+
+    def __init__(
+        self,
+        verdict: str,
+        stage: str | None = None,
+        reason: str | None = None,
+        order: None = None,  # read by perfbench/worker.py:150 only; ROADMAP.md item 1 drops it
+        monoid: RecoveredMonoid | None = None,
+        lattice_rank: int | None = None,
+        embedding: dict[str, Vec] | None = None,
+        simple_roots: tuple[Vec, ...] = (),
+        datum: RootDatum | None = None,
+        bijection: dict[str, Vec] | None = None,
+        inferred_bound: int | None = None,
+    ):
+        self.verdict, self.stage, self.reason, self.order = verdict, stage, reason, order
+        self.monoid, self.lattice_rank, self.embedding = monoid, lattice_rank, embedding
+        self.simple_roots, self.datum, self.bijection = simple_roots, datum, bijection
+        self.inferred_bound = inferred_bound
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"ReconstructionReport({fields})"
 
     @property
     def certified(self) -> bool:

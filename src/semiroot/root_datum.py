@@ -11,17 +11,15 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 from operator import mul
-from typing import TYPE_CHECKING
+from pathlib import Path
 
 from . import linalg
 from .linalg import Vec, dot, vec_sub
 
-if TYPE_CHECKING:
-    from importlib.resources.abc import Traversable
+# the shipped data; read as files next to this module, not through importlib.resources,
+# which loads inspect on Python 3.12 and later
+FIXTURES = Path(__file__).with_name("fixtures")
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -30,26 +28,52 @@ class RootDatumError(ValueError):
     """A root datum axiom failed; the message names the axiom."""
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """A root datum in coordinates, with its derived Weyl data.
 
+    The fields are `rank`, `simple_roots`, `simple_coroots` and `name`.  A
+    datum is immutable, and equal data (same fields, the name included) hash
+    alike.  It is a plain class, so importing the library loads no
+    `dataclasses`.
+
     Derived data live on the datum: each is a cached property, built on first
-    use and kept for the datum's lifetime.  The dicts `orbits`,
+    use and kept for the datum's lifetime, and none takes part in equality.
+    They are the Cartan matrix and its columns and adjugate, the positive
+    roots with their coroots, each positive root's pairings (`root_pairings`,
+    `form_rows`), 2rho and its coroot pairings with their product
+    (`rho2_pairings`, `weyl_denominator`), -w0, |W|, the dual datum, the
+    hull normals and the coordinate matrix.  The dicts `orbits`,
     `dominant_mults` and `dimensions` are memos keyed by weight:
     `paired_orbit` fills the first, the char engine the others.  Nothing is
     shared between data, so an equal or renamed copy builds its own.
     """
 
-    rank: int
-    simple_roots: tuple[Vec, ...]
-    simple_coroots: tuple[Vec, ...]
-    name: str = ""
+    def __init__(self, rank: int, simple_roots, simple_coroots, name: str = ""):
+        # cached properties write to __dict__ directly, past __setattr__
+        self.__dict__.update(
+            rank=rank,
+            simple_roots=tuple(tuple(r) for r in simple_roots),
+            simple_coroots=tuple(tuple(c) for c in simple_coroots),
+            name=name,
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "simple_roots", tuple(tuple(r) for r in self.simple_roots))
-        object.__setattr__(
-            self, "simple_coroots", tuple(tuple(c) for c in self.simple_coroots)
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to {attr}: a RootDatum is immutable")
+
+    def _fields(self) -> tuple:
+        return self.rank, self.simple_roots, self.simple_coroots, self.name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "RootDatum(rank={!r}, simple_roots={!r}, simple_coroots={!r}, name={!r})".format(
+            *self._fields()
         )
 
     @property
@@ -106,6 +130,36 @@ class RootDatum:
                 for c, e in seen.items()
             )
         )
+
+    def coroot_pairings(self, x: Vec) -> Vec:
+        """<x, b^v> over the positive coroots b, in `positive_roots` order."""
+        return tuple([sum(map(mul, cov, x)) for _, cov in self.positive_roots])
+
+    @functools.cached_property
+    def root_pairings(self) -> tuple[tuple[Vec, Vec], ...]:
+        """Each positive root with its simple-coroot pairings, in `positive_roots` order."""
+        return tuple((a, self.pairing(a)) for a, _ in self.positive_roots)
+
+    @functools.cached_property
+    def form_rows(self) -> tuple[tuple[Vec, Vec, int], ...]:
+        """Freudenthal's rows: per positive root a, its simple-coroot pairings,
+        `coroot_pairings(a)` and B(a, a), B(x, y) the dot product of the
+        coroot pairings of x and y."""
+        rows = []
+        for a, p in self.root_pairings:
+            f = self.coroot_pairings(a)
+            rows.append((p, f, sum(map(mul, f, f))))
+        return tuple(rows)
+
+    @functools.cached_property
+    def rho2_pairings(self) -> Vec:
+        """`coroot_pairings(rho2)`: Freudenthal's shift and the factors of Weyl's denominator."""
+        return self.coroot_pairings(self.rho2)
+
+    @functools.cached_property
+    def weyl_denominator(self) -> int:
+        """The product of `rho2_pairings`."""
+        return math.prod(self.rho2_pairings)
 
     @functools.cached_property
     def orbits(self) -> dict:
@@ -226,7 +280,7 @@ class RootDatum:
         x is adj(F) y / det(F), a weight exactly when det(F) divides every entry.
         """
         _, adj, det = self.coordinates
-        x = linalg.mat_vec(adj, y)
+        x = [sum(map(mul, row, y)) for row in adj]
         if any(c % det for c in x):
             return None
         return tuple(c // det for c in x)
@@ -422,23 +476,22 @@ def _unimodular_lifts(r: int, modulus: int) -> list[Matrix]:
     return list(lifts.values())
 
 
-def load_datum(path: str | Path | Traversable) -> RootDatum:
+def load_datum(path: str | Path) -> RootDatum:
     """Read a datum JSON file; its name defaults to the file's stem."""
-    path = Path(path) if isinstance(path, str) else path
+    path = Path(path)
     data = json.loads(path.read_text())
     return RootDatum(
         rank=data["rank"],
         simple_roots=data["simple_roots"],
         simple_coroots=data["simple_coroots"],
-        name=data.get("name", Path(path.name).stem),
+        name=data.get("name", path.stem),
     )
 
 
 def fixture(name: str) -> RootDatum:
     """Load a named datum shipped with the package."""
-    return load_datum(resources.files(__package__).joinpath(f"fixtures/{name}.json"))
+    return load_datum(FIXTURES / f"{name}.json")
 
 
 def fixture_names() -> tuple[str, ...]:
-    ref = resources.files(__package__).joinpath("fixtures")
-    return tuple(sorted(p.name[:-5] for p in ref.iterdir() if p.name.endswith(".json")))
+    return tuple(sorted(p.stem for p in FIXTURES.glob("*.json")))

@@ -3,6 +3,11 @@
 `char_engine` and `polytope` import each other, so each reads the other's
 functions as module attributes at call time; a `from .char_engine import`
 in `polytope` would fail whenever `char_engine` is imported first.
+
+Every process that runs the library pays for its import, so no module loads
+`dataclasses` or `inspect` (which `dataclasses` and, from Python 3.12,
+`importlib.resources` load).  The interpreter runs with -S, so no site hook
+loads them first.
 """
 
 import os
@@ -26,4 +31,8 @@ def test_every_module_is_listed():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_first(module):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    subprocess.run([sys.executable, "-c", f"import semiroot.{module}"], env=env, check=True)
+    code = f"import sys, semiroot.{module}; print(*sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    assert not {"dataclasses", "inspect"} & set(run.stdout.split())

@@ -266,6 +266,15 @@ def _swap_two_cells(u):
     return OracleTable(u.labels, u.unit, dict(u.dual), products)
 
 
+def test_tables_compare_by_their_cells(sl3_oracle):
+    _, t, _ = sl3_oracle
+    products = dict(t.products)
+    assert OracleTable(t.labels, t.unit, dict(t.dual), products) == t
+    key = next(k for k in sorted(products) if products[k] is not None)
+    products[key] = None
+    assert OracleTable(t.labels, t.unit, dict(t.dual), products) != t
+
+
 # pgl2@1 has one label, so one cell
 @pytest.mark.parametrize("name,bound", [c for c in RELABEL_TABLES if c != ("pgl2", 1)])
 def test_table_isomorphism_refuses_swapped_cells(name, bound):

@@ -254,6 +254,16 @@ def test_round_trip_report_fields(sl2_oracle):
     root_datum.validate_root_datum(report.datum)
 
 
+def test_reports_compare_by_value(sl2_oracle):
+    _, t, _ = sl2_oracle
+    report, again = reconstruction.recover_datum(t), reconstruction.recover_datum(t)
+    assert again == report and again is not report
+    assert again.monoid == report.monoid and again.monoid is not report.monoid
+    assert reconstruction.RecoveredMonoid({}, report.monoid.undefined) != report.monoid
+    again.inferred_bound += 1
+    assert again != report
+
+
 def test_round_trip_torus_basis_freedom():
     # no roots anchor the completion basis on torus2, so the completion is
     # only fixed up to GL(2, Z); the box coordinates must still turn the

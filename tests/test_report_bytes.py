@@ -16,18 +16,52 @@ import pytest
 
 from semiroot import cli
 
+# every shipped fixture at bounds 1-4
 TABLE_SHA256 = [
+    ("g2", 1, "20c1899cf45f1c226b637cf3dccf320770b166db1631282e9b76ac77eb2ad2fd"),
+    ("g2", 2, "5256b0d226c0afa78e9fca9bd6033706ac7b50018ee4eec1f51f082a81165fee"),
     ("g2", 3, "0297983fea4fa023012d98f4aa1dcc8606fc1cd926e966b1fafe76e1099dbb1b"),
+    ("g2", 4, "1d107c6e7e9026cf8405eb66ecc156fcc37e7ac70de1bb643476a56d199213a1"),
+    ("gl2", 1, "ef8c152f0828a33cbbd59c1bada954370ef5dc01b91c219420d3e23f6a81d8ca"),
+    ("gl2", 2, "07d4766fc106720c130d8753bba291c4310a2b0aa3a790b36b265c545ba68ab6"),
     ("gl2", 3, "65067a607c8bd2cd1a7510916ff51c58ec543f2ee7f2b879333ba118e9139868"),
+    ("gl2", 4, "0994c922e451924aa2b42e574f965e572d9b38137e299aa35885d095ae341371"),
+    ("pgl2", 1, "4714834263dba9dfaebdce58629a13f28728b7d0d773e4785be2c0cd5ecfb937"),
+    ("pgl2", 2, "b91891ac5d71ff22ada31165f87ec26e0b9219dcddcda6c2b1a3ae0ade68bb42"),
     ("pgl2", 3, "b91891ac5d71ff22ada31165f87ec26e0b9219dcddcda6c2b1a3ae0ade68bb42"),
+    ("pgl2", 4, "1fe2e5686905fe01b7de7cf22f8d9da1da840963ff363518ea1d1bc56af44526"),
+    ("pgl3", 1, "b91891ac5d71ff22ada31165f87ec26e0b9219dcddcda6c2b1a3ae0ade68bb42"),
+    ("pgl3", 2, "fd4e1785b2bc4f57b467000f64ec34e54fab607f1a10ef455e2d78157cca2dfe"),
     ("pgl3", 3, "4ed988739080224d4a7270bb7748b10464dd466f77bdfd8f2cd5d3a8ff99e540"),
+    ("pgl3", 4, "77f84b3e3edc121c62921cff58f119ba590bf6e9609385b5d55d2850f00fa043"),
+    ("sl2", 1, "b91891ac5d71ff22ada31165f87ec26e0b9219dcddcda6c2b1a3ae0ade68bb42"),
+    ("sl2", 2, "4bc46f007cdf3265a411cd28cded8629830f5572417e26c3708915d79435a8a4"),
     ("sl2", 3, "c86f5d8c5fa55aaf273dc0cf84d828be3532b01afb362800a5cf13436448e612"),
+    ("sl2", 4, "23e95dd4246af0272e8bb7d1568b885caab42dd0de9be691b90ec5be28c8a9d4"),
+    ("sl2xpgl2", 1, "b91891ac5d71ff22ada31165f87ec26e0b9219dcddcda6c2b1a3ae0ade68bb42"),
+    ("sl2xpgl2", 2, "7c0eabb93692c98b3a074a8c5631c08d209d160cfd1fb714605ccd2d6e9e5f73"),
     ("sl2xpgl2", 3, "66d2ef2a236ba893bff16482b73b58473527565a042475405b7b27f735682f25"),
+    ("sl2xpgl2", 4, "a7c3b99bde71e0386f5401700f2fa3d87233829aa0cea1e653769659c7fd8d8f"),
+    ("sl3", 1, "3dd4e077cc95087ff53c98612e40261d782c51b5b91726ef4048bd01da041e49"),
+    ("sl3", 2, "6fce27be41c6a9f9ea25fad98944ecf0ca48a09064fe56baa3996ae921d386d7"),
     ("sl3", 3, "e3458f3a799b7f8e8bb62308cbd7ea1db93580a592604d2730800f29e3d894f4"),
+    ("sl3", 4, "4abf55dde44f69334f69c0970b7bb6634043b7ab756f1040110f7ba12c89f6fa"),
+    ("so5", 1, "b91891ac5d71ff22ada31165f87ec26e0b9219dcddcda6c2b1a3ae0ade68bb42"),
+    ("so5", 2, "6b47eacd896b2722ec84b28e4106de7774a628f812796201d5bdf678f21cfbd7"),
     ("so5", 3, "d74b319745753d83439cc996d2159ad3ee5df44fe72c3971dd8c969760cebe63"),
+    ("so5", 4, "eeebfc0c1497d40c60c90f9d72db2887ea4d6c876d98c033d99469626bcc8d7c"),
+    ("sp4", 1, "9388e6d21527a72824b966d5d9cea883bb5ddcc959621243c3f8baad5ae3bdac"),
+    ("sp4", 2, "0b9be0cc13c25943a80d16c4d120329b03caafe5fd8972307ef057f98406ef17"),
     ("sp4", 3, "4b8e3f7390993fbd1046d1d8e221a94cdb3168063d37e30bfa6c92c6889e82f0"),
+    ("sp4", 4, "ab92e37cc61c211bccfbae3fcfa1e4aa5a3fc71a25b16bcdcd323c724b9a9e91"),
+    ("torus1", 1, "8a6d28cd99df9e81dc642a5e6110563179882eef66487e89abe7046a162a525e"),
+    ("torus1", 2, "b737787efe04691a2bbb336ae19d7817a2bc8c696224ce8a83770b527fcc0b25"),
     ("torus1", 3, "c17149662d5a1db1cb0dde2164c6a800e4c261b67a70e502dd6c40bb2c68afb3"),
+    ("torus1", 4, "36b16c9738ba95453cb9204f7a6b85287b16a6fff3f73db80b5b1d1cf229eb7a"),
+    ("torus2", 1, "0a7c2b95e8f2aadd25446be541c6007e24f37dfabee7a8224ca75fcdb571e501"),
+    ("torus2", 2, "bc3ad509f8f1c4dff84922d8830dbfa5b586028a78937134be02ca5f00c423cc"),
     ("torus2", 3, "c78fe655ed9c1ceec72880aa23944c3f3f6a3830ff3eba82e184a8c827af2ce6"),
+    ("torus2", 4, "1993af6a4f0144edbb38c1306c54b4dfe4dbc4f157472c5ae9fab00cbdda4cd3"),
 ]
 
 REPORT_SHA256 = [

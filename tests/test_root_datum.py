@@ -318,6 +318,7 @@ def test_derived_data_are_kept_on_the_datum():
     assert root_datum.positive_roots(renamed) is not roots
     fresh = root_datum.fixture("sl3")
     assert fresh == sl3 and hash(fresh) == hash(sl3)
+    assert renamed != sl3
 
 
 def _reference_root_coefficients(d, v):
