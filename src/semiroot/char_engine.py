@@ -1,7 +1,8 @@
 """Characters, dimensions, and the decomposition of tensor products.
 
 Weight multiplicities come from the Freudenthal recursion, tensor products
-from the reflection-based expansion over the weights of the smaller factor.
+from the reflection-based expansion over the weights of the smaller factor
+(Brauer-Klimyk).
 Derived Weyl data and the memos live on the datum (`root_datum.RootDatum`).
 All arithmetic is exact; every quotient is asserted back to an integer.
 """
@@ -159,15 +160,45 @@ def dimension(d: RootDatum, lam: Vec) -> int:
     return value
 
 
+def _dot_walk(d: RootDatum, q: Vec) -> Vec:
+    """Walk the rho-shifted pairings q to the dominant chamber, as one flat tuple.
+
+    Reflects at the first non-positive entry and starts the scan over, until
+    every entry is positive or one is zero.  Returns the weight displacement,
+    sum k_i alpha_i over the reflections, followed by the sign of the word,
+    or by 0 when the walk ends on a wall.
+    """
+    columns, roots = d.columns, d.simple_roots
+    n = d.semisimple_rank
+    shift, sign, i = (0,) * d.rank, 1, 0
+    while i < n:
+        c = q[i]
+        if c > 0:
+            i += 1
+            continue
+        if c == 0:
+            return (*shift, 0)  # on a wall
+        shift = tuple([x - c * a for x, a in zip(shift, roots[i])])
+        q = tuple([x - c * a for x, a in zip(q, columns[i])])
+        sign, i = -sign, 0
+    return (*shift, sign)
+
+
 def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     """Decompose the tensor product of two irreducibles into irreducibles.
 
     Iterates over the weights w of the smaller factor and moves lam + w to
     the dominant chamber by the rho-shifted action, with the sign of the
-    word; terms whose shift by rho lies on a wall drop out.  Each lam + w is
-    reflected at the first simple root whose rho-shifted pairing is
-    negative, and the scan starts over, until every pairing is positive or
-    one is zero.
+    word; terms whose shift by rho lies on a wall drop out (Brauer-Klimyk).
+    The walk reflects at the first simple root whose rho-shifted pairing is
+    not positive, and the scan starts over, until every pairing is positive
+    or one is zero.  Each step moves the pairings q of lam + rho + w by a
+    column of the Cartan matrix and the weight by a simple root, both
+    chosen by q alone, so the wall, the sign and the displacement are
+    functions of q.  A q with every entry positive needs no step, and one
+    whose first non-positive entry is zero is on a wall at once; every other
+    q is walked once per datum, by `_dot_walk`, into the datum's
+    `chamber_walks` memo.
 
     The first step compares the factors' `dimension`s, which raises
     ValueError on either weight if it is not dominant or has the wrong
@@ -176,34 +207,31 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     lam, mu = tuple(lam), tuple(mu)
     if dimension(d, mu) > dimension(d, lam):
         lam, mu = mu, lam
-    columns, roots = d.columns, d.simple_roots
-    n = d.semisimple_rank
+    walks = d.chamber_walks
     shifted = tuple(x + 1 for x in d.pairing(lam))  # pairings of lam + rho
     acc: dict[Vec, int] = {}
     for delta, m in dominant_weight_multiplicities(d, mu).items():
         for w, pw in zip(*d.paired_orbit(delta)):
-            y, q, sign, i = tuple(map(add, lam, w)), tuple(map(add, shifted, pw)), m, 0
-            while i < n:
-                c = q[i]
-                if c > 0:
-                    i += 1
-                    continue
-                if c == 0:
-                    break  # on a wall
-                y = tuple([x - c * a for x, a in zip(y, roots[i])])
-                q = tuple([x - c * a for x, a in zip(q, columns[i])])
-                sign, i = -sign, 0
+            q = tuple(map(add, shifted, pw))
+            for c in q:
+                if c <= 0:
+                    break
             else:
-                acc[y] = acc.get(y, 0) + sign
+                y = tuple(map(add, lam, w))
+                acc[y] = acc.get(y, 0) + m
+                continue
+            if c == 0:
+                continue  # on a wall
+            walk = walks.get(q)
+            if walk is None:
+                walk = walks[q] = _dot_walk(d, q)
+            sign = walk[-1]
+            if sign:  # map stops at the weight's length, so the sign is not added
+                y = tuple(map(add, map(add, lam, w), walk))
+                acc[y] = acc.get(y, 0) + sign * m
     out = {k: v for k, v in acc.items() if v != 0}
     assert all(v > 0 for v in out.values()), (lam, mu, out)
     return out
-
-
-def dual_label(d: RootDatum, lam: Vec) -> Vec:
-    """Highest weight of the dual irreducible, -w0 lam."""
-    lam = _require_dominant(d, lam, "highest weight")
-    return tuple([sum(map(mul, row, lam)) for row in d.minus_w0])
 
 
 def prv_components(d: RootDatum, lam: Vec, mu: Vec) -> tuple[Vec, ...]:

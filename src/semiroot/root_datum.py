@@ -44,8 +44,11 @@ class RootDatum:
     (`rho2_pairings`, `weyl_denominator`), -w0, |W|, the dual datum, the
     hull normals and the coordinate matrix.  The dicts `orbits`,
     `dominant_mults` and `dimensions` are memos keyed by weight:
-    `paired_orbit` fills the first, the char engine the others.  Nothing is
-    shared between data, so an equal or renamed copy builds its own.
+    `paired_orbit` fills the first, the char engine the others.
+    `chamber_walks` is the char engine's memo of rho-shifted walks to the
+    dominant chamber, keyed by the simple-coroot pairings of the weight plus
+    rho.  Nothing is shared between data, so an equal or renamed copy
+    builds its own.
     """
 
     def __init__(self, rank: int, simple_roots, simple_coroots, name: str = ""):
@@ -174,6 +177,11 @@ class RootDatum:
     @functools.cached_property
     def dimensions(self) -> dict:
         """Memo of the char engine's dimensions, keyed by highest weight."""
+        return {}
+
+    @functools.cached_property
+    def chamber_walks(self) -> dict:
+        """Memo of the char engine's chamber walks, keyed by the pairings of a weight plus rho."""
         return {}
 
     def paired_orbit(self, x: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:

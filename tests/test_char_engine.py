@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import itertools
 import pkgutil
+import random
 from collections import Counter
 
 import pytest
@@ -327,14 +328,19 @@ def test_prv_components_occur(name):
                 assert dec.get(nu, 0) >= 1
 
 
+def _dual(d, lam):
+    """Highest weight of the dual irreducible, -w0 lam, read off the datum."""
+    return linalg.mat_vec(d.minus_w0, lam)
+
+
 def test_dual_label():
     sl2 = root_datum.fixture("sl2")
-    assert char_engine.dual_label(sl2, (3,)) == (3,)
+    assert _dual(sl2, (3,)) == (3,)
     sl3 = root_datum.fixture("sl3")
-    assert char_engine.dual_label(sl3, (1, 0)) == (0, 1)
-    assert char_engine.dual_label(sl3, (0, 0)) == (0, 0)
+    assert _dual(sl3, (1, 0)) == (0, 1)
+    assert _dual(sl3, (0, 0)) == (0, 0)
     gl2 = root_datum.fixture("gl2")
-    assert char_engine.dual_label(gl2, (3, 1)) == (-1, -3)
+    assert _dual(gl2, (3, 1)) == (-1, -3)
 
 
 @pytest.mark.parametrize("name", root_datum.fixture_names())
@@ -343,7 +349,7 @@ def test_dual_label_is_dominant_representative_of_negative(name):
     d = root_datum.fixture(name)
     for lam in oracle.window_weights(d, 4):
         negative = tuple(-x for x in lam)
-        assert char_engine.dual_label(d, lam) == root_datum.dominant_representative(d, negative)
+        assert _dual(d, lam) == root_datum.dominant_representative(d, negative)
 
 
 @pytest.mark.parametrize("name", ["sl3", "g2", "gl2"])
@@ -351,7 +357,7 @@ def test_dual_pairs_against_unit(name):
     d = root_datum.fixture(name)
     for lam in [(1, 0), (1, 1), (2, 1)]:
         lam = root_datum.dominant_representative(d, lam)
-        dec = char_engine.tensor_decompose(d, lam, char_engine.dual_label(d, lam))
+        dec = char_engine.tensor_decompose(d, lam, _dual(d, lam))
         assert dec[(0,) * d.rank] == 1
 
 
@@ -444,3 +450,75 @@ def test_memos_live_on_the_datum():
     again = char_engine.dominant_weight_multiplicities(renamed, (3, 2))
     assert again == mults and again is not mults
     assert renamed.dominant_mults[(3, 2)] is again
+    # the chamber walks fill on the datum too, and the copy walks its own
+    dec = char_engine.tensor_decompose(sl3, (3, 2), (2, 2))
+    walks = sl3.chamber_walks
+    assert walks and renamed.chamber_walks == {}
+    assert char_engine.tensor_decompose(renamed, (3, 2), (2, 2)) == dec
+    assert renamed.chamber_walks == walks and renamed.chamber_walks is not walks
+
+
+def _reference_decompose(d, lam, mu):
+    """tensor_decompose with every weight walked afresh, step by step, and no memo."""
+    lam, mu = tuple(lam), tuple(mu)
+    if char_engine.dimension(d, mu) > char_engine.dimension(d, lam):
+        lam, mu = mu, lam
+    columns, roots = d.columns, d.simple_roots
+    n = d.semisimple_rank
+    shifted = tuple(x + 1 for x in d.pairing(lam))
+    acc = {}
+    for delta, m in char_engine.dominant_weight_multiplicities(d, mu).items():
+        for w, pw in zip(*d.paired_orbit(delta)):
+            y = tuple(a + b for a, b in zip(lam, w))
+            q = tuple(a + b for a, b in zip(shifted, pw))
+            sign, i = m, 0
+            while i < n:
+                c = q[i]
+                if c > 0:
+                    i += 1
+                    continue
+                if c == 0:
+                    break  # on a wall
+                y = tuple(x - c * a for x, a in zip(y, roots[i]))
+                q = tuple(x - c * a for x, a in zip(q, columns[i]))
+                sign, i = -sign, 0
+            else:
+                acc[y] = acc.get(y, 0) + sign
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+# the fixtures, and rank 3 with roots of one length and of two
+WALK_CASES = {
+    **{name: (root_datum.fixture, name) for name in root_datum.fixture_names()},
+    "sl4": (_cartan_columns, A3),
+    "sp6": (_cartan_columns, C3),
+    "spin7": (_cartan_columns, B3),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", list(WALK_CASES))
+def test_memoized_walks_match_fresh_walks(name, warm):
+    make, arg = WALK_CASES[name]
+    d = make(arg)  # a fresh datum, with empty memos
+    pairs = list(itertools.product(oracle.window_box(d, 3), repeat=2))
+    if d.rank > 2:
+        # every ordered pair of pairings <= 3 would take seconds; a seeded sample
+        pairs = random.Random(name).sample(pairs, 300)
+    if warm:
+        # an unrelated stream of queries fills the memo first
+        others = oracle.window_box(d, 4)
+        rng = random.Random(f"{name}/warm")
+        for _ in range(40):
+            char_engine.tensor_decompose(d, rng.choice(others), rng.choice(others))
+        assert d.chamber_walks or d.semisimple_rank < 2
+    for lam, mu in pairs:
+        got = char_engine.tensor_decompose(d, lam, mu)
+        want = _reference_decompose(d, lam, mu)
+        assert list(got.items()) == list(want.items()), (lam, mu)  # values and key order
+    # the memo holds only the walks that reflect: every key has a first
+    # non-positive entry, and it is negative
+    for q, walk in d.chamber_walks.items():
+        first = next(c for c in q if c <= 0)
+        assert first < 0, q
+        assert len(walk) == d.rank + 1 and walk[-1] in (-1, 0, 1), (q, walk)
