@@ -181,12 +181,18 @@ def _fresh_labels(count: int, rng: random.Random) -> list[str]:
     return out
 
 
-def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
-    """The unit, the duals and the products of a window, labelled by the weights themselves.
+def window_table(
+    d: RootDatum, weights: tuple[Vec, ...], names: dict[Vec, str] | None = None
+) -> OracleTable:
+    """The unit, the duals and the products of a window, each weight w labelled names[w].
 
+    Without `names` a weight labels itself.  Labels follow the order of
+    `weights`, and each cell is keyed by `OracleTable.pair_key` of its labels.
     A pair is in window when its Cartan component is a window weight; the
     window is closed downward, so every component of its product is one too.
-    Raises ValueError on a weight that is not dominant.
+    With `names`, the unit and each weight's dual must be named as well,
+    which they are on a window.  Raises ValueError on a weight that is not
+    dominant.
 
     Each product is decomposed once per PRV shape.  With mu the factor of
     smaller dimension (the one `tensor_decompose` expands) and lam the
@@ -202,8 +208,9 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
     weight is paired once, for the dominance check and its pairing id; its
     dual label is -w0 applied to it.
     """
+    name = (lambda w: w) if names is None else names.__getitem__
     minus_w0 = d.minus_w0
-    dual: dict[Vec, Vec] = {}
+    dual: dict = {}
     wset = set(weights)
     ids: dict[Vec, int] = {}  # pairing vector -> its id
     dims: list[int] = []  # Weyl's formula reads the pairings alone, so one dimension per id
@@ -212,7 +219,7 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
         p = d.pairing(w)
         if min(p, default=0) < 0:
             raise ValueError(f"highest weight {w} is not dominant")
-        dual[w] = tuple([sum(map(mul, row, w)) for row in minus_w0])
+        dual[name(w)] = name(tuple([sum(map(mul, row, w)) for row in minus_w0]))
         if p not in ids:
             ids[p] = len(ids)
             dims.append(char_engine.dimension(d, w))
@@ -236,9 +243,10 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
         return got
 
     by_pair: dict[tuple[int, int], tuple[Vec, dict[Vec, int]]] = {}
-    products: dict[tuple[Vec, Vec], dict[Vec, int] | None] = {}
-    for i, (w1, p1) in enumerate(zip(weights, pid)):
-        for w2, p2 in zip(weights[i:], pid[i:]):
+    products: dict = {}
+    labels = tuple(map(name, weights))
+    for i, (w1, p1, x) in enumerate(zip(weights, pid, labels)):
+        for w2, p2, y in zip(weights[i:], pid[i:], labels[i:]):
             top = tuple(map(add, w1, w2))
             cell = None
             if top in wset:
@@ -246,12 +254,12 @@ def window_table(d: RootDatum, weights: tuple[Vec, ...]) -> OracleTable:
                 if seen is None:
                     seen = by_pair[(p1, p2)] = first_of_shape(w1, p1, w2, p2, top)
                 if len(seen[1]) == 1:
-                    cell = {top: 1}  # a lone factor is the Cartan component
+                    cell = {name(top): 1}  # a lone factor is the Cartan component
                 else:
                     shift = tuple(map(sub, top, seen[0]))
-                    cell = {tuple(map(add, nu, shift)): m for nu, m in seen[1].items()}
-            products[(w1, w2) if w1 <= w2 else (w2, w1)] = cell
-    return OracleTable(labels=weights, unit=(0,) * d.rank, dual=dual, products=products)
+                    cell = {name(tuple(map(add, nu, shift))): m for nu, m in seen[1].items()}
+            products[(x, y) if x <= y else (y, x)] = cell
+    return OracleTable(labels=labels, unit=name((0,) * d.rank), dual=dual, products=products)
 
 
 def materialize_oracle(
@@ -259,20 +267,16 @@ def materialize_oracle(
 ) -> tuple[OracleTable, dict[str, Vec]]:
     """The window table of a datum under fresh labels, with label -> weight provenance.
 
-    The provenance map is for harnesses and tests only; reconstruction must
+    The fresh labels are drawn in window order and `window_table` writes
+    every cell under them directly; the table lists its labels sorted.  The
+    provenance map is for harnesses and tests only; reconstruction must
     never see it.
     """
     root_datum.validate_root_datum(d)
-    window = window_table(d, window_weights(d, bound))
-    label_of = dict(zip(window.labels, _fresh_labels(len(window.labels), random.Random(seed))))
-    products: dict[tuple[str, str], dict[str, int] | None] = {}
-    for (x, y), val in window.products.items():
-        a, b = label_of[x], label_of[y]
-        products[(a, b) if a <= b else (b, a)] = (
-            None if val is None else {label_of[nu]: m for nu, m in val.items()}
-        )
-    dual = {label_of[w]: label_of[v] for w, v in window.dual.items()}
-    table = OracleTable(tuple(sorted(label_of.values())), label_of[window.unit], dual, products)
+    weights = window_weights(d, bound)
+    label_of = dict(zip(weights, _fresh_labels(len(weights), random.Random(seed))))
+    t = window_table(d, weights, label_of)
+    table = OracleTable(tuple(sorted(t.labels)), t.unit, t.dual, t.products)
     return table, {x: w for w, x in label_of.items()}
 
 

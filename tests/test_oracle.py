@@ -231,6 +231,38 @@ def test_materialize_relabels_window_table(name):
     assert oracle.table_isomorphism(t, window, prov) == prov
 
 
+def relabel(t, names):
+    """t with every weight w written as names[w]: labels, unit, duals and cells."""
+    return OracleTable(
+        tuple(names[w] for w in t.labels),
+        names[t.unit],
+        {names[w]: names[v] for w, v in t.dual.items()},
+        {
+            OracleTable.pair_key(names[x], names[y]): (
+                None if val is None else {names[z]: m for z, m in val.items()}
+            )
+            for (x, y), val in t.products.items()
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "name,bound", [(name, bound) for name in root_datum.fixture_names() for bound in (1, 2, 3)]
+)
+def test_window_table_writes_cells_under_the_given_names(name, bound):
+    d = root_datum.fixture(name)
+    weights = oracle.window_weights(d, bound)
+    # names in an order unrelated to the weights', so pair keys flip
+    shuffled = random.Random(f"{name}@{bound}").sample(range(len(weights)), len(weights))
+    names = {w: f"n{i:03d}" for w, i in zip(weights, shuffled)}
+    named = oracle.window_table(d, weights, names)
+    want = relabel(oracle.window_table(d, weights), names)
+    assert named.labels == want.labels
+    assert named.unit == want.unit
+    assert named.dual == want.dual
+    assert named.products == want.products
+
+
 def is_table_isomorphism(t, u, m):
     """Whether m is a bijection onto u's labels carrying t's unit, duals and
     every cell onto u's."""
