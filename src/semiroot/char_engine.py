@@ -71,12 +71,13 @@ def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     Weights come in decreasing sum_b <mu, b^v>, which is a constant less
     twice the height of lam - mu, so every weight above mu is known at its
     turn.  Weights of one irreducible differ by root lattice elements, on
-    which the pairings are injective, so a dominant weight is known by its
-    pairings and reflections to the dominant chamber never touch weight
-    coordinates.  A pairing vector reaches the chamber by reflecting at its
-    first negative entry until there is none.  The pairings <a, b^v>, the
-    B(a, a) and the pairings of 2 rho are the datum's `form_rows` and
-    `rho2_pairings`, built once per datum.
+    which the pairings are injective, so a weight is known by its pairings.
+    Each multiplicity is stored under the pairings of every weight in its
+    W-orbit (`paired_orbit`, whose orbits `tensor_decompose` and
+    `irreducible_character` walk anyway), so the multiplicity of mu + k a is
+    one lookup of its pairings, with no walk to the dominant chamber.  The
+    pairings <a, b^v>, the B(a, a) and the pairings of 2 rho are the datum's
+    `form_rows` and `rho2_pairings`, built once per datum.
 
     The datum's memo is read before lam is checked.  This function is the
     memo's only writer, and it writes only checked weights, so a hit needs no
@@ -87,45 +88,32 @@ def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
     if cached is not None:
         return cached
     _require_dominant(d, lam, "highest weight")
-    columns, roots, shift = d.columns, d.form_rows, d.rho2_pairings
-    n = d.semisimple_rank
+    roots, shift = d.form_rows, d.rho2_pairings
 
     def squares(fx: Vec) -> int:
         return sum((2 * p + r) ** 2 for p, r in zip(fx, shift))
 
     fulls = {mu: d.coroot_pairings(mu) for mu in dominant_closure(d, [lam])}
     t_squares = squares(fulls[lam])
-    found: dict[Vec, int] = {}  # pairings -> multiplicity
+    found: dict[Vec, int] = {}  # pairings of every weight of an orbit -> multiplicity
     mults: dict[Vec, int] = {}
     for mu in sorted(fulls, key=lambda w: -sum(fulls[w])):
-        pmu = d.pairing(mu)
-        if mu == lam:
-            found[pmu] = mults[mu] = 1
-            continue
-        fmu = fulls[mu]
-        num = 0
-        for pa, fa, baa in roots:
-            b = sum(map(mul, fmu, fa)) + baa  # B(mu + k a, a) at k = 1
-            q = tuple(map(add, pmu, pa))
-            while True:
-                dom, i = q, 0
-                while i < n:
-                    c = dom[i]
-                    if c < 0:
-                        dom = tuple([x - c * a for x, a in zip(dom, columns[i])])
-                        i = 0
-                    else:
-                        i += 1
-                m = found.get(dom)
-                if m is None:
-                    break  # weight strings have no gaps
-                num += m * b
-                b += baa
-                q = tuple(map(add, q, pa))
-        denom = t_squares - squares(fmu)
-        value, rem = divmod(8 * num, denom)
-        assert rem == 0 and value > 0, (lam, mu, 8 * num, denom)
-        found[pmu] = mults[mu] = value
+        value = 1
+        if mu != lam:
+            fmu, pmu = fulls[mu], d.pairing(mu)
+            num = 0
+            for pa, fa, baa in roots:
+                b = sum(map(mul, fmu, fa)) + baa  # B(mu + k a, a) at k = 1
+                q = tuple(map(add, pmu, pa))
+                while (m := found.get(q)) is not None:  # weight strings have no gaps
+                    num += m * b
+                    b += baa
+                    q = tuple(map(add, q, pa))
+            denom = t_squares - squares(fmu)
+            value, rem = divmod(8 * num, denom)
+            assert rem == 0 and value > 0, (lam, mu, 8 * num, denom)
+        found.update(dict.fromkeys(d.paired_orbit(mu)[1], value))
+        mults[mu] = value
     d.dominant_mults[lam] = mults
     return mults
 
@@ -160,45 +148,19 @@ def dimension(d: RootDatum, lam: Vec) -> int:
     return value
 
 
-def _dot_walk(d: RootDatum, q: Vec) -> Vec:
-    """Walk the rho-shifted pairings q to the dominant chamber, as one flat tuple.
-
-    Reflects at the first non-positive entry and starts the scan over, until
-    every entry is positive or one is zero.  Returns the weight displacement,
-    sum k_i alpha_i over the reflections, followed by the sign of the word,
-    or by 0 when the walk ends on a wall.
-    """
-    columns, roots = d.columns, d.simple_roots
-    n = d.semisimple_rank
-    shift, sign, i = (0,) * d.rank, 1, 0
-    while i < n:
-        c = q[i]
-        if c > 0:
-            i += 1
-            continue
-        if c == 0:
-            return (*shift, 0)  # on a wall
-        shift = tuple([x - c * a for x, a in zip(shift, roots[i])])
-        q = tuple([x - c * a for x, a in zip(q, columns[i])])
-        sign, i = -sign, 0
-    return (*shift, sign)
-
-
 def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     """Decompose the tensor product of two irreducibles into irreducibles.
 
     Iterates over the weights w of the smaller factor and moves lam + w to
     the dominant chamber by the rho-shifted action, with the sign of the
     word; terms whose shift by rho lies on a wall drop out (Brauer-Klimyk).
-    The walk reflects at the first simple root whose rho-shifted pairing is
-    not positive, and the scan starts over, until every pairing is positive
-    or one is zero.  Each step moves the pairings q of lam + rho + w by a
-    column of the Cartan matrix and the weight by a simple root, both
-    chosen by q alone, so the wall, the sign and the displacement are
-    functions of q.  A q with every entry positive needs no step, and one
-    whose first non-positive entry is zero is on a wall at once; every other
-    q is walked once per datum, by `_dot_walk`, into the datum's
-    `chamber_walks` memo.
+    The walk is `RootDatum.chamber_walk` of the pairings q of lam + rho + w:
+    each step moves q by a column of the Cartan matrix and the weight by a
+    simple root, both chosen by q alone, so the wall, the sign and the
+    displacement are functions of q.  A q with every entry positive needs no
+    step, and one whose first non-positive entry is zero lies on a wall, as
+    does every point of its orbit, so its walk ends on one; every other q is
+    walked once per datum into the datum's `chamber_walks` memo.
 
     The first step compares the factors' `dimension`s, which raises
     ValueError on either weight if it is not dominant or has the wrong
@@ -224,7 +186,7 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
                 continue  # on a wall
             walk = walks.get(q)
             if walk is None:
-                walk = walks[q] = _dot_walk(d, q)
+                walk = walks[q] = d.chamber_walk(q)
             sign = walk[-1]
             if sign:  # map stops at the weight's length, so the sign is not added
                 y = tuple(map(add, map(add, lam, w), walk))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable
 
 from . import char_engine, root_datum
@@ -83,8 +83,7 @@ def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | N
     when its image is, has as many components, and gives each placed
     component its multiplicity.  So a complete map carries every cell onto
     u's, and a placed cell's components go into its image's.  Image cells
-    are read from `u.products`, so when `partial` places every label no
-    index of u is built.
+    are read from `u.products`.
     """
     bij, used = dict(partial), set(partial.values())
     if len(t.labels) != len(u.labels) or len(used) != len(bij):
@@ -115,8 +114,6 @@ def table_isomorphism(t: OracleTable, u: OracleTable, partial: dict) -> dict | N
     if not agrees(partial, t.products.items()):
         return None
     free = sorted(set(t.labels) - bij.keys())
-    if not free:
-        return bij
     cells: dict = {x: [] for x in free}
     for key, val in t.products.items():
         for x in cells.keys() & {*key, *(val or ())}:
@@ -206,10 +203,9 @@ def window_table(
     cell shifted.  Pairs are looked up first by both pairing vectors, which
     on a torus never change.  The memos live for this call only.  Each
     weight is paired once, for the dominance check and its pairing id; its
-    dual label is -w0 applied to it.
+    dual label is `root_datum.dominant_representative` of its negative.
     """
     name = (lambda w: w) if names is None else names.__getitem__
-    minus_w0 = d.minus_w0
     dual: dict = {}
     wset = set(weights)
     ids: dict[Vec, int] = {}  # pairing vector -> its id
@@ -219,7 +215,7 @@ def window_table(
         p = d.pairing(w)
         if min(p, default=0) < 0:
             raise ValueError(f"highest weight {w} is not dominant")
-        dual[name(w)] = name(tuple([sum(map(mul, row, w)) for row in minus_w0]))
+        dual[name(w)] = name(root_datum.dominant_representative(d, tuple([-x for x in w])))
         if p not in ids:
             ids[p] = len(ids)
             dims.append(char_engine.dimension(d, w))

@@ -11,7 +11,7 @@ import functools
 import itertools
 import json
 import math
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 
 from . import linalg
@@ -41,14 +41,14 @@ class RootDatum:
     They are the Cartan matrix and its columns and adjugate, the positive
     roots with their coroots, each positive root's pairings (`root_pairings`,
     `form_rows`), 2rho and its coroot pairings with their product
-    (`rho2_pairings`, `weyl_denominator`), -w0, |W|, the dual datum, the
-    hull normals and the coordinate matrix.  The dicts `orbits`,
+    (`rho2_pairings`, `weyl_denominator`), |W|, the dual datum, the hull
+    normals and the coordinate matrix.  The dicts `orbits`,
     `dominant_mults` and `dimensions` are memos keyed by weight:
     `paired_orbit` fills the first, the char engine the others.
-    `chamber_walks` is the char engine's memo of rho-shifted walks to the
-    dominant chamber, keyed by the simple-coroot pairings of the weight plus
-    rho.  Nothing is shared between data, so an equal or renamed copy
-    builds its own.
+    `chamber_walk` is the one walk to the dominant chamber, and
+    `chamber_walks` is the char engine's memo of its rho-shifted walks,
+    keyed by the simple-coroot pairings of the weight plus rho.  Nothing is
+    shared between data, so an equal or renamed copy builds its own.
     """
 
     def __init__(self, rank: int, simple_roots, simple_coroots, name: str = ""):
@@ -187,9 +187,10 @@ class RootDatum:
     def paired_orbit(self, x: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         """W-orbit of x, descending, and the simple-coroot pairings of each weight.
 
-        The only walk of W.  It carries the pairings: s_i moves a weight by
-        -c times root i and its pairings by -c times column i of the Cartan
-        matrix, c its pairing with coroot i, so no pairing is recomputed.
+        The only orbit search of W.  It carries the pairings: s_i moves a
+        weight by -c times root i and its pairings by -c times column i of
+        the Cartan matrix, c its pairing with coroot i, so no pairing is
+        recomputed.
         """
         got = self.orbits.get(x)
         if got is None:
@@ -210,6 +211,34 @@ class RootDatum:
             orb = tuple(sorted(seen, reverse=True))
             got = self.orbits[x] = (orb, tuple([seen[w] for w in orb]))
         return got
+
+    def chamber_walk(self, q: Vec) -> Vec:
+        """Walk the simple-coroot pairings q to the dominant chamber, as one flat tuple.
+
+        Reflects at the first negative entry c and starts the scan over,
+        until no entry is negative.  The step moves q by -c times a column of
+        the Cartan matrix and the weight by -c times a simple root.  Returns
+        the weight displacement, the sum of those moves, followed by the sign
+        of the word, or by 0 when the final pairings hold a 0 (a wall).  Each
+        step removes one inversion, so a datum of finite type takes at most
+        |positive roots| <= 2k^2 steps, k the semisimple rank (E8: 120 <= 128);
+        a walk that needs more raises RootDatumError.
+        """
+        columns, roots = self.columns, self.simple_roots
+        n = len(q)
+        cap = 2 * n * n
+        shift, sign, steps, i = (0,) * self.rank, 1, 0, 0
+        while i < n:
+            c = q[i]
+            if c >= 0:
+                i += 1
+                continue
+            if steps == cap:
+                raise RootDatumError(f"finite type: no dominant chamber within {cap} reflections")
+            shift = tuple([x - c * a for x, a in zip(shift, roots[i])])
+            q = tuple([x - c * a for x, a in zip(q, columns[i])])
+            sign, steps, i = -sign, steps + 1, 0
+        return (*shift, sign if all(q) else 0)
 
     @functools.cached_property
     def dual(self) -> RootDatum:
@@ -242,24 +271,6 @@ class RootDatum:
         for a, _ in self.positive_roots:
             total = linalg.vec_add(total, a)
         return total
-
-    @functools.cached_property
-    def minus_w0(self) -> Matrix:
-        """The matrix of -w0 on weights, w0 the longest element of W.
-
-        -w0 takes each dominant weight to the highest weight of the dual
-        irreducible.  w0 is the element taking -rho2 to rho2, so the
-        reflections that carry -rho2 into the dominant chamber, applied to
-        minus each unit vector, give the columns.
-        """
-        n = self.rank
-        cols = [tuple(-int(a == b) for b in range(n)) for a in range(n)]
-        p = tuple(-c for c in self.pairing(self.rho2))
-        while (i := next((i for i, c in enumerate(p) if c < 0), None)) is not None:
-            p = vec_sub(p, linalg.vec_scale(p[i], self.columns[i]))
-            root, coroot = self.simple_roots[i], self.simple_coroots[i]
-            cols = [vec_sub(v, linalg.vec_scale(dot(coroot, v), root)) for v in cols]
-        return tuple(zip(*cols))
 
     @functools.cached_property
     def columns(self) -> Matrix:
@@ -378,22 +389,12 @@ def is_dominant(d: RootDatum, x: Vec) -> bool:
 
 
 def dominant_representative(d: RootDatum, x: Vec) -> Vec:
-    """The unique dominant weight in the W-orbit of x.
+    """The unique dominant weight in the W-orbit of x, moved there by `RootDatum.chamber_walk`.
 
-    Reflects at the first negative pairing until there is none, carrying the
-    pairings as `RootDatum.paired_orbit` does.
+    `map` stops at x's length, so the walk's sign is not added.
     """
     x = tuple(x)
-    p = d.pairing(x)
-    roots, columns = d.simple_roots, d.columns
-    for _ in range(10**6):
-        i = next((i for i, c in enumerate(p) if c < 0), None)
-        if i is None:
-            return x
-        c = p[i]
-        x = tuple([a - c * b for a, b in zip(x, roots[i])])
-        p = tuple([a - c * b for a, b in zip(p, columns[i])])
-    raise RootDatumError("dominant representative did not stabilize")
+    return tuple(map(add, x, d.chamber_walk(d.pairing(x))))
 
 
 def dominance_leq(d: RootDatum, mu: Vec, lam: Vec) -> bool:

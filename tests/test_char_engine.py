@@ -329,8 +329,9 @@ def test_prv_components_occur(name):
 
 
 def _dual(d, lam):
-    """Highest weight of the dual irreducible, -w0 lam, read off the datum."""
-    return linalg.mat_vec(d.minus_w0, lam)
+    """Highest weight of the dual irreducible: the dominant weight of the orbit of -lam."""
+    orbit = d.paired_orbit(tuple(-x for x in lam))[0]
+    return next(w for w in orbit if root_datum.is_dominant(d, w))
 
 
 def test_dual_label():

@@ -1,4 +1,7 @@
 import itertools
+import random
+import time
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -531,3 +534,98 @@ def test_hull_normals_are_coweight_orbits(d):
         assert [linalg.dot(y, a) for a in d.simple_roots] == [det * (i == j) for j in range(k)]
         assert linalg.solve(linalg.transpose(d.simple_coroots), y) is not None
         assert set(images) == _reference_coweight_orbit(d, y)
+
+
+def _freudenthal_walk(d, q):
+    """The pairing walk that Freudenthal's recursion ran: the dominant pairings of q."""
+    dom, i = q, 0
+    while i < d.semisimple_rank:
+        c = dom[i]
+        if c < 0:
+            dom = tuple([x - c * a for x, a in zip(dom, d.columns[i])])
+            i = 0
+        else:
+            i += 1
+    return dom
+
+
+def _stepwise_dominant_representative(d, x):
+    """The dominant weight of x's orbit, reflecting the weight and its pairings together."""
+    p = d.pairing(x)
+    while (i := next((i for i, c in enumerate(p) if c < 0), None)) is not None:
+        c = p[i]
+        x = tuple([a - c * b for a, b in zip(x, d.simple_roots[i])])
+        p = tuple([a - c * b for a, b in zip(p, d.columns[i])])
+    return x
+
+
+def _dot_walk(d, q):
+    """Reflect at the first non-positive entry until every entry is positive or one is 0."""
+    shift, sign, i = (0,) * d.rank, 1, 0
+    while i < d.semisimple_rank:
+        c = q[i]
+        if c > 0:
+            i += 1
+            continue
+        if c == 0:
+            return (*shift, 0)  # on a wall
+        shift = tuple([x - c * a for x, a in zip(shift, d.simple_roots[i])])
+        q = tuple([x - c * a for x, a in zip(q, d.columns[i])])
+        sign, i = -sign, 0
+    return (*shift, sign)
+
+
+A4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+WALK_DATA = {
+    **{name: root_datum.fixture(name) for name in root_datum.fixture_names()},
+    "sl4": SL4,
+    "sp6": SP6,
+    "spin7": SPIN7,
+    "sl5": _cartan_columns(A4),
+    "spin8": _cartan_columns(D4),
+}
+
+
+@pytest.mark.parametrize("name", list(WALK_DATA))
+def test_chamber_walk_matches_the_loops_it_replaced(name):
+    d = WALK_DATA[name]
+    rng = random.Random(name)
+    k, zero = d.semisimple_rank, (0,) * d.rank
+    qs = [tuple(rng.randint(-6, 6) for _ in range(k)) for _ in range(2000)]
+    assert not k or (any(0 in q for q in qs) and any(min(q) < 0 for q in qs))
+    for q in qs:
+        *shift, sign = walk = d.chamber_walk(q)
+        dom = tuple(map(add, q, d.pairing(shift)))
+        assert dom == _freudenthal_walk(d, q), q
+        old = _dot_walk(d, q)
+        assert (sign == 0) == (old[-1] == 0) == (0 in dom), (q, walk, old)
+        assert sign == 0 or walk == old, (q, walk, old)
+        assert 0 not in q or sign == 0, q  # q on a wall ends on one
+    for _ in range(2000):
+        x = tuple(rng.randint(-6, 6) for _ in range(d.rank))
+        want = _stepwise_dominant_representative(d, x)
+        assert root_datum.dominant_representative(d, x) == want, x
+    assert d.chamber_walk((0,) * k) == (*zero, 0 if k else 1)  # 0 lies on every wall
+
+
+# E8 in Bourbaki's numbering: the chain 1-3-4-5-6-7-8 with 2 on 4
+E8_EDGES = ({0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {1, 3})
+E8 = _cartan_columns(
+    [[2 if i == j else -int({i, j} in E8_EDGES) for j in range(8)] for i in range(8)]
+)
+
+
+@pytest.mark.parametrize("d", [*WALK_DATA.values(), E8], ids=[*WALK_DATA, "e8"])
+def test_chamber_walk_of_minus_rho_is_the_longest_word(d):
+    # -rho reaches rho by w0, one reflection per positive root: E8's 120 stay within 2k^2 = 128
+    assert d.chamber_walk((-1,) * d.semisimple_rank) == (*d.rho2, (-1) ** len(d.positive_roots))
+
+
+def test_chamber_walk_stops_off_finite_type():
+    # a hyperbolic Cartan matrix: W is infinite, and the walk from (-1, -1) never ends
+    d = RootDatum(2, ((2, -3), (-3, 2)), ((1, 0), (0, 1)))
+    start = time.perf_counter()
+    with pytest.raises(RootDatumError, match="finite type"):
+        root_datum.dominant_representative(d, (-1, -1))
+    assert time.perf_counter() - start < 1.0
