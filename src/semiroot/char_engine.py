@@ -9,12 +9,11 @@ All arithmetic is exact; every quotient is asserted back to an integer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import add, mul, sub
 from typing import Iterable
 
-from . import polytope, root_datum
+from . import root_datum
 from .linalg import Vec, vec_add
 from .root_datum import RootDatum
 
@@ -208,22 +207,3 @@ def prv_components(d: RootDatum, lam: Vec, mu: Vec) -> tuple[Vec, ...]:
         for w in d.paired_orbit(mu)[0]
     }
     return tuple(sorted(found, reverse=True))
-
-
-def fundamental_monoid_generators(d: RootDatum) -> tuple[Vec, ...]:
-    """Minimal generating set of the monoid of dominant weights.
-
-    Only defined when the datum is semisimple; a central torus makes the
-    monoid infinitely generated.  Sorted by descending pairing vector, so for
-    a simply connected datum this is the fundamental weights in order.
-    """
-    if d.semisimple_rank != d.rank:
-        raise ValueError("dominant monoid is finitely generated only for semisimple data")
-    _, adj, det = d.coordinates
-    # least positive multiple of each pairing axis that is a weight; every
-    # minimal monoid element fits under the box they span
-    axis_mult = [abs(det) // math.gcd(det, *col) for col in zip(*adj)]
-    box = itertools.product(*(range(0, m + 1) for m in axis_mult))
-    weight_of = {p: x for p in box if any(p) and (x := d.weight_at(p)) is not None}
-    return tuple(weight_of[p] for p in polytope.indecomposables(weight_of) or ())
-

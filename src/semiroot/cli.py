@@ -215,7 +215,7 @@ def cmd_check_props(args) -> int:
 
     cover_failed = 0
     try:
-        generators = char_engine.fundamental_monoid_generators(d)
+        generators = polytope.fundamental_monoid_generators(d)
     except ValueError:
         generators = ()
         print("cover: skipped (datum has central directions)")

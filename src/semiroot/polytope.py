@@ -107,6 +107,24 @@ def indecomposables(vectors) -> tuple[Vec, ...] | None:
     return tuple(sorted(kept, reverse=True))
 
 
+def fundamental_monoid_generators(d: RootDatum) -> tuple[Vec, ...]:
+    """Minimal generating set of the monoid of dominant weights.
+
+    Only defined when the datum is semisimple; a central torus makes the
+    monoid infinitely generated.  Sorted by descending pairing vector, so for
+    a simply connected datum this is the fundamental weights in order.
+    """
+    if d.semisimple_rank != d.rank:
+        raise ValueError("dominant monoid is finitely generated only for semisimple data")
+    _, adj, det = d.coordinates
+    # least positive multiple of each pairing axis that is a weight; every
+    # minimal monoid element fits under the box they span
+    axis_mult = [abs(det) // math.gcd(det, *col) for col in zip(*adj)]
+    box = itertools.product(*(range(0, m + 1) for m in axis_mult))
+    weight_of = {p: x for p in box if any(p) and (x := d.weight_at(p)) is not None}
+    return tuple(weight_of[p] for p in indecomposables(weight_of) or ())
+
+
 def norm_sq(v) -> int:
     return sum(x * x for x in v)
 

@@ -42,22 +42,27 @@ class RootDatum:
     roots with their coroots, each positive root's pairings (`root_pairings`,
     `form_rows`), 2rho and its coroot pairings with their product
     (`rho2_pairings`, `weyl_denominator`), |W|, the dual datum, the hull
-    normals and the coordinate matrix.  The dicts `orbits`,
-    `dominant_mults` and `dimensions` are memos keyed by weight:
-    `paired_orbit` fills the first, the char engine the others.
-    `chamber_walk` is the one walk to the dominant chamber, and
+    normals and the coordinate matrix.  The plain dicts `orbits`,
+    `dominant_mults` and `dimensions`, made with the datum, are memos keyed
+    by weight: `paired_orbit` fills the first, the char engine the others.
+    `chamber_walk` is the one walk to the dominant chamber, and the dict
     `chamber_walks` is the char engine's memo of its rho-shifted walks,
     keyed by the simple-coroot pairings of the weight plus rho.  Nothing is
     shared between data, so an equal or renamed copy builds its own.
     """
 
     def __init__(self, rank: int, simple_roots, simple_coroots, name: str = ""):
-        # cached properties write to __dict__ directly, past __setattr__
+        # __setattr__ refuses every assignment, so the fields and memos go into
+        # __dict__ directly, as the cached properties do
         self.__dict__.update(
             rank=rank,
             simple_roots=tuple(tuple(r) for r in simple_roots),
             simple_coroots=tuple(tuple(c) for c in simple_coroots),
             name=name,
+            orbits={},
+            dominant_mults={},
+            dimensions={},
+            chamber_walks={},
         )
 
     def __setattr__(self, attr, value):
@@ -98,41 +103,36 @@ class RootDatum:
     def positive_roots(self) -> tuple[tuple[Vec, Vec], ...]:
         """Positive (root, coroot) pairs, sorted by root.
 
-        Breadth-first closure of the simple roots under simple reflections.
-        Roots and coroots travel as integer coefficient vectors over the
-        simple roots and coroots: s_j lowers coefficient j by the pairing
-        with coroot j.  Only positive roots are followed, since a simple
-        reflection takes a negative root to a positive one only at -alpha_j.
+        Breadth-first closure of the simple (root, coroot) pairs under the
+        simple reflections, in lattice coordinates: s_j moves a root b by
+        -<b, coroot_j> root_j and its coroot b^v by -<root_j, b^v> coroot_j.
+        s_j permutes the positive roots other than root_j (Humphreys,
+        Lemma 10.2B), so the walk skips b = root_j and meets no negative
+        root, and every positive root is reached from one of lower height.
+        A datum of finite type has at most 2k^2 positive roots, k the
+        semisimple rank (E8: 120 <= 128), and any other has infinitely many,
+        so a walk that finds more raises RootDatumError.
         """
-        a, k = self.cartan, self.semisimple_rank
-        unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        seen: dict[Vec, Vec] = {e: e for e in unit}
-        frontier = [(e, e) for e in unit]
+        roots, coroots = self.simple_roots, self.simple_coroots
+        cap = 2 * len(roots) ** 2
+        seen = dict(zip(roots, coroots))
+        frontier = list(seen.items())
         while frontier:
             nxt = []
-            for c, e in frontier:
-                for j in range(k):
-                    p = sum(a[j][m] * c[m] for m in range(k))
-                    rc = c[:j] + (c[j] - p,) + c[j + 1 :]
-                    if rc in seen or rc[j] < 0:
+            for b, bv in frontier:
+                for a, av in zip(roots, coroots):
+                    if b == a:
                         continue
-                    q = sum(e[m] * a[m][j] for m in range(k))
-                    re = e[:j] + (e[j] - q,) + e[j + 1 :]
-                    seen[rc] = re
-                    nxt.append((rc, re))
+                    c = dot(av, b)
+                    r = tuple([x - c * y for x, y in zip(b, a)])
+                    if r not in seen:
+                        cv = dot(a, bv)
+                        seen[r] = tuple([x - cv * y for x, y in zip(bv, av)])
+                        nxt.append((r, seen[r]))
+            if len(seen) > cap:
+                raise RootDatumError(f"finite type: more than {cap} positive roots")
             frontier = nxt
-
-        def combine(coeffs: Vec, basis: tuple[Vec, ...]) -> Vec:
-            return tuple(
-                sum(cf * v[r] for cf, v in zip(coeffs, basis)) for r in range(self.rank)
-            )
-
-        return tuple(
-            sorted(
-                (combine(c, self.simple_roots), combine(e, self.simple_coroots))
-                for c, e in seen.items()
-            )
-        )
+        return tuple(sorted(seen.items()))
 
     def coroot_pairings(self, x: Vec) -> Vec:
         """<x, b^v> over the positive coroots b, in `positive_roots` order."""
@@ -163,26 +163,6 @@ class RootDatum:
     def weyl_denominator(self) -> int:
         """The product of `rho2_pairings`."""
         return math.prod(self.rho2_pairings)
-
-    @functools.cached_property
-    def orbits(self) -> dict:
-        """Memo of `paired_orbit`, keyed by weight."""
-        return {}
-
-    @functools.cached_property
-    def dominant_mults(self) -> dict:
-        """Memo of the char engine's dominant weight multiplicities, keyed by highest weight."""
-        return {}
-
-    @functools.cached_property
-    def dimensions(self) -> dict:
-        """Memo of the char engine's dimensions, keyed by highest weight."""
-        return {}
-
-    @functools.cached_property
-    def chamber_walks(self) -> dict:
-        """Memo of the char engine's chamber walks, keyed by the pairings of a weight plus rho."""
-        return {}
 
     def paired_orbit(self, x: Vec) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         """W-orbit of x, descending, and the simple-coroot pairings of each weight.
@@ -221,8 +201,8 @@ class RootDatum:
         the weight displacement, the sum of those moves, followed by the sign
         of the word, or by 0 when the final pairings hold a 0 (a wall).  Each
         step removes one inversion, so a datum of finite type takes at most
-        |positive roots| <= 2k^2 steps, k the semisimple rank (E8: 120 <= 128);
-        a walk that needs more raises RootDatumError.
+        |positive roots| steps, within the bound 2k^2 of the `positive_roots`
+        walk; a walk that needs more raises RootDatumError.
         """
         columns, roots = self.columns, self.simple_roots
         n = len(q)
@@ -247,8 +227,14 @@ class RootDatum:
 
     @functools.cached_property
     def weyl_order(self) -> int:
-        """|W|, the size of the orbit of the regular weight rho2, whose stabilizer is trivial."""
-        return len(orbit(self, self.rho2))
+        """|W|, the product of (ht b + 1) / ht b over the positive roots b (Macdonald).
+
+        ht b = <b, rho^v>, 2 rho^v the sum of the positive coroots; each
+        factor is taken as (2 ht b + 2) / (2 ht b).
+        """
+        rho2v = [sum(col) for col in zip(*(cv for _, cv in self.positive_roots))]
+        twice = [dot(b, rho2v) for b, _ in self.positive_roots]
+        return math.prod(h + 2 for h in twice) // math.prod(twice)
 
     @functools.cached_property
     def hull_normals(self) -> tuple[tuple[Vec, tuple[Vec, ...]], ...]:
@@ -327,7 +313,12 @@ class RootDatum:
 
 
 def validate_root_datum(d: RootDatum) -> None:
-    """Raise RootDatumError naming the first violated axiom."""
+    """Raise RootDatumError naming the first violated axiom.
+
+    Finite type is decided last, by the `positive_roots` walk: the Weyl
+    group is finite exactly when the positive roots are, and the walk stops
+    past 2k^2 of them.
+    """
     if not _is_int(d.rank):
         raise RootDatumError("shape: rank must be an integer")
     if d.rank < 0:
@@ -357,13 +348,8 @@ def validate_root_datum(d: RootDatum) -> None:
         raise RootDatumError("independence: simple roots are dependent")
     if linalg.rank(d.simple_coroots) != k:
         raise RootDatumError("independence: simple coroots are dependent")
-    # finite type: every principal minor of the Cartan matrix is positive
-    for subset in itertools.chain.from_iterable(
-        itertools.combinations(range(k), n) for n in range(1, k + 1)
-    ):
-        minor = [[a[i][j] for j in subset] for i in subset]
-        if linalg.det(minor) <= 0:
-            raise RootDatumError(f"finite type: nonpositive principal minor {list(subset)}")
+    # finite type: the walk over the positive roots ends within its bound
+    positive_roots(d)
 
 
 def _is_int(x) -> bool:
@@ -372,7 +358,7 @@ def _is_int(x) -> bool:
 
 
 def weyl_order(d: RootDatum) -> int:
-    """|W| of a valid datum."""
+    """|W| of a valid datum, by `RootDatum.weyl_order`."""
     return d.weyl_order
 
 
@@ -404,7 +390,7 @@ def dominance_leq(d: RootDatum, mu: Vec, lam: Vec) -> bool:
 
 
 def positive_roots(d: RootDatum) -> tuple[tuple[Vec, Vec], ...]:
-    """All positive roots as (root, coroot) pairs, sorted by root."""
+    """All positive roots as (root, coroot) pairs, sorted by root: `RootDatum.positive_roots`."""
     return d.positive_roots
 
 

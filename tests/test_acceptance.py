@@ -99,7 +99,7 @@ def test_criterion_5_quantized_covering():
     bad = []
     for name in ["sl2", "pgl2", "sl3", "pgl3", "sp4", "so5", "g2"]:
         d = root_datum.fixture(name)
-        for gen in char_engine.fundamental_monoid_generators(d):
+        for gen in polytope.fundamental_monoid_generators(d):
             for n in range(1, 7):
                 rep = polytope.quantized_cover_check(d, gen, n)
                 if rep.verdict != "ok":

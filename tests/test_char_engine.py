@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import math
 import pkgutil
 import random
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiroot
-from semiroot import char_engine, linalg, oracle, root_datum
+from semiroot import char_engine, linalg, oracle, polytope, root_datum
 from semiroot.root_datum import RootDatum
 
 
@@ -363,15 +364,15 @@ def test_dual_pairs_against_unit(name):
 
 
 def test_monoid_generators():
-    assert char_engine.fundamental_monoid_generators(root_datum.fixture("sl2")) == ((1,),)
-    assert char_engine.fundamental_monoid_generators(root_datum.fixture("pgl2")) == ((1,),)
-    assert char_engine.fundamental_monoid_generators(root_datum.fixture("sl3")) == (
+    assert polytope.fundamental_monoid_generators(root_datum.fixture("sl2")) == ((1,),)
+    assert polytope.fundamental_monoid_generators(root_datum.fixture("pgl2")) == ((1,),)
+    assert polytope.fundamental_monoid_generators(root_datum.fixture("sl3")) == (
         (1, 0),
         (0, 1),
     )
-    assert char_engine.fundamental_monoid_generators(RootDatum(0, (), ())) == ()
+    assert polytope.fundamental_monoid_generators(RootDatum(0, (), ())) == ()
     with pytest.raises(ValueError):
-        char_engine.fundamental_monoid_generators(root_datum.fixture("gl2"))
+        polytope.fundamental_monoid_generators(root_datum.fixture("gl2"))
 
 
 def _reference_monoid_generators(d):
@@ -417,12 +418,12 @@ SEMISIMPLE = [d for d in FIXTURES if d.semisimple_rank == d.rank > 0] + [
 @pytest.mark.parametrize("d", SEMISIMPLE, ids=lambda d: d.name or str(d.simple_roots))
 def test_monoid_generators_match_rational_reference(d):
     root_datum.validate_root_datum(d)
-    assert char_engine.fundamental_monoid_generators(d) == _reference_monoid_generators(d)
+    assert polytope.fundamental_monoid_generators(d) == _reference_monoid_generators(d)
 
 
 def test_monoid_generators_generate():
     d = root_datum.fixture("sp4")
-    gens = char_engine.fundamental_monoid_generators(d)
+    gens = polytope.fundamental_monoid_generators(d)
     assert gens == ((1, 0), (1, 1))
     for v in [(2, 1), (1, 1), (3, 3)]:
         sol = linalg.solve(linalg.transpose(gens), v)
@@ -523,3 +524,72 @@ def test_memoized_walks_match_fresh_walks(name, warm):
         first = next(c for c in q if c <= 0)
         assert first < 0, q
         assert len(walk) == d.rank + 1 and walk[-1] in (-1, 0, 1), (q, walk)
+
+
+# Weyl's numerator identity, chi_lam * prod_{b > 0} (1 - e^-b) = sum_w sgn(w) e^(w.lam),
+# evaluated at seeded points of the torus (F_p^x)^rank
+P = 10**9 + 7
+NUMERATOR_CASES = {
+    **{name: (root_datum.fixture(name), 3) for name in root_datum.fixture_names()},
+    "sl4": (_cartan_columns(A3), 1),
+    "sp6": (_cartan_columns(C3), 1),
+    "spin7": (_cartan_columns(B3), 1),
+    "sl5": (_cartan_columns([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]), 1),
+    "spin8": (_cartan_columns([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]), 1),
+}
+
+
+def _at(t, mu):
+    """The character e^mu at the point t of (F_p^x)^rank."""
+    return math.prod(pow(x, e, P) for x, e in zip(t, mu)) % P
+
+
+def _dot_orbit(d, lam):
+    """Each weight w.lam of the dot orbit with sgn(w), by s_i.mu = mu - (<mu, coroot_i> + 1) root_i.
+
+    For lam dominant the orbit has |W| points, and the sign flips with each step.
+    """
+    signs = {lam: 1}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for a, av in zip(d.simple_roots, d.simple_coroots):
+                c = linalg.dot(mu, av) + 1
+                nu = tuple(x - c * y for x, y in zip(mu, a))
+                if nu not in signs:
+                    signs[nu] = -signs[mu]
+                    nxt.append(nu)
+        frontier = nxt
+    return signs
+
+
+def _numerator_identity_holds(d, lam, character, t):
+    left = sum(m * _at(t, mu) for mu, m in character.items())
+    for b, _ in d.positive_roots:
+        left = left * (1 - _at(t, tuple(-x for x in b))) % P
+    right = sum(s * _at(t, mu) for mu, s in _dot_orbit(d, lam).items())
+    return (left - right) % P == 0
+
+
+def _torus_points(d):
+    rng = random.Random(f"numerator/{d.simple_roots}")
+    return [tuple(rng.randrange(2, P) for _ in range(d.rank)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("name", list(NUMERATOR_CASES))
+def test_weyl_numerator_identity_on_the_window(name):
+    d, bound = NUMERATOR_CASES[name]
+    points = _torus_points(d)
+    for lam in oracle.window_weights(d, bound):
+        assert len(_dot_orbit(d, lam)) == d.weyl_order, lam
+        character = char_engine.irreducible_character(d, lam)
+        for t in points:
+            assert _numerator_identity_holds(d, lam, character, t), (lam, t)
+
+
+def test_weyl_numerator_identity_catches_a_raised_multiplicity():
+    d = root_datum.fixture("sl3")
+    character = dict(char_engine.irreducible_character(d, (1, 1)))
+    character[(0, 0)] += 1
+    assert not any(_numerator_identity_holds(d, (1, 1), character, t) for t in _torus_points(d))

@@ -89,6 +89,11 @@ def test_reject_bool_for_integer(bad):
             RootDatum(2, ((2, 0), (-2, 1)), ((1, 0), (-1, 0))),
             "independence: simple coroots are dependent",
         ),
+        # a hyperbolic Cartan matrix: its positive roots never end
+        (
+            RootDatum(2, ((2, -3), (-3, 2)), ((1, 0), (0, 1))),
+            "finite type: more than 8 positive roots",
+        ),
     ],
 )
 def test_validate_messages(bad, message):
@@ -124,6 +129,15 @@ def test_dominance_needs_integer_coefficients():
 @pytest.mark.parametrize("name,order", sorted(WEYL_ORDERS.items()))
 def test_weyl_orders(name, order):
     assert root_datum.weyl_order(root_datum.fixture(name)) == order
+
+
+@pytest.mark.parametrize(
+    "name,order", [("F4", 1152), ("E6", 51840), ("E7", 2903040), ("E8", 696729600)]
+)
+def test_weyl_orders_past_rank_4(name, order):
+    d = PAST_RANK3[name]
+    assert root_datum.weyl_order(d) == order
+    assert d.orbits == {}  # read off the positive roots, with no orbit built
 
 
 def _reflection_matrix(d, i):
@@ -264,6 +278,62 @@ RANK3 = {
 }
 
 
+def _dynkin(n, edges, double=None):
+    """The Cartan matrix of a diagram: -1 at both ends of each edge, -2 at the cell `double`."""
+    rows = [[2 if i == j else -int({i, j} in edges) for j in range(n)] for i in range(n)]
+    if double:
+        rows[double[0]][double[1]] = -2
+    return rows
+
+
+CHAIN4 = ({0, 1}, {1, 2}, {2, 3})
+# E6, E7 and E8 in Bourbaki's numbering: the chain 1-3-4-5-6-7-8 with 2 on 4
+E8_EDGES = ({0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {1, 3})
+PAST_RANK3 = {
+    "B4": _cartan_columns(_dynkin(4, CHAIN4, (3, 2))),
+    "C4": _cartan_columns(_dynkin(4, CHAIN4, (2, 3))),
+    "D4": _cartan_columns(_dynkin(4, ({0, 1}, {1, 2}, {1, 3}))),
+    "D5": _cartan_columns(_dynkin(5, ({0, 1}, {1, 2}, {2, 3}, {2, 4}))),
+    "F4": _cartan_columns(_dynkin(4, CHAIN4, (2, 1))),
+    **{f"E{n}": _cartan_columns(_dynkin(n, E8_EDGES)) for n in (6, 7, 8)},
+}
+
+
+def _base_change(d, u):
+    """The datum d in the basis u: roots map by u, coroots by u^-T."""
+    adj, det = linalg.adjugate(u)
+    assert abs(det) == 1  # so u^-1 = det * adj is integral
+    inv_t = [[det * x for x in col] for col in zip(*adj)]
+    return RootDatum(
+        d.rank,
+        tuple(linalg.mat_vec(u, a) for a in d.simple_roots),
+        tuple(linalg.mat_vec(inv_t, c) for c in d.simple_coroots),
+        name=d.name,
+    )
+
+
+def _product(*data):
+    """The direct product of data, as a block-diagonal datum."""
+    rank = sum(d.rank for d in data)
+    roots, coroots, offset = [], [], 0
+    for d in data:
+        before, after = (0,) * offset, (0,) * (rank - offset - d.rank)
+        roots += [before + a + after for a in d.simple_roots]
+        coroots += [before + c + after for c in d.simple_coroots]
+        offset += d.rank
+    return RootDatum(rank, tuple(roots), tuple(coroots))
+
+
+# two data with a torus, in bases that mix the torus into the roots
+REBASED = {
+    f"{name}xT1": _base_change(_product(root_datum.fixture(name), root_datum.fixture("torus1")), u)
+    for name, u in [
+        ("sp4", [[1, 1, 0], [2, 3, 1], [1, 1, 1]]),
+        ("g2", [[2, 1, 0], [1, 1, 0], [3, -1, 1]]),
+    ]
+}
+
+
 def _reflect(d, i, x):
     c = linalg.dot(d.simple_coroots[i], x)
     return tuple(xa - c * aa for xa, aa in zip(x, d.simple_roots[i]))
@@ -295,11 +365,15 @@ def _reference_positive_roots(d):
     return tuple(sorted(out))
 
 
-@pytest.mark.parametrize(
-    "d",
-    [root_datum.fixture(n) for n in root_datum.fixture_names()] + [d for d, _ in RANK3.values()],
-    ids=list(root_datum.fixture_names()) + list(RANK3),
-)
+REFERENCE_ROOT_DATA = {
+    **{n: root_datum.fixture(n) for n in root_datum.fixture_names()},
+    **{n: d for n, (d, _) in RANK3.items()},
+    **{n: PAST_RANK3[n] for n in ("B4", "C4", "D4", "D5", "F4", "E6")},
+    **REBASED,
+}
+
+
+@pytest.mark.parametrize("d", REFERENCE_ROOT_DATA.values(), ids=list(REFERENCE_ROOT_DATA))
 def test_positive_roots_match_rational_reference(d):
     root_datum.validate_root_datum(d)
     assert root_datum.positive_roots(d) == _reference_positive_roots(d)
@@ -322,6 +396,9 @@ def test_derived_data_are_kept_on_the_datum():
     fresh = root_datum.fixture("sl3")
     assert fresh == sl3 and hash(fresh) == hash(sl3)
     assert renamed != sl3
+    # the memos are plain dicts made with each datum, so equal data share none
+    for memo in ("orbits", "dominant_mults", "dimensions", "chamber_walks"):
+        assert getattr(fresh, memo) == {} and getattr(fresh, memo) is not getattr(sl3, memo)
 
 
 def _reference_root_coefficients(d, v):
@@ -350,19 +427,6 @@ def test_root_coefficients_match_rational_solve(d):
         assert d.root_numerators(v) == tuple(c * det for c in ref)
         integral = all(c.denominator == 1 for c in ref)
         assert d.root_coefficients(v) == (tuple(map(int, ref)) if integral else None)
-
-
-def _base_change(d, u):
-    """The datum d in the basis u: roots map by u, coroots by u^-T."""
-    adj, det = linalg.adjugate(u)
-    assert abs(det) == 1  # so u^-1 = det * adj is integral
-    inv_t = [[det * x for x in col] for col in zip(*adj)]
-    return RootDatum(
-        d.rank,
-        tuple(linalg.mat_vec(u, a) for a in d.simple_roots),
-        tuple(linalg.mat_vec(inv_t, c) for c in d.simple_coroots),
-        name=d.name,
-    )
 
 
 def _assert_isomorphism(m, d1, d2):
@@ -426,18 +490,6 @@ def test_isogeny_partners_stay_apart_under_base_change(data):
     changed = _base_change(da, data.draw(unimodular(da.rank)))
     assert root_datum.root_data_isomorphic(changed, db) is None
     assert root_datum.root_data_isomorphic(db, changed) is None
-
-
-def _product(*data):
-    """The direct product of data, as a block-diagonal datum."""
-    rank = sum(d.rank for d in data)
-    roots, coroots, offset = [], [], 0
-    for d in data:
-        before, after = (0,) * offset, (0,) * (rank - offset - d.rank)
-        roots += [before + a + after for a in d.simple_roots]
-        coroots += [before + c + after for c in d.simple_coroots]
-        offset += d.rank
-    return RootDatum(rank, tuple(roots), tuple(coroots))
 
 
 GL2 = root_datum.fixture("gl2")
@@ -609,11 +661,7 @@ def test_chamber_walk_matches_the_loops_it_replaced(name):
     assert d.chamber_walk((0,) * k) == (*zero, 0 if k else 1)  # 0 lies on every wall
 
 
-# E8 in Bourbaki's numbering: the chain 1-3-4-5-6-7-8 with 2 on 4
-E8_EDGES = ({0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {1, 3})
-E8 = _cartan_columns(
-    [[2 if i == j else -int({i, j} in E8_EDGES) for j in range(8)] for i in range(8)]
-)
+E8 = PAST_RANK3["E8"]
 
 
 @pytest.mark.parametrize("d", [*WALK_DATA.values(), E8], ids=[*WALK_DATA, "e8"])
@@ -622,10 +670,52 @@ def test_chamber_walk_of_minus_rho_is_the_longest_word(d):
     assert d.chamber_walk((-1,) * d.semisimple_rank) == (*d.rho2, (-1) ** len(d.positive_roots))
 
 
+def _principal_minors_positive(rows):
+    """Finite type as validation once decided it: every principal minor is positive."""
+    k = len(rows)
+    return all(
+        linalg.det([[rows[i][j] for j in subset] for i in subset]) > 0
+        for n in range(1, k + 1)
+        for subset in itertools.combinations(range(k), n)
+    )
+
+
+def test_finite_type_verdict_matches_principal_minors():
+    # every 2x2 Cartan matrix with off-diagonal entries 0..-5 and every 3x3 with 0..-3
+    verdicts = []
+    for k, low in [(2, -5), (3, -3)]:
+        cells = [(i, j) for i in range(k) for j in range(k) if i != j]
+        for entries in itertools.product(range(low, 1), repeat=len(cells)):
+            rows = [[2 * (i == j) for j in range(k)] for i in range(k)]
+            for (i, j), x in zip(cells, entries):
+                rows[i][j] = x
+            d = _cartan_columns(rows)
+            try:
+                root_datum.validate_root_datum(d)
+            except RootDatumError as err:
+                if not str(err).startswith("finite type"):
+                    continue  # refused before finite type is decided
+                assert not _principal_minors_positive(rows), rows
+                verdicts.append(False)
+                continue
+            assert _principal_minors_positive(rows), rows
+            assert root_datum.positive_roots(d) == _reference_positive_roots(d), rows
+            assert root_datum.weyl_order(d) == len(_reference_weyl_group(d)), rows
+            verdicts.append(True)
+    # 995 of the 4,132 reach the finite-type test, and 37 of those are of finite type
+    assert (verdicts.count(True), verdicts.count(False)) == (37, 958)
+
+
 def test_chamber_walk_stops_off_finite_type():
-    # a hyperbolic Cartan matrix: W is infinite, and the walk from (-1, -1) never ends
+    # a hyperbolic Cartan matrix: W is infinite, the walk from (-1, -1) never
+    # ends and neither do the positive roots, which validation walks
     d = RootDatum(2, ((2, -3), (-3, 2)), ((1, 0), (0, 1)))
-    start = time.perf_counter()
-    with pytest.raises(RootDatumError, match="finite type"):
-        root_datum.dominant_representative(d, (-1, -1))
-    assert time.perf_counter() - start < 1.0
+    for check in (
+        lambda: root_datum.dominant_representative(d, (-1, -1)),
+        lambda: root_datum.positive_roots(d),
+        lambda: root_datum.validate_root_datum(d),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(RootDatumError, match="finite type"):
+            check()
+        assert time.perf_counter() - start < 1.0
