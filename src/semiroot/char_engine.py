@@ -29,19 +29,24 @@ def _require_dominant(d: RootDatum, x: Vec, what: str) -> Vec:
     return x
 
 
-def dominant_closure(d: RootDatum, tops: Iterable[Vec]) -> tuple[Vec, ...]:
-    """All dominant weights below some dominant weight in tops, descending.
+def dominant_closure(
+    d: RootDatum, tops: Iterable[Vec], closed: Iterable[Vec] = ()
+) -> tuple[Vec, ...]:
+    """All dominant weights below some dominant weight in tops or in closed, descending.
 
     Breadth-first from tops, subtracting one positive root at a time; every
     dominant weight under a top is reachable this way through dominant stops.
     Pairings with the simple coroots are carried along, so the dominance test
     is a subtraction; the roots' own pairings are the datum's `root_pairings`.
-    The closure of a union is the union of the closures.  `d.pairing` checks
-    the length of every top, so the sums skip that check.
+    The closure of a union is the union of the closures, so `closed`, a set
+    of dominant weights already closed downward, is not walked: a walk stops
+    at its weights.  `d.pairing` checks the length of every top not in
+    `closed`, so the sums skip that check.
     """
     steps = d.root_pairings
-    seen = set(tops)
-    frontier = [(v, d.pairing(v)) for v in seen]
+    seen = set(closed)
+    frontier = [(v, d.pairing(v)) for v in set(tops) - seen]
+    seen.update(v for v, _ in frontier)
     while frontier:
         nxt = []
         for v, p in frontier:

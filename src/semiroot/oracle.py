@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from operator import add, sub
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import char_engine, root_datum
 from .linalg import Vec
@@ -145,26 +144,92 @@ def window_weights(d: RootDatum, bound: int) -> tuple[Vec, ...]:
 
     The box keeps every simple-coroot pairing at most `bound` and every
     torus-quotient coordinate at most `bound` in absolute value; downward
-    dominance closure then adds the weights below the box.
+    dominance closure then adds the weights below the box.  It is the
+    `bound`-th window that `growing_window` yields.
     """
-    return char_engine.dominant_closure(d, window_box(d, bound))
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    return next(itertools.islice(growing_window(d), bound - 1, None))
+
+
+def growing_window(d: RootDatum) -> Iterator[tuple[Vec, ...]]:
+    """The windows of bounds 1, 2, 3, ..., each grown from the one before, descending.
+
+    The window of a bound is that of the bound below, the box shell of the
+    bound (`_box_shell`), and everything under the shell.  The window below
+    is closed downward already, so the closure walks down from the shell's
+    new weights only and stops at the window's.  Each box point and each
+    window weight is visited once over the whole growth.
+    """
+    window: tuple[Vec, ...] = ()
+    for bound in itertools.count(1):
+        window = char_engine.dominant_closure(d, _box_shell(d, bound), window)
+        yield window
 
 
 def window_box(d: RootDatum, bound: int) -> list[Vec]:
     """The dominant weights of the window's coordinate box, before closure, sorted.
 
     With F the simple coroots stacked over the torus-quotient matrix, the box
-    is every integral x with F x in [0, bound]^k x [-bound, bound]^(rank-k).
-    It is enumerated in those coordinates, keeping each y that is F x for a
-    weight x, so its cost does not grow with how skewed the basis of the
-    character lattice is.
+    is every integral x with F x in [0, bound]^k x [-bound, bound]^(rank-k),
+    the union of the shells of bounds 1 to `bound`.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    k = d.semisimple_rank
-    ranges = [range(bound + 1)] * k + [range(-bound, bound + 1)] * (d.rank - k)
-    box = (d.weight_at(y) for y in itertools.product(*ranges))
-    return sorted(x for x in box if x is not None)
+    return sorted(x for b in range(1, bound + 1) for x in _box_shell(d, b))
+
+
+def _box_shell(d: RootDatum, bound: int) -> list[Vec]:
+    """The dominant weights x whose box coordinates y = F x have max |y_i| = bound.
+
+    F is the simple coroots stacked over the torus-quotient matrix, so y_i
+    is in [0, bound] for the k simple coroots and in [-bound, bound] for the
+    torus-quotient rows.  The shell of bound 1 also holds the origin, the box
+    of bound 0.  The shell is enumerated in those coordinates, by the first
+    i with |y_i| = bound, keeping each y that is F x for a weight x, so its
+    cost does not grow with how skewed the basis of the character lattice is.
+    """
+    k, rank = d.semisimple_rank, d.rank
+    inside = [range(bound)] * k + [range(1 - bound, bound)] * (rank - k)
+    edge = [(bound,)] * k + [(-bound, bound)] * (rank - k)
+    box = [range(bound + 1)] * k + [range(-bound, bound + 1)] * (rank - k)
+    shell = [
+        itertools.product(*inside[:i], edge[i], *box[i + 1 :]) for i in range(rank)
+    ]
+    if bound == 1:
+        shell.append([(0,) * rank])
+    points = (d.weight_at(y) for y in itertools.chain.from_iterable(shell))
+    return [x for x in points if x is not None]
+
+
+def coding_radix(vectors: Iterable[Vec]) -> int:
+    """4M + 1, M the largest |entry| of the vectors: the radix of their `encode`.
+
+    encode(v) = sum v_i R^i is linear, and injective on the vectors with
+    every entry in [-2M, 2M], as those entries are the balanced base-R
+    digits of the code, and R = 4M + 1 has one digit for each of them.  So
+    it tells apart the vectors, their pairwise sums and their pairwise
+    differences.
+    """
+    return 4 * max((abs(x) for v in vectors for x in v), default=0) + 1
+
+
+def encode(v: Vec, radix: int) -> int:
+    """sum v_i radix^i."""
+    code = 0
+    for x in reversed(v):
+        code = code * radix + x
+    return code
+
+
+def decode(code: int, radix: int, length: int) -> Vec:
+    """The vector of `length` balanced base-`radix` digits whose `encode` is code."""
+    half, out = radix // 2, []
+    for _ in range(length):
+        digit = (code + half) % radix - half
+        out.append(digit)
+        code = (code - digit) // radix
+    return tuple(out)
 
 
 def _fresh_labels(count: int, rng: random.Random) -> list[str]:
@@ -204,10 +269,18 @@ def window_table(
     on a torus never change.  The memos live for this call only.  Each
     weight is paired once, for the dominance check and its pairing id; its
     dual label is `root_datum.dominant_representative` of its negative.
+
+    The pair loop adds weights as integers: each weight w is its `encode`
+    in the `coding_radix` R = 4M + 1 of the window, M the largest
+    |coordinate|.  The code is linear and tells apart every vector with
+    entries in [-2M, 2M], the window's weights and their pairwise sums
+    among them, so a pair's top is the weight whose code is the sum of the
+    factors' codes, and a shifted component is the weight whose code is
+    the first cell's component's code plus the shift's.  Each is one
+    integer addition and one dict lookup.
     """
     name = (lambda w: w) if names is None else names.__getitem__
     dual: dict = {}
-    wset = set(weights)
     ids: dict[Vec, int] = {}  # pairing vector -> its id
     dims: list[int] = []  # Weyl's formula reads the pairings alone, so one dimension per id
     pid = []
@@ -221,12 +294,17 @@ def window_table(
             dims.append(char_engine.dimension(d, w))
         pid.append(ids[p])
     pairings = list(ids)
+    radix = coding_radix(weights)
+    codes = [encode(w, radix) for w in weights]
+    labels = tuple(map(name, weights))
+    at = dict(zip(codes, labels))  # code -> label
     ceiling: dict[int, Vec] = {}
-    by_shape: dict[tuple[int, Vec], tuple[Vec, dict[Vec, int]]] = {}
+    by_shape: dict[tuple[int, Vec], tuple[int, list[tuple[int, int]]]] = {}
 
-    def first_of_shape(w1: Vec, p1: int, w2: Vec, p2: int, top: Vec) -> tuple[Vec, dict]:
-        """The first pair of the shape of w1 and w2 (pairing ids p1, p2): its top and cell."""
-        (lam, a), (mu, b) = (w1, p1), (w2, p2)
+    def first_of_shape(i: int, j: int, total: int) -> tuple[int, list[tuple[int, int]]]:
+        """The top's code and the coded cell of the first pair of the shape of
+        weights i and j, whose top has code `total`."""
+        (lam, a), (mu, b) = (weights[i], pid[i]), (weights[j], pid[j])
         if dims[b] > dims[a]:
             (lam, a), (mu, b) = (mu, b), (lam, a)
         c = ceiling.get(b)
@@ -235,25 +313,26 @@ def window_table(
         shape = (b, tuple(map(min, pairings[a], c)))
         got = by_shape.get(shape)
         if got is None:
-            got = by_shape[shape] = (top, char_engine.tensor_decompose(d, lam, mu))
+            cell = char_engine.tensor_decompose(d, lam, mu)
+            got = by_shape[shape] = (total, [(encode(nu, radix), m) for nu, m in cell.items()])
         return got
 
-    by_pair: dict[tuple[int, int], tuple[Vec, dict[Vec, int]]] = {}
+    by_pair: dict[tuple[int, int], tuple[int, list[tuple[int, int]]]] = {}
     products: dict = {}
-    labels = tuple(map(name, weights))
-    for i, (w1, p1, x) in enumerate(zip(weights, pid, labels)):
-        for w2, p2, y in zip(weights[i:], pid[i:], labels[i:]):
-            top = tuple(map(add, w1, w2))
+    for i, (c1, p1, x) in enumerate(zip(codes, pid, labels)):
+        for j, c2, p2, y in zip(itertools.count(i), codes[i:], pid[i:], labels[i:]):
+            total = c1 + c2
+            top = at.get(total)
             cell = None
-            if top in wset:
+            if top is not None:
                 seen = by_pair.get((p1, p2))
                 if seen is None:
-                    seen = by_pair[(p1, p2)] = first_of_shape(w1, p1, w2, p2, top)
+                    seen = by_pair[(p1, p2)] = first_of_shape(i, j, total)
                 if len(seen[1]) == 1:
-                    cell = {name(top): 1}  # a lone factor is the Cartan component
+                    cell = {top: 1}  # a lone factor is the Cartan component
                 else:
-                    shift = tuple(map(sub, top, seen[0]))
-                    cell = {name(tuple(map(add, nu, shift))): m for nu, m in seen[1].items()}
+                    shift = total - seen[0]
+                    cell = {at[c + shift]: m for c, m in seen[1]}
             products[(x, y) if x <= y else (y, x)] = cell
     return OracleTable(labels=labels, unit=name((0,) * d.rank), dual=dual, products=products)
 

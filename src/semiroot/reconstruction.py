@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-from operator import sub
 from typing import NamedTuple
 
 from . import linalg, oracle, polytope, root_datum
@@ -401,16 +400,23 @@ def _box_coordinates(
     pairs of its points; with those differences of the labels' coordinates
     as the columns of h, h^-1 turns the image back into the box.  At m <= 1
     there is nothing to choose, since GL(1, Z) = {1, -1}.
+
+    The differences are counted as integers: with M the largest |coordinate|
+    of the points, `oracle.encode` in the radix 4M + 1 is linear and tells
+    apart the vectors with entries in [-2M, 2M], all pairwise differences
+    among them, so q - p is one subtraction of codes, and only the distinct
+    differences are decoded.
     """
     rank, k = len(next(iter(embedding.values()))), len(roots)
     _, u = linalg.smith_normal_form([[a[r] for a in roots] for r in range(rank)])
     moved = {x: linalg.mat_vec(u, v) for x, v in embedding.items()}
     points = sorted({v[k:] for v in moved.values()})
-    # points are sorted, so each difference has a positive leading entry
-    shared = collections.Counter(
-        tuple(map(sub, q, p)) for p, q in itertools.combinations(points, 2)
-    )
     m = rank - k
+    # points are sorted, so each difference has a positive leading entry
+    radix = oracle.coding_radix(points)
+    codes = [oracle.encode(p, radix) for p in points]
+    counts = collections.Counter(q - p for p, q in itertools.combinations(codes, 2))
+    shared = {oracle.decode(c, radix, m): n for c, n in counts.items()}
     # most shared first, ties in descending order, so an aligned box keeps its basis
     ranked = sorted(shared, key=lambda v: (-shared[v], linalg.vec_scale(-1, v)))
     h = linalg.transpose(ranked[:m])
@@ -430,10 +436,13 @@ def _certify(
     """Re-materialize the window from the recovered datum and match the table.
 
     Window size grows with the bound, so scanning upward finds the unique
-    size that fits the label count.  When the embedding names every label,
-    it is the only candidate bijection: the window is built under the
-    inverse embedding, and the table certifies exactly when the embedded
-    weights are the window and its unit, duals and cells equal the table's.
+    size that fits the label count.  The scan reads one window grown shell
+    by shell (`oracle.growing_window`), so each box point and each window
+    weight is visited once up to that bound.  When the embedding names
+    every label, it is the only candidate bijection: the window is built
+    under the inverse embedding, and the table certifies exactly when the
+    embedded weights are the window and its unit, duals and cells equal the
+    table's.
     That is plain dict equality, and exact, since `oracle.check_structure`
     has already required the table's n(n+1)/2 canonical cell keys.
     Otherwise `oracle.table_isomorphism` extends the embedding to a
@@ -442,8 +451,7 @@ def _certify(
     """
     if len(set(embedding.values())) != len(embedding):
         raise StageFailure("certification", "embedding is not injective")
-    for bound in range(1, 201):
-        window = oracle.window_weights(datum, bound)
+    for bound, window in zip(range(1, 201), oracle.growing_window(datum)):
         if len(window) >= len(t.labels):
             break
     if len(window) == len(t.labels):

@@ -593,3 +593,64 @@ def test_weyl_numerator_identity_catches_a_raised_multiplicity():
     character = dict(char_engine.irreducible_character(d, (1, 1)))
     character[(0, 0)] += 1
     assert not any(_numerator_identity_holds(d, (1, 1), character, t) for t in _torus_points(d))
+
+
+# every in-window cell of a window table, read back through Freudenthal characters:
+# sum_nu c_nu chi_nu(t) = chi_x(t) chi_y(t) at the seeded points, mod P; the cells
+# are read from the table, so the shifted cells of a PRV shape are checked too
+CELL_CASES = {
+    **{name: (root_datum.fixture(name), 2) for name in root_datum.fixture_names()},
+    **{name: (NUMERATOR_CASES[name][0], 1) for name in ("sp6", "spin7", "sl5", "spin8")},
+}
+
+
+def _cells_are_character_products(d, table, points):
+    values = {
+        lam: [
+            sum(m * _at(t, mu) for mu, m in char_engine.irreducible_character(d, lam).items()) % P
+            for t in points
+        ]
+        for lam in table.labels
+    }
+    for (x, y), val in table.products.items():
+        if val is None:
+            continue
+        for i in range(len(points)):
+            left = sum(m * values[nu][i] for nu, m in val.items())
+            if (left - values[x][i] * values[y][i]) % P:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(CELL_CASES))
+def test_window_cells_are_character_products(name):
+    d, bound = CELL_CASES[name]
+    table = oracle.window_table(d, oracle.window_weights(d, bound))
+    assert _cells_are_character_products(d, table, _torus_points(d))
+
+
+def test_window_cell_check_catches_a_raised_shifted_multiplicity(monkeypatch):
+    decomposed = set()
+    decompose = char_engine.tensor_decompose
+
+    def recorded(d, lam, mu):
+        decomposed.add(frozenset((lam, mu)))
+        return decompose(d, lam, mu)
+
+    monkeypatch.setattr(char_engine, "tensor_decompose", recorded)
+    d = root_datum.fixture("sl3")
+    table = oracle.window_table(d, oracle.window_weights(d, 3))
+    # a cell of several components that was shifted from the first cell of its shape
+    key = next(
+        key
+        for key, val in table.products.items()
+        if val is not None and len(val) > 1 and frozenset(key) not in decomposed
+    )
+    products = dict(table.products)
+    cell = dict(products[key])
+    cell[next(iter(cell))] += 1
+    products[key] = cell
+    raised = oracle.OracleTable(table.labels, table.unit, table.dual, products)
+    points = _torus_points(d)
+    assert _cells_are_character_products(d, table, points)
+    assert not _cells_are_character_products(d, raised, points)

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given
 from test_random_data import build_datum, reductive_cases
+from test_root_datum import _base_change
 
 from semiroot import char_engine, linalg, oracle, reconstruction, root_datum
 from semiroot.oracle import OracleError, OracleFormatError, OracleTable
@@ -154,6 +155,42 @@ def test_window_table_matches_per_pair_reference_on_random_data(case):
     weights = oracle.window_weights(d, min(bound, 2))
     fresh = root_datum.RootDatum(d.rank, d.simple_roots, d.simple_coroots)
     assert oracle.window_table(d, weights) == reference_window_table(fresh, weights)
+
+
+# window_table adds weights as integers in radix 4M + 1, M the largest |coordinate|;
+# these windows have coordinates of both signs up to 69, one weight, and rank 3
+_WIDE_BASIS = ((10, 11), (-11, -12))
+CODED_WINDOWS = {
+    "sl3-rebased@3": (_base_change(root_datum.fixture("sl3"), _WIDE_BASIS), 3),
+    "g2-rebased@2": (_base_change(root_datum.fixture("g2"), _WIDE_BASIS), 2),
+    "sl2xT2-skewed@2": (SL2XT2_SKEWED, 2),
+    "gl2xT1-changed@2": (GL2XT1_CHANGED, 2),
+    "rank0@2": (root_datum.RootDatum(0, (), ()), 2),
+    "torus3@2": (root_datum.RootDatum(3, (), ()), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODED_WINDOWS))
+def test_window_table_matches_per_pair_reference_on_coded_extremes(case):
+    d, bound = CODED_WINDOWS[case]
+    weights = oracle.window_weights(d, bound)
+    fresh = root_datum.RootDatum(d.rank, d.simple_roots, d.simple_coroots)
+    assert oracle.window_table(d, weights) == reference_window_table(fresh, weights)
+
+
+GROWTH_CASES = {
+    **{f"{n}@5": (root_datum.fixture(n), 5) for n in root_datum.fixture_names()},
+    **WIDE_WINDOWS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROWTH_CASES))
+def test_growing_window_is_the_window_at_each_bound(case):
+    # each grown window is that of window_weights, and the closure of the whole box at once
+    d, bound = GROWTH_CASES[case]
+    for b, grown in zip(range(1, bound + 1), oracle.growing_window(d)):
+        assert grown == oracle.window_weights(d, b)
+        assert grown == char_engine.dominant_closure(d, oracle.window_box(d, b))
 
 
 def test_window_table_decomposes_once_per_prv_shape(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -463,6 +464,96 @@ def test_hexagon_of_torus_weights_fails_certification():
     assert report.reason == "the torus coordinates of the labels form no box"
 
 
+def reference_box_coordinates(embedding, roots):
+    """`_box_coordinates` counting the differences of the torus points as tuples."""
+    rank, k = len(next(iter(embedding.values()))), len(roots)
+    _, u = linalg.smith_normal_form([[a[r] for a in roots] for r in range(rank)])
+    moved = {x: linalg.mat_vec(u, v) for x, v in embedding.items()}
+    points = sorted({v[k:] for v in moved.values()})
+    shared = collections.Counter(
+        tuple(q_i - p_i for p_i, q_i in zip(p, q)) for p, q in itertools.combinations(points, 2)
+    )
+    m = rank - k
+    ranked = sorted(shared, key=lambda v: (-shared[v], linalg.vec_scale(-1, v)))
+    h = linalg.transpose(ranked[:m])
+    tied = len(ranked) > m and shared[ranked[m - 1]] == shared[ranked[m]]
+    if len(ranked) < m or tied or abs(linalg.det(h)) != 1:
+        raise StageFailure("certification", "the torus coordinates of the labels form no box")
+    adj, det = linalg.adjugate(h)
+    to_box = [[x * det for x in row] for row in adj]
+    rebased = {x: v[:k] + linalg.mat_vec(to_box, v[k:]) for x, v in moved.items()}
+    return rebased, tuple(linalg.mat_vec(u, a) for a in roots)
+
+
+def _unimodular(rng, n):
+    """A seeded product of elementary row operations and sign changes: a matrix in GL(n, Z)."""
+    g = linalg.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            g[i] = [-x for x in g[i]]
+        else:
+            g[i] = linalg.vec_add(g[i], linalg.vec_scale(rng.choice((-3, -2, 2, 3)), g[j]))
+    return g
+
+
+HEXAGON = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if abs(x + y) <= 2]
+BOX_SHAPES = {
+    # boxes [-b, b]^m, whole or with one point taken out or put in; no such edit ties
+    # the m-th and (m+1)-th most shared differences, so these all rebase
+    **{
+        f"m{m}b{b}{edit}": (m, b, edit)
+        for m, b in [(2, 1), (2, 3), (3, 1), (3, 2)]
+        for edit in ("", "-removed", "-added")
+    },
+    # the hexagon ties its three edges, a line has one direction, and the
+    # doubled box's edges span a sublattice of index 2^m
+    "hexagon": (2, HEXAGON, ""),
+    "line": (2, [(x, 0) for x in range(-3, 4)], ""),
+    "doubled": (2, [(2 * x, 2 * y) for x in range(-1, 2) for y in range(-1, 2)], ""),
+}
+
+
+def _box_case(name, k):
+    """The shape's points in a seeded GL(k + m, Z) basis, each preceded by k root
+    coordinates, under labels, with k roots in that basis."""
+    m, box, edit = BOX_SHAPES[name]
+    rng = random.Random(f"box/{name}/{k}")
+    if isinstance(box, int):
+        box = list(itertools.product(range(-box, box + 1), repeat=m))
+        if edit == "-removed":
+            box.remove(rng.choice(box))
+        elif edit == "-added":
+            far = range(len(box), 2 * len(box))
+            box.append(tuple(rng.choice((-1, 1)) * rng.choice(far) for _ in range(m)))
+    g = _unimodular(rng, k + m)
+    points = [tuple(rng.randrange(3) for _ in range(k)) + p for p in box]
+    embedding = {f"l{i:03d}": linalg.mat_vec(g, p) for i, p in enumerate(points)}
+    roots = tuple(linalg.mat_vec(g, [2 * (i == j) for j in range(k + m)]) for i in range(k))
+    return embedding, roots
+
+
+def _rebased_or_reason(f, embedding, roots):
+    try:
+        return f(embedding, roots)
+    except StageFailure as e:
+        return e.stage, e.reason
+
+
+@pytest.mark.parametrize("name", sorted(BOX_SHAPES))
+@pytest.mark.parametrize("k", [0, 1])
+def test_box_coordinates_match_the_tuple_count(name, k):
+    embedding, roots = _box_case(name, k)
+    got = _rebased_or_reason(reconstruction._box_coordinates, embedding, roots)
+    assert got == _rebased_or_reason(reference_box_coordinates, embedding, roots)
+    fails = name in ("hexagon", "line", "doubled")
+    assert (got == ("certification", "the torus coordinates of the labels form no box")) == fails
+    if not fails and "-" not in name:
+        m, b, _ = BOX_SHAPES[name]
+        box = set(itertools.product(range(-b, b + 1), repeat=m))
+        assert {v[k:] for v in got[0].values()} == box
+
+
 @pytest.mark.parametrize("name", ["gl2", "g2"])
 def test_bound1_window_is_reproduced_by_no_window(name):
     t, _ = oracle.materialize_oracle(root_datum.fixture(name), 1, seed=7)
@@ -619,6 +710,26 @@ def test_torus2_bound4_certifies_by_table_equality(monkeypatch):
     report = reconstruction.recover_datum(t)
     assert report.certified and report.inferred_bound == 4
     assert report.bijection == report.embedding
+
+
+def test_certification_grows_one_window(monkeypatch):
+    # the bound scan reads one growing window: each of the 81 box points of
+    # torus2@4 is placed once, where a window per bound placed 9 + 25 + 49 + 81
+    placed = []
+    weight_at, certify = root_datum.RootDatum.weight_at, reconstruction._certify
+
+    def counted(*args):
+        with monkeypatch.context() as m:
+            m.setattr(
+                root_datum.RootDatum, "weight_at", lambda d, y: placed.append(y) or weight_at(d, y)
+            )
+            return certify(*args)
+
+    t, _ = oracle.materialize_oracle(TORUS2, 4, seed=7)
+    monkeypatch.setattr(reconstruction, "_certify", counted)
+    report = reconstruction.recover_datum(t)
+    assert report.certified and report.inferred_bound == 4
+    assert sorted(placed) == list(itertools.product(range(-4, 5), repeat=2))
 
 
 def test_g2_bound3_certifies_by_search(monkeypatch):
