@@ -4,7 +4,8 @@ Weight multiplicities come from the Freudenthal recursion, tensor products
 from the reflection-based expansion over the weights of the smaller factor
 (Brauer-Klimyk).
 Derived Weyl data and the memos live on the datum (`root_datum.RootDatum`).
-All arithmetic is exact; every quotient is asserted back to an integer.
+All arithmetic is exact; every quotient is checked back to a positive
+integer, and a failed check raises ArithmeticError, under `python -O` too.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def dominant_weight_multiplicities(d: RootDatum, lam: Vec) -> dict[Vec, int]:
                     q = tuple(map(add, q, pa))
             denom = t_squares - squares(fmu)
             value, rem = divmod(8 * num, denom)
-            assert rem == 0 and value > 0, (lam, mu, 8 * num, denom)
+            if rem or value <= 0:
+                raise ArithmeticError((lam, mu, 8 * num, denom))
         found.update(dict.fromkeys(d.paired_orbit(mu)[1], value))
         mults[mu] = value
     d.dominant_mults[lam] = mults
@@ -147,7 +149,8 @@ def dimension(d: RootDatum, lam: Vec) -> int:
     _require_dominant(d, lam, "highest weight")
     num = math.prod(2 * p + r for p, r in zip(d.coroot_pairings(lam), d.rho2_pairings))
     value, rem = divmod(num, d.weyl_denominator)
-    assert rem == 0 and value > 0, (lam, num, d.weyl_denominator)
+    if rem or value <= 0:
+        raise ArithmeticError((lam, num, d.weyl_denominator))
     d.dimensions[lam] = value
     return value
 
@@ -166,6 +169,13 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     does every point of its orbit, so its walk ends on one; every other q is
     walked once per datum into the datum's `chamber_walks` memo.
 
+    The weights come as `RootDatum.orbit_records`, each with its least
+    pairing.  Since q_i = <lam, a_i^v> + 1 + <w, a_i^v>, every entry of q is
+    positive when the least pairing of w is at least minus the least pairing
+    of lam, so such a term goes to lam + w with no q built; only the rest are
+    scanned.  The multiplicities found are checked positive, and a failed
+    check raises ArithmeticError.
+
     The first step compares the factors' `dimension`s, which raises
     ValueError on either weight if it is not dominant or has the wrong
     length.  The checked lengths let the sums skip the length checks.
@@ -174,10 +184,16 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
     if dimension(d, mu) > dimension(d, lam):
         lam, mu = mu, lam
     walks = d.chamber_walks
-    shifted = tuple(x + 1 for x in d.pairing(lam))  # pairings of lam + rho
+    pl = d.pairing(lam)
+    floor = -min(pl, default=0)
+    shifted = tuple(x + 1 for x in pl)  # pairings of lam + rho
     acc: dict[Vec, int] = {}
     for delta, m in dominant_weight_multiplicities(d, mu).items():
-        for w, pw in zip(*d.paired_orbit(delta)):
+        for w, pw, least in d.orbit_records(delta):
+            if least >= floor:  # lam + rho + w clears every wall of the chamber
+                y = tuple(map(add, lam, w))
+                acc[y] = acc.get(y, 0) + m
+                continue
             q = tuple(map(add, shifted, pw))
             for c in q:
                 if c <= 0:
@@ -196,7 +212,8 @@ def tensor_decompose(d: RootDatum, lam: Vec, mu: Vec) -> Decomposition:
                 y = tuple(map(add, map(add, lam, w), walk))
                 acc[y] = acc.get(y, 0) + sign * m
     out = {k: v for k, v in acc.items() if v != 0}
-    assert all(v > 0 for v in out.values()), (lam, mu, out)
+    if min(out.values(), default=1) < 0:
+        raise ArithmeticError((lam, mu, out))
     return out
 
 

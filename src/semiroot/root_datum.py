@@ -45,6 +45,9 @@ class RootDatum:
     normals and the coordinate matrix.  The plain dicts `orbits`,
     `dominant_mults` and `dimensions`, made with the datum, are memos keyed
     by weight: `paired_orbit` fills the first, the char engine the others.
+    An `orbits` entry holds the W-orbit of its key, descending, the
+    simple-coroot pairings of each point, and one (weight, pairings, least
+    pairing) record per point (`orbit_records`).
     `chamber_walk` is the one walk to the dominant chamber, and the dict
     `chamber_walks` is the char engine's memo of its rho-shifted walks,
     keyed by the simple-coroot pairings of the weight plus rho.  Nothing is
@@ -170,7 +173,9 @@ class RootDatum:
         The only orbit search of W.  It carries the pairings: s_i moves a
         weight by -c times root i and its pairings by -c times column i of
         the Cartan matrix, c its pairing with coroot i, so no pairing is
-        recomputed.
+        recomputed.  The walk fills the datum's `orbits` entry of x: the
+        orbit, the pairings, and the `orbit_records` that `tensor_decompose`
+        reads, one (weight, pairings, least pairing) per point.
         """
         got = self.orbits.get(x)
         if got is None:
@@ -189,8 +194,22 @@ class RootDatum:
                                 nxt.append(r)
                 frontier = nxt
             orb = tuple(sorted(seen, reverse=True))
-            got = self.orbits[x] = (orb, tuple([seen[w] for w in orb]))
-        return got
+            pairs = tuple([seen[w] for w in orb])
+            records = tuple([(w, p, min(p, default=0)) for w, p in zip(orb, pairs)])
+            got = self.orbits[x] = (orb, pairs, records)
+        return got[:2]
+
+    def orbit_records(self, x: Vec) -> tuple[tuple[Vec, Vec, int], ...]:
+        """(weight, pairings, least pairing) per point of the W-orbit of x, in `paired_orbit` order.
+
+        Read from the `orbits` entry that `paired_orbit` fills.  The least
+        pairing of a datum with no simple coroots is 0.
+        """
+        got = self.orbits.get(x)
+        if got is None:
+            self.paired_orbit(x)
+            got = self.orbits[x]
+        return got[2]
 
     def chamber_walk(self, q: Vec) -> Vec:
         """Walk the simple-coroot pairings q to the dominant chamber, as one flat tuple.

@@ -2,9 +2,13 @@ import hashlib
 import importlib
 import itertools
 import math
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -524,6 +528,86 @@ def test_memoized_walks_match_fresh_walks(name, warm):
         first = next(c for c in q if c <= 0)
         assert first < 0, q
         assert len(walk) == d.rank + 1 and walk[-1] in (-1, 0, 1), (q, walk)
+
+
+# the tensor-queries benchmark's data at its pairing ceiling, a datum with a
+# torus factor, and a datum of rank 0 (no simple coroots, so no least pairing)
+QUERY_RANGE_CASES = {
+    **{name: (root_datum.fixture, name, 10, 100) for name in ("sl3", "sp4", "so5", "g2", "pgl3")},
+    "sl2xT2": (lambda n: RootDatum(3, ((2, 0, 0),), ((1, 0, 0),), n), "sl2xT2", 3, 100),
+    "rank0": (lambda n: RootDatum(0, (), (), n), "rank0", 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(QUERY_RANGE_CASES))
+def test_decompositions_match_fresh_walks_at_the_query_range(name):
+    """Terms that clear lam's walls by their least pairing, and the rest, as walked step by step."""
+    make, arg, bound, count = QUERY_RANGE_CASES[name]
+    d = make(arg)  # a fresh datum, with empty memos
+    weights = oracle.window_box(d, bound)
+    rng = random.Random(f"{name}/query range")
+    for _ in range(count):
+        lam, mu = rng.choice(weights), rng.choice(weights)
+        for left, right in ((lam, mu), (mu, lam)):
+            got = char_engine.tensor_decompose(d, left, right)
+            want = _reference_decompose(d, left, right)
+            assert list(got.items()) == list(want.items()), (left, right)  # values and key order
+
+
+def test_orbit_records_carry_each_point_with_its_least_pairing():
+    for d in [root_datum.fixture("g2"), root_datum.fixture("sl2xpgl2"), RootDatum(0, (), ())]:
+        for x in oracle.window_box(d, 2):
+            orbit, pairs = d.paired_orbit(x)
+            records = d.orbit_records(x)
+            assert [(w, p) for w, p, _ in records] == list(zip(orbit, pairs))
+            assert [least for _, p, least in records] == [min(p, default=0) for p in pairs]
+            assert d.orbits[x] == (orbit, pairs, records)
+
+
+# each planted fault breaks one of the char engine's exactness checks: a
+# negative multiplicity reaches tensor_decompose's positivity check, a wrong
+# Weyl denominator Weyl's quotient, and a wrong 2 rho Freudenthal's quotient
+PLANTED_FAULTS = {
+    "tensor multiplicity": (
+        "d.dominant_mults[(1,)] = {(1,): -1}",
+        "char_engine.tensor_decompose(d, (1,), (1,))",
+        ((1,), (1,), {(2,): -1, (0,): -1}),
+    ),
+    "weyl quotient": (
+        "d.__dict__['weyl_denominator'] = 3",
+        "char_engine.dimension(d, (1,))",
+        ((1,), 4, 3),
+    ),
+    "freudenthal quotient": (
+        "d.__dict__['rho2_pairings'] = (4,)",
+        "char_engine.dominant_weight_multiplicities(d, (2,))",
+        ((2,), (0,), 32, 48),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(PLANTED_FAULTS))
+def test_exactness_checks_raise_under_python_O(fault):
+    plant, call, payload = PLANTED_FAULTS[fault]
+    code = "\n".join(
+        [
+            "from semiroot import char_engine, root_datum",
+            "assert False, 'asserts are on'",  # -O strips this line
+            "d = root_datum.fixture('sl2')",
+            plant,
+            "try:",
+            f"    {call}",
+            "except ArithmeticError as e:",
+            "    print(repr(e.args[0]))",
+        ]
+    )
+    src = str(Path(char_engine.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == repr(payload) + "\n"
 
 
 # Weyl's numerator identity, chi_lam * prod_{b > 0} (1 - e^-b) = sum_w sgn(w) e^(w.lam),
