@@ -99,24 +99,31 @@ def recover_addition(t: OracleTable) -> RecoveredMonoid:
     of every other factor's.  Multiplicity one is required.  Cells with
     several such factors (at the window ceiling the partner sets flatten out)
     are recorded as undefined rather than guessed; reconstruction fails later
-    if it truly needs one of them.
+    if it truly needs one of them.  Each cell is read once, and `t.partners`
+    only for a cell with two or more components, so a table whose cells all
+    have one component, a torus window's, never builds the index here.
     """
-    partners = t.partners
     add: dict[tuple[str, str], str] = {}
     undefined: list[tuple[str, str]] = []
-    for key in sorted(t.products):
-        val = t.products[key]
+    products = t.products
+    for key in sorted(products):
+        val = products[key]
         if val is None:
             continue
         if len(val) == 1:
             # a lone factor is trivially minimal
-            cands = [nu for nu, m in val.items() if m == 1]
-        else:
-            cands = [
-                nu
-                for nu, m in val.items()
-                if m == 1 and all(partners[nu] <= partners[other] for other in val)
-            ]
+            [(nu, mult)] = val.items()
+            if mult == 1:
+                add[key] = nu
+            else:
+                undefined.append(key)
+            continue
+        partners = t.partners
+        cands = [
+            nu
+            for nu, m in val.items()
+            if m == 1 and all(partners[nu] <= partners[other] for other in val)
+        ]
         if len(cands) == 1:
             add[key] = cands[0]
         else:
@@ -139,19 +146,49 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
     their coordinates in the free quotient, and
     each eliminated label takes the value of its expression.  Torsion in the
     completion means the table was inconsistent.  Labels appearing in no
-    relation are not embedded.  Every relation holds in the embedding by
-    construction: each solved label takes its expression, and the rows of
-    the Smith transform that give the coordinates vanish on the residual
-    relations.  Returns (rank, embedding).
+    relation are not embedded: the support of x + y - z drops the label that
+    cancels, z when it is exactly one of x and y.  Every relation holds in
+    the embedding by construction: each solved label takes its expression,
+    and the rows of the Smith transform that give the coordinates vanish on
+    the residual relations.  Returns (rank, embedding).
+
+    Almost every relation vanishes or repeats a kept one, and each of those
+    costs one integer comparison.  Every label carries a code, its value over
+    the free labels with the label at sorted position i standing for R**i,
+    for R a power of two: R**i while the label is free, its expression at
+    those powers once eliminated.  value[x] + value[y] - value[z] is then the
+    code of the relation after substitution, whose coefficients are sums of
+    three coefficients of the values.  While every coefficient written to an
+    expression is below R/6 in absolute value, those sums are below R/2 and
+    are the code's balanced base-R digits, so the code is zero exactly when
+    the substituted relation vanishes and equals a kept relation's code
+    exactly when it is that relation.  Only the relations that are neither
+    go through `_substitute`, and only their supports are collected: each
+    label of a skipped relation is eliminated, or held by an expression or
+    by the kept relation it repeats, all of which come from relations that
+    went through.  Before the largest coefficient written reaches R/6, R
+    grows and every code, the kept relations' too, is computed again from
+    the expressions, so a code never carries into its neighbour's digit.
     """
     if not m.add:
         raise StageFailure("lattice", "no addition identities to complete")
+    # every label has a code, the cancelled ones too
+    position = {
+        lbl: i
+        for i, lbl in enumerate(sorted({*itertools.chain.from_iterable(m.add), *m.add.values()}))
+    }
+    bits, top = 8, 1  # R = 2**bits; top is the largest |coefficient| written
+    value = {lbl: 1 << bits * i for lbl, i in position.items()}
     # expr holds each eliminated label over the free labels only, so a newly
     # eliminated label is substituted into every expression in one scan
     expr: dict[str, dict[str, int]] = {}
-    residual: dict[frozenset, dict[str, int]] = {}  # each relation once, in order found
+    # each residual relation once, in order found, keyed by its code
+    residual: dict[int, dict[str, int]] = {}
     constrained: set[str] = set()
     for (x, y), z in sorted(m.add.items()):
+        code = value[x] + value[y] - value[z]
+        if not code or code in residual:
+            continue
         # the coefficients sum to 1, so no relation vanishes before substitution
         rel = {x: 1}
         rel[y] = rel.get(y, 0) + 1
@@ -162,25 +199,35 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
             del rel[z]
         constrained.update(rel)
         rel = _substitute(rel, expr)
-        if not rel:
-            continue
         units = [lbl for lbl, c in rel.items() if abs(c) == 1]
         if not units:
-            residual.setdefault(frozenset(rel.items()), rel)
+            residual[code] = rel
             continue
         pivot = min(units)  # a fixed rule: the completion is the same in every run
+        top = max(top, *map(abs, rel.values()))
         c = rel.pop(pivot)
         solved = {lbl: -c * v for lbl, v in rel.items()}
-        for e in expr.values():
+        # the pivot was free, and it becomes pivot - c * (relation) as c * c == 1
+        shift = -c * code
+        value[pivot] += shift
+        for owner, e in expr.items():
             if pivot in e:
                 k = e.pop(pivot)
+                value[owner] += k * shift
                 for lbl, v in solved.items():
                     total = e.get(lbl, 0) + k * v
                     if total:
                         e[lbl] = total
+                        if total > top or -total > top:
+                            top = abs(total)
                     else:
                         del e[lbl]
         expr[pivot] = solved
+        if 6 * top >= 1 << bits:
+            while 6 * top >= 1 << bits:
+                bits *= 2
+            value = {lbl: _encode(expr.get(lbl, {lbl: 1}), position, bits) for lbl in position}
+            residual = {_encode(rel, position, bits): rel for rel in residual.values()}
     labels = sorted(constrained)
     free = [lbl for lbl in labels if lbl not in expr]
     distinct: dict[frozenset, dict[str, int]] = {}
@@ -212,12 +259,14 @@ def recover_lattice(m: RecoveredMonoid) -> tuple[int, dict[str, Vec]]:
     return rank, embedding
 
 
-def _substitute(rel: dict[str, int], expr: dict[str, dict[str, int]]) -> dict[str, int]:
-    """The relation with every eliminated label replaced by its expression.
+def _encode(rel: dict[str, int], position: dict[str, int], bits: int) -> int:
+    """The relation's value at label l = 2**(bits * position[l])."""
+    return sum(c << bits * position[lbl] for lbl, c in rel.items())
 
-    Most relations vanish, and that is decided before the nonzero
-    coefficients are collected.
-    """
+
+def _substitute(rel: dict[str, int], expr: dict[str, dict[str, int]]) -> dict[str, int]:
+    """The relation with every eliminated label replaced by its expression,
+    its zero coefficients dropped; empty when it vanishes."""
     out: dict[str, int] = {}
     for lbl, c in rel.items():
         e = expr.get(lbl)
@@ -226,8 +275,6 @@ def _substitute(rel: dict[str, int], expr: dict[str, dict[str, int]]) -> dict[st
             continue
         for f, v in e.items():
             out[f] = out.get(f, 0) + c * v
-    if not any(out.values()):
-        return {}
     return {f: v for f, v in out.items() if v != 0}
 
 

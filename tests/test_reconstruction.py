@@ -304,6 +304,74 @@ def test_torus_part_certifies_at_its_bound(d, bound, seed):
     assert root_datum.root_data_isomorphic(report.datum, d) is not None
 
 
+def addition_reading_every_partner_set(t):
+    """`recover_addition` as it ran when it built `t.partners` for every table
+    and read each cell's candidates the same way, a lone factor included."""
+    partners = t.partners
+    add, undefined = {}, []
+    for key in sorted(t.products):
+        val = t.products[key]
+        if val is None:
+            continue
+        if len(val) == 1:
+            cands = [nu for nu, m in val.items() if m == 1]
+        else:
+            cands = [
+                nu
+                for nu, m in val.items()
+                if m == 1 and all(partners[nu] <= partners[other] for other in val)
+            ]
+        if len(cands) == 1:
+            add[key] = cands[0]
+        else:
+            undefined.append(key)
+    return reconstruction.RecoveredMonoid(add=add, undefined=tuple(undefined))
+
+
+@pytest.mark.parametrize(
+    "name,bound,seed",
+    [
+        (name, bound, seed)
+        for name in root_datum.fixture_names()
+        for bound in (1, 2, 3, 4)
+        for seed in (7, 1)
+    ]
+    + [("sl2xT2", 2, 7)],
+)
+def test_addition_matches_reading_every_partner_set(name, bound, seed):
+    d = SL2_T2 if name == "sl2xT2" else root_datum.fixture(name)
+    t, _ = oracle.materialize_oracle(d, bound, seed=seed)
+    got = reconstruction.recover_addition(t)
+    want = addition_reading_every_partner_set(oracle.OracleTable(t.labels, t.unit, t.dual, t.products))
+    assert list(got.add.items()) == list(want.add.items())
+    assert got.undefined == want.undefined
+
+
+def test_addition_leaves_a_lone_multiple_factor_undefined():
+    products = {
+        ("a", "a"): {"b": 2},
+        ("a", "b"): None,
+        ("a", "u"): {"a": 1},
+        ("b", "b"): None,
+        ("b", "u"): {"b": 1},
+        ("u", "u"): {"u": 1},
+    }
+    t = oracle.OracleTable(("a", "b", "u"), "u", {"a": "a", "b": "b", "u": "u"}, products)
+    monoid = reconstruction.recover_addition(t)
+    assert monoid.undefined == (("a", "a"),)
+    assert monoid.add == {("a", "u"): "a", ("b", "u"): "b", ("u", "u"): "u"}
+
+
+def test_addition_builds_the_partner_index_only_for_several_components():
+    # every in-window cell of a torus window has one component
+    t, _ = oracle.materialize_oracle(TORUS2, 4, seed=7)
+    reconstruction.recover_addition(t)
+    assert "partners" not in vars(t)
+    t, _ = oracle.materialize_oracle(SL2_T2, 2, seed=7)
+    reconstruction.recover_addition(t)
+    assert "partners" in vars(t)
+
+
 E3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 SP6 = root_datum.RootDatum(3, ((2, -1, 0), (-1, 2, -1), (0, -2, 2)), E3, "sp6")
 SPIN7 = root_datum.RootDatum(3, ((2, -1, 0), (-1, 2, -2), (0, -1, 2)), E3, "spin7")
@@ -885,6 +953,70 @@ def _sampled_lattice_cases():
     return [(*case, rng.randrange(10**6)) for case in rng.sample(cases, 24)]
 
 
+def _doubling_chain(names):
+    """names[i] + names[i] = names[i + 1]: coefficients up to 2**(len(names) - 1);
+    64 names make the radix grow four times."""
+    return reconstruction.RecoveredMonoid(add={(a, a): b for a, b in zip(names, names[1:])}, undefined=())
+
+
+CHAIN = [f"l{i:02d}" for i in range(64)]
+
+
+def _growth_straddle():
+    """2*a4 - 3*a2 is kept before the chain a3, c01, ... makes the codes grow,
+    and 2*a2 - 3*a1 found after it: the latter's code at the grown radix is
+    the former's at the first, so a kept code left unconverted hides it."""
+    add = {
+        ("a0", "a0"): "a0",
+        ("a1", "a1"): "ey",
+        ("a1", "ey"): "f3",
+        ("a1", "f3"): "f4",
+        ("a1", "f4"): "f5",
+        ("a2", "a2"): "ex",
+        ("a2", "ex"): "bt",
+        ("a3", "a3"): "c01",
+        ("a4", "a4"): "bt",
+        ("ex", "ey"): "f5",
+    }
+    add.update({(f"c{i:02d}", f"c{i:02d}"): f"c{i + 1:02d}" for i in range(1, 8)})
+    return reconstruction.RecoveredMonoid(add=add, undefined=())
+
+
+def _box_and_chain():
+    """A torus2@2-like box of points beside a doubling chain, under random
+    names: residual relations of the box repeat before and after the chain
+    makes the codes grow."""
+    rng = random.Random(11)
+    points = [(i, j, 0) for i in range(-2, 3) for j in range(-2, 3)]
+    points += [(0, 0, 2**k) for k in range(12)]
+    name = {p: f"{rng.randrange(16**4):04x}" for p in points}
+    add = {}
+    for p, q in itertools.combinations_with_replacement(points, 2):
+        s = tuple(a + b for a, b in zip(p, q))
+        if s in name:
+            add[oracle.OracleTable.pair_key(name[p], name[q])] = name[s]
+    return reconstruction.RecoveredMonoid(add=add, undefined=())
+
+
+SYNTHETIC_MONOIDS = {
+    "doubling-chain": lambda: _doubling_chain(CHAIN),
+    # l08 renamed so it sorts second: under a radix that never grew, 2 * l07 = 256 * l00
+    # would read as the code of the free label at position 1, and 2 * l07 - l00x vanish
+    "doubling-chain-l08-second": lambda: _doubling_chain(CHAIN[:8] + ["l00x"] + CHAIN[9:]),
+    "growth-straddle": _growth_straddle,
+    "box-and-chain": _box_and_chain,
+}
+LATTICE_DATA = {**INLINE_ROUND_TRIPS, "torus3": TORUS3}
+
+
+def _lattice_case_monoid(name, bound, seed):
+    if name in SYNTHETIC_MONOIDS:
+        return SYNTHETIC_MONOIDS[name]()
+    d = LATTICE_DATA.get(name) or root_datum.fixture(name)
+    t, _ = oracle.materialize_oracle(d, bound, seed=seed)
+    return reconstruction.recover_addition(t)
+
+
 # (free labels, Smith columns, distinct columns) here and with every residual
 # relation kept: label seed 9542 leaves 991 residual relations, 6 of them distinct
 SMITH_SHAPES = {("torus2", 4, 9542): [(4, 6, 6), (4, 991, 6)]}
@@ -893,24 +1025,50 @@ SMITH_SHAPES = {("torus2", 4, 9542): [(4, 6, 6), (4, 991, 6)]}
 @pytest.mark.parametrize(
     "name,bound,seed",
     [("torus2", 4, 9542), ("torus2", 4, 472775), ("torus1", 4, 7), ("torus1", 4, 1)]
-    + _sampled_lattice_cases(),
+    + _sampled_lattice_cases()
+    # 523 residual relations, 2 of them distinct
+    + [("torus2", 4, 193761)]
+    # label seed 98695 leaves 261 residual relations, 1 of them distinct
+    + [("sl2xT2", 2, seed) for seed in (7, 1, 888598, 98695)]
+    + [("torus3", 2, 7)]
+    + [pytest.param(name, None, None, id=name) for name in SYNTHETIC_MONOIDS],
 )
 def test_lattice_matches_every_residual_completion(monkeypatch, name, bound, seed):
-    t, _ = oracle.materialize_oracle(root_datum.fixture(name), bound, seed=seed)
-    monoid = reconstruction.recover_addition(t)
-    shapes = []
-    smith = linalg.smith_normal_form
+    monoid = _lattice_case_monoid(name, bound, seed)
+    shapes, substituted = [], []
+    smith, substitute = linalg.smith_normal_form, reconstruction._substitute
 
     def recorded(mat):
         columns = list(zip(*mat))
         shapes.append((len(mat), len(columns), len(set(columns))))
         return smith(mat)
 
+    def counted(rel, expr):
+        out = substitute(rel, expr)
+        substituted.append(dict(out))  # the caller pops the pivot from `out`
+        return out
+
     monkeypatch.setattr(linalg, "smith_normal_form", recorded)
-    assert completion(monoid, reconstruction.recover_lattice) == completion(
-        monoid, lattice_with_every_residual
-    )
+    monkeypatch.setattr(reconstruction, "_substitute", counted)
+    got = completion(monoid, reconstruction.recover_lattice)
+    calls = len(substituted)
+    substituted.clear()
+    want = completion(monoid, lattice_with_every_residual)
+    assert got == want
     if shapes:
         (rows, cols, distinct), (old_rows, _, old_distinct) = shapes
         assert (rows, cols, distinct) == (old_rows, old_distinct, old_distinct)
     assert shapes == SMITH_SHAPES.get((name, bound, seed), shapes)
+    if isinstance(want[1], dict):
+        assert list(got[1]) == list(want[1])
+    # the reference substitutes every relation in turn; only the pivots and the
+    # first occurrence of each residual relation may reach `_substitute` here,
+    # and each residual relation once more after the last pivot
+    in_turn = substituted[: len(monoid.add)]
+    pivots = sum(1 for rel in in_turn if 1 in map(abs, rel.values()))
+    residual = {frozenset(rel.items()) for rel in in_turn if rel and 1 not in map(abs, rel.values())}
+    assert calls == pivots + 2 * len(residual)
+    # the relations are taken in sorted order, whatever order the cells came in
+    shuffled = list(monoid.add.items())
+    random.Random(name).shuffle(shuffled)
+    assert completion(monoid._replace(add=dict(shuffled)), reconstruction.recover_lattice) == got
